@@ -7,7 +7,7 @@ relay/aided/common roles plus relay pairings under several policies, with a
 batch experiment CLI on top (`relaysched --help`).
 """
 
-from .assignment import Assignment, BenefitMatrix, brute_force_assignment, pad_to_square, solve_max_assignment
+from .assignment import Assignment, BenefitMatrix, brute_force_assignment, solve_max_assignment
 from .channel import (
     DSRC_PATH_LOSS,
     LTE_PATH_LOSS,
@@ -20,6 +20,7 @@ from .channel import (
     rate_v2v,
     snr_linear,
     to_bits_per_second,
+    unit_rate,
 )
 from .mobility import BasePosition, VehicleState, distance_between, distance_to_bs, predict_position
 from .scenario import Scenario, ScenarioFormatError, ScenarioSpec, generate, load_scenario, save_scenario
@@ -36,14 +37,6 @@ from .scheduler import (
     solve_optimal_bruteforce,
     validate_schedule,
 )
-from .service import (
-    Period,
-    QuadratureResult,
-    QuadratureSpec,
-    integrate_rate,
-    service_two_hop,
-    service_v2i,
-    service_v2v,
-)
+from .service import Period, QuadratureSpec, unit_service_batch
 
 __version__ = "0.1.0"

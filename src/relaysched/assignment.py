@@ -1,18 +1,16 @@
 """Maximum-total-benefit one-to-one assignment on benefit matrices.
 
 Rows are candidate relays, columns are aided vehicles; entries are two-hop
-service amounts.  A rectangular matrix (more relays than aided vehicles) is
-squared up by appending all-zero dummy columns; rows that end up matched to a
-dummy column receive no aided vehicle.  The solver converts benefit
-maximization to cost minimization by subtracting every entry from the global
-maximum, then runs a potentials-based shortest-augmenting-path method
-(O(n^3) Kuhn-Munkres family).  Dummy columns are never materialized inside
-the solver: matching all real columns against the full row set is equivalent
-and much cheaper when dummies dominate.
+service amounts.  Every column is matched to a distinct row, so a matrix may
+have more rows than columns (rows left unmatched receive no aided vehicle)
+but not more columns than rows.  The solver converts benefit maximization to
+cost minimization by subtracting every entry from the global maximum, then
+runs a potentials-based shortest-augmenting-path method for rectangular
+matrices (O(R*C^2), Kuhn-Munkres family; Crouse, IEEE TAES 2016).
 
 Tie-breaking is deterministic: among equal-total matchings the solver returns
-the one that, scanning real columns in ascending order, pairs each column
-with the largest-index row still compatible with optimality.
+the one that, scanning columns in ascending order, pairs each column with the
+largest-index row still compatible with optimality.
 """
 
 from __future__ import annotations
@@ -27,10 +25,9 @@ _BRUTE_FORCE_CAP = 8  # factorial enumeration beyond this is pointless
 
 @dataclass(frozen=True)
 class BenefitMatrix:
-    """Non-negative benefit matrix with per-column dummy flags."""
+    """Non-negative, finite R x C benefit matrix."""
 
     values: np.ndarray
-    col_is_dummy: np.ndarray = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -40,17 +37,7 @@ class BenefitMatrix:
             raise ValueError("benefit matrix entries must be finite")
         if values.size and values.min() < 0:
             raise ValueError("benefit matrix entries must be non-negative")
-        dummy = self.col_is_dummy
-        if dummy is None:
-            dummy = np.zeros(values.shape[1], dtype=bool)
-        else:
-            dummy = np.asarray(dummy, dtype=bool)
-            if dummy.shape != (values.shape[1],):
-                raise ValueError("col_is_dummy must have one flag per column")
-            if values[:, dummy].size and values[:, dummy].max() > 0:
-                raise ValueError("dummy columns must be all-zero")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "col_is_dummy", dummy)
 
     @property
     def rows(self) -> int:
@@ -63,22 +50,15 @@ class BenefitMatrix:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Chosen row per real column, plus the total benefit of the selection."""
+    """Chosen row per column, plus the total benefit of the selection."""
 
     match: dict[int, int] = field(default_factory=dict)
     total: float = 0.0
 
 
-def pad_to_square(w: BenefitMatrix) -> BenefitMatrix:
-    """Append all-zero dummy columns until the matrix is square."""
-    if w.rows < w.cols:
-        raise ValueError(f"cannot pad {w.rows}x{w.cols}: more columns than rows")
-    if w.rows == w.cols:
-        return w
-    extra = w.rows - w.cols
-    values = np.hstack([w.values, np.zeros((w.rows, extra))])
-    dummy = np.concatenate([w.col_is_dummy, np.ones(extra, dtype=bool)])
-    return BenefitMatrix(values, dummy)
+def _check_tall(w: BenefitMatrix) -> None:
+    if w.cols > w.rows:
+        raise ValueError(f"cannot match {w.rows}x{w.cols}: more columns than rows")
 
 
 def _rect_min_assign(cost: np.ndarray):
@@ -179,46 +159,30 @@ def _canonical_match(w: np.ndarray) -> np.ndarray:
 
 
 def solve_max_assignment(w: BenefitMatrix) -> Assignment:
-    """Perfect matching of maximal total benefit on a square benefit matrix.
-
-    Only non-dummy columns appear in the returned match; rows left to dummy
-    columns are simply absent.  The total counts real entries only (dummy
-    columns contribute nothing by construction).
-    """
-    if w.rows != w.cols:
-        raise ValueError(f"solver needs a square matrix, got {w.rows}x{w.cols}")
-    real_cols = np.where(~w.col_is_dummy)[0]
-    if real_cols.size == 0:
-        return Assignment({}, 0.0)
-    match = _canonical_match(w.values[:, real_cols])
+    """Matching of maximal total benefit that gives every column its own row."""
+    _check_tall(w)
+    match = _canonical_match(w.values)
     total = 0.0
     out = {}
-    for i, c in enumerate(real_cols):
-        out[int(c)] = int(match[i])
-        total += w.values[match[i], c]
+    for c in range(w.cols):
+        out[c] = int(match[c])
+        total += w.values[match[c], c]
     return Assignment(out, float(total))
 
 
 def brute_force_assignment(w: BenefitMatrix, cap: int = _BRUTE_FORCE_CAP) -> Assignment:
-    """Exact maximum by enumerating row permutations; test oracle for the solver."""
-    if w.rows != w.cols:
-        raise ValueError(f"oracle needs a square matrix, got {w.rows}x{w.cols}")
+    """Exact maximum by enumerating row arrangements; test oracle for the solver."""
+    _check_tall(w)
     if w.rows > cap:
-        raise ValueError(
-            f"refusing brute-force enumeration at size {w.rows} (cap {cap}): "
-            f"{w.rows}! permutations"
-        )
-    real_cols = [int(c) for c in np.where(~w.col_is_dummy)[0]]
-    if not real_cols:
-        return Assignment({}, 0.0)
+        raise ValueError(f"refusing brute-force enumeration over {w.rows} rows (cap {cap})")
     values = w.values.tolist()
     best = -1.0
     best_perm = None
-    for perm in itertools.permutations(range(w.rows), len(real_cols)):
+    for perm in itertools.permutations(range(w.rows), w.cols):
         s = 0.0
-        for r, c in zip(perm, real_cols):
+        for c, r in enumerate(perm):
             s += values[r][c]
         if s > best:
             best = s
             best_perm = perm
-    return Assignment(dict(zip(real_cols, best_perm)), best)
+    return Assignment(dict(enumerate(best_perm)), best)

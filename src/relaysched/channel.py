@@ -102,13 +102,18 @@ def default_radio_config(
     )
 
 
+def _loss_db(model: PathLossModel, d):
+    return model.reference_loss + model.slope * np.log10(
+        np.maximum(d, model.min_distance) / model.distance_divisor
+    )
+
+
 def path_loss(model: PathLossModel, d):
     """Attenuation in dB at distance `d` (meters, scalar or array)."""
     d = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(d)):
         raise ValueError("non-finite distance")
-    clamped = np.maximum(d, model.min_distance)
-    return model.reference_loss + model.slope * np.log10(clamped / model.distance_divisor)
+    return _loss_db(model, d)
 
 
 def snr_linear(p_tx_dbm: float, loss_db, noise_dbm: float):
@@ -116,16 +121,25 @@ def snr_linear(p_tx_dbm: float, loss_db, noise_dbm: float):
     return 10.0 ** ((p_tx_dbm - loss_db - noise_dbm) / 10.0)
 
 
+def unit_rate(model: PathLossModel, p_tx_dbm: float, noise_dbm: float, d):
+    """Per-RB rate log2(1+SNR) at distance `d` (meters, scalar or array); no RB share applied.
+
+    Every rate and service amount in the package is computed here.  Distances
+    are not checked: callers derive them from validated vehicle states.
+    """
+    return np.log2(1.0 + 10.0 ** ((p_tx_dbm - noise_dbm - _loss_db(model, d)) / 10.0))
+
+
 def spectral_efficiency_v2i(v: VehicleState, bs: BasePosition, cfg: RadioConfig, dt):
-    """Per-RB rate log2(1+SNR) of the downlink to `v` at offset `dt`; no RB share applied."""
-    loss = path_loss(cfg.v2i_model, distance_to_bs(v, bs, dt))
-    return np.log2(1.0 + snr_linear(cfg.p_bs_per_rb, loss, cfg.noise_v2i_per_rb))
+    """Per-RB rate of the downlink to `v` at offset `dt`; no RB share applied."""
+    d = distance_to_bs(v, bs, dt)
+    return unit_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, d)
 
 
 def spectral_efficiency_v2v(tx: VehicleState, rx: VehicleState, cfg: RadioConfig, dt):
     """Per-RB rate of the vehicle-to-vehicle link at offset `dt`; no RB share applied."""
-    loss = path_loss(cfg.v2v_model, distance_between(tx, rx, dt))
-    return np.log2(1.0 + snr_linear(cfg.p_vn_per_rb, loss, cfg.noise_v2v_per_rb))
+    d = distance_between(tx, rx, dt)
+    return unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, d)
 
 
 def rb_share(total_rbs: int, users: int) -> int:

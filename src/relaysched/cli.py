@@ -38,8 +38,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, help="trials per point")
     parser.add_argument("--oracle-cap", type=int, dest="oracle_cap",
                         help="largest fleet the exhaustive oracle will accept")
-    parser.add_argument("--search-mode", dest="search_mode", choices=("exhaustive", "golden"),
-                        help="aided-count search mode for the service-driven policy")
     parser.add_argument("--workers", type=int, help="worker processes (results are identical)")
     parser.add_argument("--n", type=int, dest="n_vehicles", help="fleet size for `run`")
 
@@ -54,7 +52,7 @@ def _parse_values(text: str, kind):
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     doc = load_config_file(args.config) if args.config else {}
     overrides = {}
-    for attr in ("seed", "trials", "oracle_cap", "search_mode", "workers", "n_vehicles"):
+    for attr in ("seed", "trials", "oracle_cap", "workers", "n_vehicles"):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[attr] = value

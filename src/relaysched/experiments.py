@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import BenefitMatrix, brute_force_assignment, pad_to_square, solve_max_assignment
-from .channel import PathLossModel, RadioConfig, default_radio_config, rate_v2i
+from .assignment import BenefitMatrix, brute_force_assignment, solve_max_assignment
+from .channel import PathLossModel, RadioConfig, default_radio_config, rate_v2i, rb_share
 from .mobility import BasePosition, VehicleState
 from .rng import Xoshiro256StarStar, split_seeds
 from .scenario import ScenarioSpec, generate
@@ -42,7 +42,7 @@ from .scheduler import (
     solve_optimal_bruteforce,
     validate_schedule,
 )
-from .service import Period, QuadratureSpec, service_v2i
+from .service import Period, QuadratureSpec, _affine_motion, unit_service_batch
 
 POLICIES = ("msrs", "irrs", "noncoop", "optimal")
 
@@ -67,7 +67,6 @@ class ExperimentConfig:
     radio: RadioConfig = field(default_factory=default_radio_config)
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     oracle_cap: int = 12
-    search_mode: str = "exhaustive"
     workers: int = 1
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     speed_values: tuple[float, ...] = DEFAULT_SPEED_VALUES
@@ -174,7 +173,6 @@ def config_from_doc(doc: dict, overrides: dict | None = None) -> ExperimentConfi
         radio=radio,
         quad=quad,
         oracle_cap=run.get("oracle_cap", 12),
-        search_mode=run.get("search_mode", "exhaustive"),
         workers=run.get("workers", 1),
         n_values=tuple(sweep.get("n_values", DEFAULT_N_VALUES)),
         speed_values=tuple(sweep.get("speed_values", DEFAULT_SPEED_VALUES)),
@@ -196,10 +194,7 @@ def _run_trial(args) -> list[MetricsRow]:
     for policy in config.policies:
         t0 = time.perf_counter()
         if policy == "msrs":
-            schedules[policy] = solve_msrs(
-                scenario, config.radio, quad=config.quad,
-                search_mode=config.search_mode, tables=tables,
-            )
+            schedules[policy] = solve_msrs(scenario, config.radio, quad=config.quad, tables=tables)
         elif policy == "irrs":
             schedules[policy] = solve_irrs(scenario, config.radio, quad=config.quad, tables=tables)
         elif policy == "noncoop":
@@ -363,8 +358,7 @@ _REFERENCE_MATCH = {0: 3, 1: 0, 2: 2, 3: 1}
 
 
 def _check_reference_assignment() -> dict:
-    padded = pad_to_square(BenefitMatrix(_REFERENCE_BENEFITS))
-    got = solve_max_assignment(padded)
+    got = solve_max_assignment(BenefitMatrix(_REFERENCE_BENEFITS))
     ok = got.total == _REFERENCE_TOTAL and got.match == _REFERENCE_MATCH
     return {"name": "reference_assignment", "passed": bool(ok),
             "detail": f"total={got.total} match={got.match}"}
@@ -408,24 +402,32 @@ def _check_scheduler_oracle(config: ExperimentConfig) -> dict:
 def _check_quadrature(config: ExperimentConfig) -> dict:
     bs = BasePosition(0.0, -15.0)
     period = Period(0.0, config.period_duration)
-    worst_static = 0.0
+    radio = config.radio
     parked = VehicleState(0, 120.0, 1.75, 0.0, 0.0)
-    s = service_v2i(parked, bs, config.radio, 10, period, config.quad)
-    expected = period.duration * float(rate_v2i(parked, bs, config.radio, 10, 0.0))
-    worst_static = abs(s - expected) / expected
-
     gen = Xoshiro256StarStar(77)
+    moving = [
+        VehicleState(0, gen.uniform(-400, 400), 1.75, gen.uniform(4, 35),
+                     0.0 if gen.random() < 0.5 else math.pi)
+        for _ in range(20)
+    ]
+    motions = np.array([_affine_motion(v, bs) for v in [parked, *moving]])
+    units, converged = unit_service_batch(
+        motions, radio.v2i_model, radio.p_bs_per_rb, radio.noise_v2i_per_rb, period, config.quad
+    )
+    services = rb_share(radio.k_lte, 10) * units
+
+    expected = period.duration * float(rate_v2i(parked, bs, radio, 10, 0.0))
+    worst_static = abs(services[0] - expected) / expected
+    t = np.linspace(0.0, period.duration, 10_000)
     worst_moving = 0.0
-    for _ in range(20):
-        v = VehicleState(0, gen.uniform(-400, 400), 1.75, gen.uniform(4, 35),
-                         0.0 if gen.random() < 0.5 else math.pi)
-        s = service_v2i(v, bs, config.radio, 10, period, config.quad)
-        t = np.linspace(0.0, period.duration, 10_000)
-        dense = np.trapezoid(rate_v2i(v, bs, config.radio, 10, t), t)
+    for v, s in zip(moving, services[1:]):
+        dense = np.trapezoid(rate_v2i(v, bs, radio, 10, t), t)
         worst_moving = max(worst_moving, abs(s - dense) / dense)
-    passed = worst_static <= 1e-9 and worst_moving <= 1e-5
+    nonconverged = int(np.count_nonzero(~converged))
+    passed = worst_static <= 1e-9 and worst_moving <= 1e-5 and nonconverged == 0
     return {"name": "quadrature", "passed": bool(passed),
-            "detail": f"static rel err {worst_static:.2e}, moving vs trapezoid {worst_moving:.2e}"}
+            "detail": f"static rel err {worst_static:.2e}, moving vs trapezoid {worst_moving:.2e}, "
+                      f"{nonconverged} links not converged"}
 
 
 def cmd_validate(config: ExperimentConfig | None = None) -> dict:

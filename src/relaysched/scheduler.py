@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import BenefitMatrix, pad_to_square, solve_max_assignment
-from .channel import RadioConfig, rb_share, snr_linear
+from .assignment import BenefitMatrix, solve_max_assignment
+from .channel import RadioConfig, rb_share, unit_rate
 from .scenario import Scenario
 from .service import Period, QuadratureSpec, _affine_motion, unit_service_batch
 
@@ -137,18 +137,11 @@ def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
     x = np.array([v.x for v in scenario.vehicles])
     y = np.array([v.y for v in scenario.vehicles])
     d_bs = np.hypot(x - scenario.bs.x, y - scenario.bs.y)
-    m = cfg.v2i_model
-    loss = m.reference_loss + m.slope * np.log10(np.maximum(d_bs, m.min_distance) / m.distance_divisor)
-    v2i = rb_share(cfg.k_lte, n) * np.log2(
-        1.0 + snr_linear(cfg.p_bs_per_rb, loss, cfg.noise_v2i_per_rb)
+    v2i = rb_share(cfg.k_lte, n) * unit_rate(
+        cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, d_bs
     )
-
     d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
-    mv = cfg.v2v_model
-    loss_v = mv.reference_loss + mv.slope * np.log10(
-        np.maximum(d, mv.min_distance) / mv.distance_divisor
-    )
-    v2v_unit = np.log2(1.0 + snr_linear(cfg.p_vn_per_rb, loss_v, cfg.noise_v2v_per_rb))
+    v2v_unit = unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, d)
     np.fill_diagonal(v2v_unit, 0.0)
     return ServiceTables(v2i, v2v_unit, cfg.k_dsrc)
 
@@ -201,8 +194,8 @@ def _pair_candidates(tables: ServiceTables, order: list[int], n_av: int):
 
     Takes the `n_av` weakest vehicles (tail of the sorted order) as aided,
     builds the benefit matrix of two-hop amounts against the remaining
-    candidates, pads it square and solves the assignment.  Candidate rows
-    that win no aided vehicle fall back to common-vehicle service.
+    candidates and solves the assignment.  Candidate rows that win no aided
+    vehicle fall back to common-vehicle service.
     Returns (total, av_ids, pairing).
     """
     n = len(order)
@@ -214,7 +207,7 @@ def _pair_candidates(tables: ServiceTables, order: list[int], n_av: int):
     w_vals = np.minimum(
         share * tables.v2v_unit[np.ix_(cands, avs)], tables.v2i[cands][:, None]
     )
-    solved = solve_max_assignment(pad_to_square(BenefitMatrix(w_vals)))
+    solved = solve_max_assignment(BenefitMatrix(w_vals))
     pairing = {avs[c]: cands[r] for c, r in solved.match.items()}
     total = _partition_total(tables, avs, pairing)
     return total, tuple(avs), pairing
@@ -230,8 +223,6 @@ def _benefit_upper_bound(tables: ServiceTables, order: list[int], n_av: int) -> 
     share = rb_share(tables.k_dsrc, n_av)
     av_set = set(avs)
     direct = sum(float(tables.v2i[i]) for i in range(n) if i not in av_set)
-    if share == 0:
-        return direct
     w_vals = np.minimum(
         share * tables.v2v_unit[np.ix_(cands, avs)], tables.v2i[cands][:, None]
     )
@@ -245,66 +236,29 @@ def _schedule_from_parts(n: int, av_ids, pairing: dict[int, int], total: float) 
     return Schedule(av, rv, cv, dict(pairing), len(av), float(total))
 
 
-def _golden_argmax(f, lo: int, hi: int) -> dict[int, float]:
-    """Golden-section probe of an integer-argument objective assumed unimodal.
+def _aided_cap(n: int, k_dsrc: int) -> int:
+    """Largest aided count worth trying.
 
-    Returns every evaluated point; the caller picks the argmax.  Endpoints are
-    always evaluated.  On non-unimodal objectives this can miss the global
-    maximum, which is why it is an opt-in search mode.
+    Past k_dsrc the V2V RB share is 0, so relaying adds nothing while the aided
+    vehicles lose their direct service: such a partition can only tie with or
+    lose to the all-direct one.
     """
-    evals: dict[int, float] = {}
-
-    def g(k: int) -> float:
-        if k not in evals:
-            evals[k] = f(k)
-        return evals[k]
-
-    g(lo)
-    g(hi)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    while b - a > 2:
-        span = b - a
-        c = max(a + 1, b - int(round(inv_phi * span)))
-        d = min(b - 1, a + int(round(inv_phi * span)))
-        if c >= d:
-            break
-        if g(c) < g(d):
-            a = c
-        else:
-            b = d
-    for k in range(a, b + 1):
-        g(k)
-    return evals
+    return min(n // 2, k_dsrc)
 
 
-def _best_partition(tables: ServiceTables, search_mode: str):
+def _best_partition(tables: ServiceTables):
     """Search the aided-vehicle count; returns (total, av_ids, pairing)."""
-    n = tables.v2i.shape[0]
     order = _sorted_by_direct(tables)
-    n_max = n // 2
-    if search_mode == "exhaustive":
-        best = _pair_candidates(tables, order, 0)
-        for n_av in range(1, n_max + 1):
-            # the margin keeps the prune sound across summation-order roundoff
-            bound = _benefit_upper_bound(tables, order, n_av)
-            if bound + 1e-9 * (1.0 + abs(bound)) <= best[0]:
-                continue
-            cand = _pair_candidates(tables, order, n_av)
-            if cand[0] > best[0]:
-                best = cand
-        return best
-    if search_mode == "golden":
-        cache: dict[int, tuple] = {}
-
-        def f(n_av: int) -> float:
-            cache[n_av] = _pair_candidates(tables, order, n_av)
-            return cache[n_av][0]
-
-        evals = _golden_argmax(f, 0, n_max)
-        best_n = max(evals, key=lambda k: (evals[k], -k))
-        return cache[best_n]
-    raise ValueError(f"unknown search_mode {search_mode!r} (use 'exhaustive' or 'golden')")
+    best = _pair_candidates(tables, order, 0)
+    for n_av in range(1, _aided_cap(len(order), tables.k_dsrc) + 1):
+        # the margin keeps the prune sound across summation-order roundoff
+        bound = _benefit_upper_bound(tables, order, n_av)
+        if bound + 1e-9 * (1.0 + abs(bound)) <= best[0]:
+            continue
+        cand = _pair_candidates(tables, order, n_av)
+        if cand[0] > best[0]:
+            best = cand
+    return best
 
 
 def solve_msrs(
@@ -312,13 +266,12 @@ def solve_msrs(
     cfg: RadioConfig,
     period: Period | None = None,
     quad: QuadratureSpec = QuadratureSpec(),
-    search_mode: str = "exhaustive",
     tables: ServiceTables | None = None,
 ) -> Schedule:
     """Service-integral-driven schedule (sort, select, pair, search the AV count)."""
     if tables is None:
         tables = build_service_tables(scenario, cfg, period, quad)
-    total, av_ids, pairing = _best_partition(tables, search_mode)
+    total, av_ids, pairing = _best_partition(tables)
     return _schedule_from_parts(scenario.n, av_ids, pairing, total)
 
 
@@ -339,7 +292,7 @@ def solve_irrs(
     """
     if rate_tables is None:
         rate_tables = build_rate_tables(scenario, cfg)
-    _, av_ids, pairing = _best_partition(rate_tables, "exhaustive")
+    _, av_ids, pairing = _best_partition(rate_tables)
     if tables is None:
         tables = build_service_tables(scenario, cfg, period, quad)
     total = _partition_total(tables, av_ids, pairing)
@@ -391,10 +344,8 @@ def solve_optimal_bruteforce(
     best_total = _partition_total(tables, (), {})
     best_av: tuple = ()
     best_pairing: dict[int, int] = {}
-    for n_av in range(1, n // 2 + 1):
+    for n_av in range(1, _aided_cap(n, tables.k_dsrc) + 1):
         share = rb_share(tables.k_dsrc, n_av)
-        if share == 0:
-            continue  # zero relay benefit can never beat the all-direct baseline
         w = np.minimum(share * tables.v2v_unit, tables.v2i[:, None]).tolist()
         for av in itertools.combinations(ids, n_av):
             av_set = set(av)

@@ -5,23 +5,16 @@ rate over the scheduling period, i.e. the most data the physical layer could
 move across that link while the schedule is held.  Integrands here are smooth
 (a log of a rational function of t**2), so a composite Simpson rule with
 interval doubling converges in a handful of refinements.
-
-Resource-block shares enter the rate as a constant factor, so every service
-routine integrates the per-RB spectral efficiency once and scales by the RB
-share afterwards.  This keeps n_av-dependent service tables cheap (one
-integral per vehicle pair, reused for every candidate AV count) and makes the
-scalar and table code paths agree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .channel import PathLossModel, RadioConfig, rb_share
+from .channel import PathLossModel, unit_rate
 from .mobility import BasePosition, VehicleState
 
 _ABS_FLOOR = 1e-30  # guards the relative convergence test for all-zero integrands
@@ -58,49 +51,14 @@ class QuadratureSpec:
             raise ValueError("max_refinements must be >= 0")
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Integral estimate plus whether the refinement loop converged."""
-
-    value: float
-    converged: bool
-    subintervals: int
-
-
 def _simpson(f: np.ndarray, h: float):
-    # composite Simpson weights over pre-evaluated nodes; f may be (m+1,) or (P, m+1)
+    # composite Simpson weights over pre-evaluated nodes; f is (P, m+1), one row per link
     return (h / 3.0) * (
         f[..., 0]
         + f[..., -1]
         + 4.0 * f[..., 1:-1:2].sum(axis=-1)
         + 2.0 * f[..., 2:-1:2].sum(axis=-1)
     )
-
-
-def integrate_rate(
-    rate_fn: Callable[[np.ndarray], np.ndarray],
-    period: Period,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> QuadratureResult:
-    """Integrate a non-negative rate function over the period.
-
-    `rate_fn` receives a numpy array of offsets from the period start (in
-    [0, duration]) and must return the rates at those instants.  Subintervals
-    are doubled until two successive Simpson estimates agree to the requested
-    relative tolerance; if the refinement cap is hit first, the last estimate
-    is returned with ``converged=False``.
-    """
-    m = quad.initial_subintervals
-    h = period.duration / m
-    est = _simpson(rate_fn(np.linspace(0.0, period.duration, m + 1)), h)
-    for _ in range(quad.max_refinements):
-        m *= 2
-        h = period.duration / m
-        new = _simpson(rate_fn(np.linspace(0.0, period.duration, m + 1)), h)
-        if abs(new - est) <= quad.relative_tolerance * max(abs(new), _ABS_FLOOR):
-            return QuadratureResult(float(new), True, m)
-        est = new
-    return QuadratureResult(float(est), False, m)
 
 
 def _affine_motion(a: VehicleState, b: VehicleState | BasePosition):
@@ -115,56 +73,6 @@ def _affine_motion(a: VehicleState, b: VehicleState | BasePosition):
     return a.x - bx_, a.y - by_, avx - bvx, avy - bvy
 
 
-def _unit_rate_fn(motion, model: PathLossModel, p_tx_dbm: float, noise_dbm: float):
-    ax, ay, bx, by = motion
-
-    def rate(t: np.ndarray) -> np.ndarray:
-        d = np.hypot(ax + bx * t, ay + by * t)
-        loss = model.reference_loss + model.slope * np.log10(
-            np.maximum(d, model.min_distance) / model.distance_divisor
-        )
-        return np.log2(1.0 + 10.0 ** ((p_tx_dbm - noise_dbm - loss) / 10.0))
-
-    return rate
-
-
-def service_v2i(
-    v: VehicleState,
-    bs: BasePosition,
-    cfg: RadioConfig,
-    n_total: int,
-    period: Period,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Downlink service amount of `v` over the period, `n_total` vehicles sharing RBs."""
-    share = rb_share(cfg.k_lte, n_total)
-    if share == 0:
-        return 0.0
-    rate = _unit_rate_fn(_affine_motion(v, bs), cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb)
-    return share * integrate_rate(rate, period, quad).value
-
-
-def service_v2v(
-    tx: VehicleState,
-    rx: VehicleState,
-    cfg: RadioConfig,
-    n_av: int,
-    period: Period,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Relay-to-vehicle service amount over the period, `n_av` aided vehicles sharing RBs."""
-    share = rb_share(cfg.k_dsrc, n_av)
-    if share == 0:
-        return 0.0
-    rate = _unit_rate_fn(_affine_motion(tx, rx), cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb)
-    return share * integrate_rate(rate, period, quad).value
-
-
-def service_two_hop(s_v2v: float, s_v2i: float) -> float:
-    """Decode-and-forward service: bounded by the weaker hop's amount."""
-    return min(s_v2v, s_v2i)
-
-
 def unit_service_batch(
     motions: np.ndarray,
     model: PathLossModel,
@@ -177,9 +85,11 @@ def unit_service_batch(
 
     `motions` is (P, 4): rows of (ax, ay, bx, by) relative-motion coefficients
     as produced by scenario geometry, one per link.  Returns (values,
-    converged) arrays of length P.  Per-link semantics match `integrate_rate`
-    of the corresponding unit-rate function, and refinement decisions are made
-    per link; evaluation is sequential and deterministic for a given batch.
+    converged) arrays of length P.  Each link's subintervals are doubled until
+    two successive Simpson estimates agree to the requested relative
+    tolerance; a link that reaches the refinement cap first keeps its last
+    estimate and is flagged False in `converged`.  Evaluation is sequential
+    and deterministic for a given batch.
     """
     motions = np.asarray(motions, dtype=float)
     n_links = motions.shape[0]
@@ -194,11 +104,7 @@ def unit_service_batch(
             rows[:, 0:1] + rows[:, 2:3] * t,
             rows[:, 1:2] + rows[:, 3:4] * t,
         )
-        loss = model.reference_loss + model.slope * np.log10(
-            np.maximum(d, model.min_distance) / model.distance_divisor
-        )
-        f = np.log2(1.0 + 10.0 ** ((p_tx_dbm - noise_dbm - loss) / 10.0))
-        return _simpson(f, period.duration / m)
+        return _simpson(unit_rate(model, p_tx_dbm, noise_dbm, d), period.duration / m)
 
     active = np.arange(n_links)
     m = quad.initial_subintervals

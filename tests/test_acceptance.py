@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from relaysched.assignment import BenefitMatrix, brute_force_assignment, pad_to_square, solve_max_assignment
-from relaysched.channel import rate_v2i, rate_v2v
+from relaysched.assignment import BenefitMatrix, brute_force_assignment, solve_max_assignment
+from relaysched.channel import rate_v2i, rate_v2v, rb_share
 from relaysched.mobility import VehicleState
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
@@ -30,7 +30,7 @@ from relaysched.scheduler import (
     solve_optimal_bruteforce,
     validate_schedule,
 )
-from relaysched.service import service_v2i, service_v2v
+from relaysched.service import _affine_motion, unit_service_batch
 
 REFERENCE = [
     [2, 3, 0, 1],
@@ -69,12 +69,12 @@ def small_fleet_study(cfg):
 
 class TestCriterion1ReferencePairing:
     def test_reference_pairing(self):
-        padded = pad_to_square(BenefitMatrix(REFERENCE))
-        solve_max_assignment(padded)  # warm-up
+        w = BenefitMatrix(REFERENCE)
+        solve_max_assignment(w)  # warm-up
         best = math.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            got = solve_max_assignment(padded)
+            got = solve_max_assignment(w)
             best = min(best, time.perf_counter() - t0)
         ok = (
             got.total == 17.0
@@ -213,27 +213,44 @@ class TestCriterion6SpeedTrend:
 class TestCriterion7Quadrature:
     def test_stationary_and_trapezoid(self, cfg, bs, period, quad):
         t0 = time.perf_counter()
+
+        def services(links, model, p_tx_dbm, noise_dbm, share):
+            motions = np.array([_affine_motion(a, b) for a, b in links])
+            vals, converged = unit_service_batch(motions, model, p_tx_dbm, noise_dbm, period, quad)
+            assert converged.all(), "quadrature left links unconverged"
+            return share * vals
+
+        def v2i(vehicles):
+            return services([(v, bs) for v in vehicles], cfg.v2i_model, cfg.p_bs_per_rb,
+                            cfg.noise_v2i_per_rb, rb_share(cfg.k_lte, 20))
+
         parked = VehicleState(id=0, x=200.0, y=1.75, speed=0.0, heading=0.0)
-        s = service_v2i(parked, bs, cfg, 10, period, quad)
-        expected = period.duration * float(rate_v2i(parked, bs, cfg, 10, 0.0))
+        (s,) = v2i([parked])
+        expected = period.duration * float(rate_v2i(parked, bs, cfg, 20, 0.0))
         static_err = abs(s - expected) / expected
 
         gen = Xoshiro256StarStar(555)
-        worst = 0.0
+        direct, relay = [], []
         for k in range(100):
             v = VehicleState(id=0, x=gen.uniform(-450, 450), y=1.75,
                              speed=gen.uniform(4, 35),
                              heading=0.0 if gen.random() < 0.5 else math.pi)
-            t = np.linspace(0.0, period.duration, 10_000)
             if k % 2 == 0:
-                got = service_v2i(v, bs, cfg, 20, period, quad)
-                dense = float(np.trapezoid(rate_v2i(v, bs, cfg, 20, t), t))
+                direct.append(v)
             else:
                 rx = VehicleState(id=1, x=gen.uniform(-450, 450), y=5.25,
                                   speed=gen.uniform(4, 35),
                                   heading=0.0 if gen.random() < 0.5 else math.pi)
-                got = service_v2v(v, rx, cfg, 5, period, quad)
-                dense = float(np.trapezoid(rate_v2v(v, rx, cfg, 5, t), t))
+                relay.append((v, rx))
+        t = np.linspace(0.0, period.duration, 10_000)
+        worst = 0.0
+        for v, got in zip(direct, v2i(direct)):
+            dense = float(np.trapezoid(rate_v2i(v, bs, cfg, 20, t), t))
+            worst = max(worst, abs(got - dense) / dense)
+        relay_services = services(relay, cfg.v2v_model, cfg.p_vn_per_rb,
+                                  cfg.noise_v2v_per_rb, rb_share(cfg.k_dsrc, 5))
+        for (tx, rx), got in zip(relay, relay_services):
+            dense = float(np.trapezoid(rate_v2v(tx, rx, cfg, 5, t), t))
             worst = max(worst, abs(got - dense) / dense)
         elapsed = time.perf_counter() - t0
         ok = static_err <= 1e-9 and worst <= 1e-5 and elapsed < 30.0

@@ -8,7 +8,6 @@ import pytest
 from relaysched.assignment import (
     BenefitMatrix,
     brute_force_assignment,
-    pad_to_square,
     solve_max_assignment,
 )
 from relaysched.rng import Xoshiro256StarStar
@@ -40,39 +39,13 @@ class TestBenefitMatrix:
         with pytest.raises(ValueError):
             BenefitMatrix([[1.0, float("inf")], [0.0, 2.0]])
 
-    def test_rejects_nonzero_dummy(self):
-        with pytest.raises(ValueError):
-            BenefitMatrix([[1.0, 1.0], [0.0, 2.0]], col_is_dummy=[False, True])
-
-
-class TestPadToSquare:
-    def test_reference_shape(self):
-        padded = pad_to_square(BenefitMatrix(REFERENCE))
-        assert padded.rows == padded.cols == 5
-        assert list(padded.col_is_dummy) == [False] * 4 + [True]
-        assert np.array_equal(padded.values[:, :4], np.asarray(REFERENCE, dtype=float))
-        assert np.all(padded.values[:, 4] == 0.0)
-
-    def test_square_unchanged(self):
-        w = BenefitMatrix([[1.0, 2.0], [3.0, 4.0]])
-        assert pad_to_square(w) is w
-
-    def test_3x1(self):
-        padded = pad_to_square(BenefitMatrix([[1.0], [2.0], [3.0]]))
-        assert padded.rows == padded.cols == 3
-        assert list(padded.col_is_dummy) == [False, True, True]
-
-    def test_wide_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            pad_to_square(BenefitMatrix([[1.0, 2.0, 3.0]]))
-
 
 class TestSolver:
     def test_reference_case(self):
-        got = solve_max_assignment(pad_to_square(BenefitMatrix(REFERENCE)))
+        got = solve_max_assignment(BenefitMatrix(REFERENCE))
         assert got.total == 17.0
         assert got.match == {0: 3, 1: 0, 2: 2, 3: 1}
-        # the fifth candidate row wins no column (it would pair with the dummy)
+        # the fifth candidate row wins no column
         assert 4 not in got.match.values()
 
     def test_1x1(self):
@@ -86,14 +59,19 @@ class TestSolver:
         assert got.match == {0: 0, 1: 1, 2: 2, 3: 3}
         assert got.total == pytest.approx(36.0, rel=1e-12)
 
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            solve_max_assignment(BenefitMatrix(REFERENCE))
+    def test_wide_rejected(self):
+        # more aided vehicles than relay candidates cannot all be served
+        wide = BenefitMatrix(np.asarray(REFERENCE, dtype=float).T)
+        with pytest.raises(ValueError, match="more columns than rows"):
+            solve_max_assignment(wide)
+        with pytest.raises(ValueError, match="more columns than rows"):
+            brute_force_assignment(wide)
 
-    def test_all_dummy(self):
-        w = BenefitMatrix(np.zeros((3, 3)), col_is_dummy=[True] * 3)
-        got = solve_max_assignment(w)
-        assert got.match == {} and got.total == 0.0
+    def test_no_columns(self):
+        w = BenefitMatrix(np.zeros((3, 0)))
+        for solver in (solve_max_assignment, brute_force_assignment):
+            got = solver(w)
+            assert got.match == {} and got.total == 0.0
 
     def test_deterministic(self):
         gen = Xoshiro256StarStar(3)
@@ -134,15 +112,15 @@ class TestOracleEquivalence:
             else:
                 assert fast.total == pytest.approx(slow.total, rel=1e-9)
 
-    def test_padded_rectangles_match_brute_force(self):
+    def test_rectangles_match_brute_force(self):
         gen = Xoshiro256StarStar(19)
         for _ in range(40):
             cols = 1 + int(gen.random() * 4)
             rows = cols + int(gen.random() * 3)
             vals = [[float(int(gen.random() * 8)) for _ in range(cols)] for _ in range(rows)]
-            padded = pad_to_square(BenefitMatrix(vals))
-            fast = solve_max_assignment(padded)
-            slow = brute_force_assignment(padded)
+            w = BenefitMatrix(vals)
+            fast = solve_max_assignment(w)
+            slow = brute_force_assignment(w)
             assert fast.total == slow.total
 
 
@@ -189,8 +167,7 @@ class TestInvariants:
             vals = np.array(
                 [[float(int(gen.random() * 4)) for _ in range(cols)] for _ in range(rows)]
             )
-            padded = pad_to_square(BenefitMatrix(vals))
-            got = solve_max_assignment(padded)
+            got = solve_max_assignment(BenefitMatrix(vals))
             best = -1.0
             optima = []
             for perm in itertools.permutations(range(rows), cols):

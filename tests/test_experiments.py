@@ -15,7 +15,9 @@ from relaysched.experiments import (
     config_from_doc,
     rows_to_csv,
     summarize,
+    _check_quadrature,
 )
+from relaysched.service import QuadratureSpec
 
 
 def small_config(**kw):
@@ -164,3 +166,10 @@ class TestValidateSuite:
         names = [c["name"] for c in report["checks"]]
         assert names == ["reference_assignment", "assignment_oracle",
                          "scheduler_vs_oracle", "quadrature"]
+
+    def test_quadrature_check_fails_on_unconverged_links(self):
+        # accurate to 1e-9, but the tolerance cannot be met within the refinement budget
+        quad = QuadratureSpec(relative_tolerance=1e-15, max_refinements=3)
+        check = _check_quadrature(ExperimentConfig(seed=0, trials=1, quad=quad))
+        assert not check["passed"]
+        assert "20 links not converged" in check["detail"]

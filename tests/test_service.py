@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from relaysched.channel import RadioConfig, rate_v2i, rate_v2v
+from relaysched.channel import RadioConfig, default_radio_config, rate_v2i, rate_v2v, rb_share
 from relaysched.mobility import VehicleState
 from relaysched.rng import Xoshiro256StarStar
+from relaysched.scenario import ScenarioSpec, generate
+from relaysched.scheduler import ServiceTables, build_service_tables
 from relaysched.service import (
     Period,
     QuadratureSpec,
-    integrate_rate,
-    service_two_hop,
-    service_v2i,
-    service_v2v,
     unit_service_batch,
     _affine_motion,
 )
@@ -26,31 +24,54 @@ def trapezoid_oracle(rate_fn, period: Period, points: int = 10_000) -> float:
     return float(np.trapezoid(rate_fn(t), t))
 
 
+def v2i_services(vehicles, bs, cfg, n_total, period, quad=QuadratureSpec()):
+    """Direct service amounts of `vehicles` when `n_total` vehicles share the cellular RBs."""
+    motions = np.array([_affine_motion(v, bs) for v in vehicles])
+    vals, converged = unit_service_batch(
+        motions, cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad
+    )
+    assert converged.all()
+    return rb_share(cfg.k_lte, n_total) * vals
+
+
+def v2v_services(links, cfg, n_av, period, quad=QuadratureSpec()):
+    """Relay-link service amounts of (tx, rx) pairs when `n_av` aided vehicles share the V2V RBs."""
+    motions = np.array([_affine_motion(tx, rx) for tx, rx in links])
+    vals, converged = unit_service_batch(
+        motions, cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad
+    )
+    assert converged.all()
+    return rb_share(cfg.k_dsrc, n_av) * vals
+
+
 class TestIntegrateRate:
-    def test_exact_on_constants(self):
-        res = integrate_rate(lambda t: np.full_like(t, 3.75), Period(0.0, 7.0))
-        assert res.converged
-        assert res.value == pytest.approx(3.75 * 7.0, rel=1e-12)
+    def test_exact_on_constants(self, bs, cfg):
+        # a parked vehicle has a constant rate: Simpson is exact from the first estimate
+        parked = VehicleState(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
+        period = Period(0.0, 7.0)
+        (s,) = v2i_services([parked], bs, cfg, 1, period)
+        assert s == pytest.approx(7.0 * float(rate_v2i(parked, bs, cfg, 1, 0.0)), rel=1e-12)
 
-    def test_zero_rate(self):
-        res = integrate_rate(lambda t: np.zeros_like(t), Period(0.0, 5.0))
-        assert res.converged and res.value == 0.0
+    def test_zero_rate(self, bs, cfg, period, quad):
+        # the SNR underflows 1 + snr == 1, so the integrand is exactly zero
+        parked = VehicleState(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
+        vals, converged = unit_service_batch(
+            np.array([_affine_motion(parked, bs)]), cfg.v2i_model, -400.0,
+            cfg.noise_v2i_per_rb, period, quad,
+        )
+        assert converged.all() and vals[0] == 0.0
 
-    def test_exact_on_linear(self):
-        res = integrate_rate(lambda t: t, Period(0.0, 1.0))
-        assert res.value == pytest.approx(0.5, abs=1e-12)
-
-    def test_nonconverged_flag(self):
-        # highly oscillatory integrand with no refinement budget
-        spec = QuadratureSpec(initial_subintervals=2, relative_tolerance=1e-12, max_refinements=1)
-        res = integrate_rate(lambda t: 1.0 + np.sin(40.0 * t) ** 2, Period(0.0, 10.0), spec)
-        assert not res.converged
-
-    def test_linear_scaling(self):
-        period = Period(0.0, 5.0)
-        base = integrate_rate(lambda t: np.log2(2.0 + t), period).value
-        scaled = integrate_rate(lambda t: 42.0 * np.log2(2.0 + t), period).value
-        assert scaled == pytest.approx(42.0 * base, rel=1e-12)
+    def test_nonconverged_flag(self, cfg, period):
+        # fast opposing vehicles passing 3.5 m apart, with no refinement budget
+        tx = VehicleState(id=0, x=-50.0, y=1.75, speed=35.0, heading=0.0)
+        rx = VehicleState(id=1, x=50.0, y=5.25, speed=35.0, heading=math.pi)
+        spec = QuadratureSpec(max_refinements=0)
+        vals, converged = unit_service_batch(
+            np.array([_affine_motion(tx, rx)]), cfg.v2v_model, cfg.p_vn_per_rb,
+            cfg.noise_v2v_per_rb, period, spec,
+        )
+        assert not converged.any()
+        assert vals[0] > 0.0  # the last estimate is still returned
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -64,19 +85,21 @@ class TestIntegrateRate:
 class TestServiceV2I:
     def test_stationary_is_duration_times_rate(self, bs, cfg, period, quad):
         v = VehicleState(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
-        s = service_v2i(v, bs, cfg, 10, period, quad)
+        (s,) = v2i_services([v], bs, cfg, 10, period, quad)
         assert s == pytest.approx(period.duration * float(rate_v2i(v, bs, cfg, 10, 0.0)), rel=1e-9)
 
-    def test_zero_share(self, bs, cfg, period, quad):
-        v = VehicleState(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
-        assert service_v2i(v, bs, cfg, cfg.k_lte + 1, period, quad) == 0.0
+    def test_zero_share(self):
+        # more vehicles than cellular RBs: nobody gets a direct share
+        cfg = default_radio_config(k_lte=2)
+        tables = build_service_tables(generate(ScenarioSpec(n_vehicles=3, seed=1)), cfg)
+        assert tables.v2i.shape == (3,) and not tables.v2i.any()
 
     def test_symmetric_crossing_doubles_half_period(self, bs, cfg, quad):
         # closest approach exactly at mid-period: the full integral is twice the half one
         duration, speed = 8.0, 20.0
         v = VehicleState(id=0, x=-speed * duration / 2.0, y=1.75, speed=speed, heading=0.0)
-        full = service_v2i(v, bs, cfg, 10, Period(0.0, duration), quad)
-        half = service_v2i(v, bs, cfg, 10, Period(0.0, duration / 2.0), quad)
+        (full,) = v2i_services([v], bs, cfg, 10, Period(0.0, duration), quad)
+        (half,) = v2i_services([v], bs, cfg, 10, Period(0.0, duration / 2.0), quad)
         assert full == pytest.approx(2.0 * half, rel=1e-5)
 
 
@@ -84,20 +107,21 @@ class TestServiceV2V:
     def test_constant_gap(self, cfg, period, quad):
         tx = VehicleState(id=0, x=0.0, y=1.75, speed=20.0, heading=0.0)
         rx = VehicleState(id=1, x=30.0, y=1.75, speed=20.0, heading=0.0)
-        s = service_v2v(tx, rx, cfg, 5, period, quad)
+        (s,) = v2v_services([(tx, rx)], cfg, 5, period, quad)
         assert s == pytest.approx(period.duration * float(rate_v2v(tx, rx, cfg, 5, 0.0)), rel=1e-9)
 
-    def test_zero_share(self, cfg, period, quad):
-        tx = VehicleState(id=0, x=0.0, y=1.75, speed=0.0, heading=0.0)
-        rx = VehicleState(id=1, x=30.0, y=5.25, speed=0.0, heading=0.0)
-        assert service_v2v(tx, rx, cfg, cfg.k_dsrc + 1, period, quad) == 0.0
+    def test_zero_share(self, cfg):
+        # more aided vehicles than V2V RBs: the relay hop carries nothing
+        tables = ServiceTables(np.array([4.0, 1.0]), np.array([[0.0, 2.0], [2.0, 0.0]]), cfg.k_dsrc)
+        assert tables.two_hop(0, 1, cfg.k_dsrc) == 2.0
+        assert tables.two_hop(0, 1, cfg.k_dsrc + 1) == 0.0
 
     def test_opposing_vehicles_vs_trapezoid(self, period, quad):
         cfg = RadioConfig(k_lte=222, k_dsrc=25, p_bs_per_rb=29.0, p_vn_per_rb=20.0,
                           noise_v2i_per_rb=-112.0, noise_v2v_per_rb=-112.0)
         tx = VehicleState(id=0, x=-20.0, y=1.75, speed=15.0, heading=0.0)
         rx = VehicleState(id=1, x=40.0, y=5.25, speed=15.0, heading=math.pi)
-        s = service_v2v(tx, rx, cfg, 5, period, quad)
+        (s,) = v2v_services([(tx, rx)], cfg, 5, period, quad)
         dense = trapezoid_oracle(lambda t: rate_v2v(tx, rx, cfg, 5, t), period)
         assert s == pytest.approx(dense, rel=1e-5)
 
@@ -105,48 +129,57 @@ class TestServiceV2V:
 class TestTwoHop:
     @pytest.mark.parametrize("a,b,want", [(3.0, 5.0, 3.0), (0.0, 4.0, 0.0), (7.2, 7.2, 7.2)])
     def test_min_of_amounts(self, a, b, want):
-        assert service_two_hop(a, b) == want
+        # relay-link amount a, relay's direct amount b; one V2V RB so no share scaling
+        tables = ServiceTables(np.array([b, 0.0]), np.array([[0.0, a], [a, 0.0]]), 1)
+        assert tables.two_hop(0, 1, 1) == want
 
 
 class TestOracleProperties:
     def test_random_links_match_trapezoid(self, bs, cfg, period, quad):
         gen = Xoshiro256StarStar(17)
+        direct, relay = [], []
         for k in range(100):
             x = gen.uniform(-450, 450)
             speed = gen.uniform(4, 35)
             heading = 0.0 if gen.random() < 0.5 else math.pi
             v = VehicleState(id=0, x=x, y=1.75, speed=speed, heading=heading)
             if k % 2 == 0:
-                s = service_v2i(v, bs, cfg, 20, period, quad)
-                dense = trapezoid_oracle(lambda t: rate_v2i(v, bs, cfg, 20, t), period)
+                direct.append(v)
             else:
                 rx = VehicleState(id=1, x=gen.uniform(-450, 450), y=5.25,
                                   speed=gen.uniform(4, 35),
                                   heading=0.0 if gen.random() < 0.5 else math.pi)
-                s = service_v2v(v, rx, cfg, 5, period, quad)
-                dense = trapezoid_oracle(lambda t: rate_v2v(v, rx, cfg, 5, t), period)
+                relay.append((v, rx))
+        for v, s in zip(direct, v2i_services(direct, bs, cfg, 20, period, quad)):
+            dense = trapezoid_oracle(lambda t: rate_v2i(v, bs, cfg, 20, t), period)
+            assert s == pytest.approx(dense, rel=1e-5)
+        for (tx, rx), s in zip(relay, v2v_services(relay, cfg, 5, period, quad)):
+            dense = trapezoid_oracle(lambda t: rate_v2v(tx, rx, cfg, 5, t), period)
             assert s == pytest.approx(dense, rel=1e-5)
 
     def test_period_additivity(self, bs, cfg, quad):
         v = VehicleState(id=0, x=-100.0, y=1.75, speed=25.0, heading=0.0)
-        s_full = service_v2i(v, bs, cfg, 10, Period(0.0, 6.0), quad)
-        s_a = service_v2i(v, bs, cfg, 10, Period(0.0, 3.0), quad)
+        (s_full,) = v2i_services([v], bs, cfg, 10, Period(0.0, 6.0), quad)
+        (s_a,) = v2i_services([v], bs, cfg, 10, Period(0.0, 3.0), quad)
         # second half: same trajectory advanced 3 s
         x3, y3 = v.x + 3.0 * v.speed, v.y
         v3 = VehicleState(id=0, x=x3, y=y3, speed=v.speed, heading=v.heading)
-        s_b = service_v2i(v3, bs, cfg, 10, Period(3.0, 3.0), quad)
+        (s_b,) = v2i_services([v3], bs, cfg, 10, Period(3.0, 3.0), quad)
         assert s_full == pytest.approx(s_a + s_b, rel=2e-6)
 
     def test_nonnegative(self, bs, cfg, period, quad):
         gen = Xoshiro256StarStar(23)
-        for _ in range(20):
-            v = VehicleState(id=0, x=gen.uniform(-500, 500), y=1.75,
-                             speed=gen.uniform(0, 35), heading=0.0)
-            assert service_v2i(v, bs, cfg, 50, period, quad) >= 0.0
+        vehicles = [
+            VehicleState(id=0, x=gen.uniform(-500, 500), y=1.75,
+                         speed=gen.uniform(0, 35), heading=0.0)
+            for _ in range(20)
+        ]
+        assert np.all(v2i_services(vehicles, bs, cfg, 50, period, quad) >= 0.0)
 
 
 class TestBatchIntegrator:
     def test_matches_scalar_services(self, bs, cfg, period, quad):
+        # a link's value does not depend on which other links share its batch
         gen = Xoshiro256StarStar(31)
         vehicles = [
             VehicleState(id=i, x=gen.uniform(-450, 450), y=1.75,
@@ -154,14 +187,10 @@ class TestBatchIntegrator:
                          heading=0.0 if gen.random() < 0.5 else math.pi)
             for i in range(12)
         ]
-        motions = np.array([_affine_motion(v, bs) for v in vehicles])
-        vals, converged = unit_service_batch(
-            motions, cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad
-        )
-        assert converged.all()
-        for v, got in zip(vehicles, vals):
-            want = service_v2i(v, bs, cfg, 1, period, quad) / cfg.k_lte
-            assert got == pytest.approx(want, rel=1e-9)
+        together = v2i_services(vehicles, bs, cfg, 1, period, quad)
+        for v, got in zip(vehicles, together):
+            (alone,) = v2i_services([v], bs, cfg, 1, period, quad)
+            assert got == pytest.approx(alone, rel=1e-12)
 
     def test_empty_batch(self, cfg, period, quad):
         vals, converged = unit_service_batch(
