@@ -212,20 +212,26 @@ def _run_trial(args) -> list[MetricsRow]:
                 )
         timings[policy] = 1000.0 * (time.perf_counter() - t0)
 
+    starved = ""
+    if scenario.n and rb_share(config.radio.k_lte, scenario.n) == 0:
+        # every direct share is 0, so every policy totals 0
+        starved = f"no direct RBs: n_vehicles={scenario.n} exceeds k_lte={config.radio.k_lte}"
+
     opt = schedules.get("optimal")
     rows = []
     for policy in config.policies:
         sched = schedules[policy]
+        note = "; ".join(part for part in (notes.get(policy, ""), starved) if part)
         if sched is None:
             rows.append(MetricsRow(policy, seed, scenario.n, spec.speed_range, None,
-                                   None, timings[policy], notes.get(policy, "")))
+                                   None, timings[policy], note))
             continue
         validate_schedule(sched, scenario.n)
         loss = None
         if opt is not None and opt.total_service > 0:
             loss = (opt.total_service - sched.total_service) / opt.total_service
         rows.append(MetricsRow(policy, seed, scenario.n, spec.speed_range,
-                               sched.total_service, loss, timings[policy]))
+                               sched.total_service, loss, timings[policy], note))
     return rows
 
 

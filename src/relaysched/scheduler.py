@@ -35,7 +35,7 @@ import numpy as np
 from .assignment import BenefitMatrix, solve_max_assignment
 from .channel import RadioConfig, rb_share, unit_rate
 from .scenario import Scenario
-from .service import Period, QuadratureSpec, _affine_motion, unit_service_batch
+from .service import Period, QuadratureSpec, unit_service_batch
 
 BRUTE_FORCE_VEHICLE_CAP = 12
 
@@ -84,14 +84,43 @@ class ServiceTables:
     multiplies it on demand, so one table serves every candidate n_av.  The
     same structure holds instantaneous rates when built by
     `build_rate_tables`.
+
+    Tables from `build_service_tables` integrate V2V pairs on first use: an
+    entry nobody has asked for yet holds NaN (the diagonal holds 0).
+    `require(rows, cols)` integrates the missing entries among the given
+    pairs and stores them on both sides; a reader that skips it gets NaN,
+    which `BenefitMatrix` rejects.  `v2v_link` carries what that needs: the
+    (N, 4) start states (x, y, vx, vy) and the link arguments of
+    `unit_service_batch`.  Without it the table is dense and `require` does
+    nothing.
     """
 
     v2i: np.ndarray
     v2v_unit: np.ndarray
     k_dsrc: int
+    v2v_link: tuple | None = field(default=None, repr=False, compare=False)
+
+    def require(self, rows, cols) -> None:
+        """Integrate the unknown V2V entries among broadcastable index arrays `rows` x `cols`."""
+        if self.v2v_link is None:
+            return
+        rows, cols = np.broadcast_arrays(np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))
+        n = self.v2v_unit.shape[0]
+        # one entry per unordered pair, lower id first as in the motion rows
+        keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+        i, j = np.divmod(keys, n)
+        missing = np.isnan(self.v2v_unit[i, j])
+        if not missing.any():
+            return
+        i, j = i[missing], j[missing]
+        state, link = self.v2v_link
+        vals, _ = unit_service_batch(state[i] - state[j], *link)
+        self.v2v_unit[i, j] = vals
+        self.v2v_unit[j, i] = vals
 
     def two_hop(self, relay: int, aided: int, n_av: int) -> float:
         """Two-hop amount from the BS to `aided` via `relay` when n_av share the V2V RBs."""
+        self.require(relay, aided)
         share = rb_share(self.k_dsrc, n_av)
         return min(share * self.v2v_unit[relay, aided], self.v2i[relay])
 
@@ -102,31 +131,21 @@ def build_service_tables(
     period: Period | None = None,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ServiceTables:
-    """Service-integral tables; all links integrated in one vectorized batch."""
+    """Service-integral tables: direct links integrated now, V2V pairs on `require`."""
     period = period if period is not None else scenario.period
     n = scenario.n
     if n == 0:
         return ServiceTables(np.zeros(0), np.zeros((0, 0)), cfg.k_dsrc)
-    motions_bs = np.array([_affine_motion(v, scenario.bs) for v in scenario.vehicles])
+    state = np.array([(v.x, v.y, *v.velocity) for v in scenario.vehicles])
     unit_bs, _ = unit_service_batch(
-        motions_bs, cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad
+        state - np.array([scenario.bs.x, scenario.bs.y, 0.0, 0.0]),
+        cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad,
     )
     v2i = rb_share(cfg.k_lte, n) * unit_bs
-
-    v2v_unit = np.zeros((n, n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if pairs:
-        motions = np.array(
-            [_affine_motion(scenario.vehicles[i], scenario.vehicles[j]) for i, j in pairs]
-        )
-        vals, _ = unit_service_batch(
-            motions, cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad
-        )
-        rows = np.fromiter((p[0] for p in pairs), dtype=int)
-        cols = np.fromiter((p[1] for p in pairs), dtype=int)
-        v2v_unit[rows, cols] = vals
-        v2v_unit[cols, rows] = vals
-    return ServiceTables(v2i, v2v_unit, cfg.k_dsrc)
+    v2v_unit = np.full((n, n), np.nan)
+    np.fill_diagonal(v2v_unit, 0.0)
+    link = (cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad)
+    return ServiceTables(v2i, v2v_unit, cfg.k_dsrc, (state, link))
 
 
 def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
@@ -160,10 +179,12 @@ def _partition_total(tables: ServiceTables, av_ids, pairing: dict[int, int]) -> 
     if n_av == 0:
         return direct
     share = rb_share(tables.k_dsrc, n_av)
+    aided = sorted(av_set)
+    tables.require([pairing[j] for j in aided], aided)
     unit = tables.v2v_unit
     relay = sum(
         min(share * float(unit[pairing[j], j]), float(v2i[pairing[j]]))
-        for j in sorted(av_set)
+        for j in aided
     )
     return direct + relay
 
@@ -249,8 +270,11 @@ def _aided_cap(n: int, k_dsrc: int) -> int:
 def _best_partition(tables: ServiceTables):
     """Search the aided-vehicle count; returns (total, av_ids, pairing)."""
     order = _sorted_by_direct(tables)
+    cap = _aided_cap(len(order), tables.k_dsrc)
+    # every candidate count pairs all vehicles against the `cap` weakest at most
+    tables.require(np.array(order)[:, None], order[len(order) - cap:])
     best = _pair_candidates(tables, order, 0)
-    for n_av in range(1, _aided_cap(len(order), tables.k_dsrc) + 1):
+    for n_av in range(1, cap + 1):
         # the margin keeps the prune sound across summation-order roundoff
         bound = _benefit_upper_bound(tables, order, n_av)
         if bound + 1e-9 * (1.0 + abs(bound)) <= best[0]:
@@ -338,6 +362,7 @@ def solve_optimal_bruteforce(
         )
     if tables is None:
         tables = build_service_tables(scenario, cfg, period, quad)
+    tables.require(np.arange(n)[:, None], np.arange(n))
     v2i_list = tables.v2i.tolist()
     ids = list(range(n))
 

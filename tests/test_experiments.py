@@ -100,6 +100,24 @@ class TestCmdRun:
         msrs = [r for r in rows if r.policy == "msrs"][0]
         assert msrs.total_service is not None and msrs.loss_ratio is None
 
+    def test_no_direct_rbs_noted_on_every_row(self):
+        # 30 vehicles share 10 cellular RBs: every direct share and every total is 0
+        cfg = config_from_doc({
+            "scenario": {"n_vehicles": 30},
+            "radio": {"k_lte": 10},
+            "run": {"seed": 3, "trials": 2,
+                    "policies": ["msrs", "irrs", "noncoop", "optimal"]},
+        })
+        rows = cmd_run(cfg)
+        starved = "no direct RBs: n_vehicles=30 exceeds k_lte=10"
+        assert len(rows) == 8 and all(r.note.endswith(starved) for r in rows)
+        assert all(r.total_service == 0.0 for r in rows if r.policy != "optimal")
+        opt = [r for r in rows if r.policy == "optimal"]
+        assert all(r.note == f"refused: n_vehicles=30 exceeds oracle cap 12; {starved}" for r in opt)
+        assert f",{starved}\n" in rows_to_csv(rows)
+        # a fleet the cellular RBs can serve carries no note
+        assert all(r.note == "" for r in cmd_run(small_config(trials=1)))
+
     def test_rows_sorted_by_policy_then_seed(self):
         rows = cmd_run(small_config(trials=4))
         assert [(r.policy, r.seed) for r in rows] == sorted((r.policy, r.seed) for r in rows)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import relaysched.scheduler as scheduler_module
+from relaysched.assignment import BenefitMatrix
 from relaysched.channel import default_radio_config, rate_v2i, rate_v2v, rb_share
 from relaysched.mobility import BasePosition, VehicleState
 from relaysched.scenario import Scenario, ScenarioSpec, generate
@@ -24,6 +25,7 @@ from relaysched.scheduler import (
     solve_noncooperative,
     solve_optimal_bruteforce,
     validate_schedule,
+    _partition_total,
 )
 from relaysched.service import Period, _affine_motion, unit_service_batch
 
@@ -156,6 +158,70 @@ class TestServiceTables:
                 got = cfg.k_dsrc * rt.v2v_unit[i, j]
                 want = float(rate_v2v(sc.vehicles[i], sc.vehicles[j], cfg, 1, 0.0))
                 assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestDemandDrivenTables:
+    @pytest.fixture
+    def links(self, monkeypatch):
+        """Rows integrated by every `unit_service_batch` call the scheduler makes."""
+        real = scheduler_module.unit_service_batch
+        counted = []
+
+        def counting(motions, *args, **kwargs):
+            counted.append(len(motions))
+            return real(motions, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "unit_service_batch", counting)
+        return counted
+
+    def test_msrs_integrates_only_pairs_with_the_weakest(self, cfg, links):
+        # N direct links, the cap weakest against the rest, and the pairs among them
+        n, cap = 100, 25
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=7))
+        tables = build_service_tables(sc, cfg)
+        assert sum(links) == n
+        solve_msrs(sc, cfg, tables=tables)
+        assert sum(links) == n + cap * (n - cap) + cap * (cap - 1) // 2 == 2275
+        assert np.isnan(tables.v2v_unit).sum() == n * (n - 1) - 2 * (2275 - n)
+
+    def test_noncooperative_integrates_direct_links_only(self, cfg, links):
+        solve_noncooperative(generate(ScenarioSpec(n_vehicles=40, seed=8)), cfg)
+        assert sum(links) == 40
+
+    def test_bruteforce_integrates_every_pair(self, cfg, links):
+        solve_optimal_bruteforce(generate(ScenarioSpec(n_vehicles=12, seed=9)), cfg)
+        assert sum(links) == 12 + 12 * 11 // 2 == 78
+
+    def test_pairs_outside_the_msrs_block(self, cfg):
+        # the strongest vehicles aided by the next strongest: msrs never needs these pairs
+        n = 20
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=41))
+        tables = build_service_tables(sc, cfg)
+        solve_msrs(sc, cfg, tables=tables)
+        order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
+        aided, relays = order[:3], order[3:6]
+        block = tables.v2v_unit[np.ix_(relays, aided)]
+        assert np.isnan(block).all()
+        with pytest.raises(ValueError, match="finite"):
+            BenefitMatrix(block)
+
+        pairing = dict(zip(aided, relays))
+        cv = frozenset(range(n)) - set(aided) - set(relays)
+        sched = Schedule(frozenset(aided), frozenset(relays), cv, pairing, 3, 0.0)
+        full = build_service_tables(sc, cfg)
+        full.require(np.arange(n)[:, None], np.arange(n))
+        assert not np.isnan(full.v2v_unit).any()
+        got = evaluate_schedule(sched, sc, cfg, tables=tables)
+        assert got == _partition_total(full, aided, pairing)
+        # scoring integrated the pairing's own pairs and nothing else
+        assert np.array_equal(tables.v2v_unit[relays, aided], full.v2v_unit[relays, aided])
+        assert np.isnan(tables.v2v_unit[np.ix_(relays, aided)]).sum() == 6
+
+    def test_rate_tables_are_dense(self, cfg, links):
+        rt = build_rate_tables(generate(ScenarioSpec(n_vehicles=6, seed=10)), cfg)
+        before = rt.v2v_unit.copy()
+        rt.require(np.arange(6)[:, None], np.arange(6))
+        assert not links and np.array_equal(rt.v2v_unit, before)
 
 
 class TestMsrs:

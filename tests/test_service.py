@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from relaysched.channel import RadioConfig, default_radio_config, rate_v2i, rate_v2v, rb_share
+import relaysched.service as service_module
+from relaysched.channel import (
+    RadioConfig,
+    default_radio_config,
+    rate_v2i,
+    rate_v2v,
+    rb_share,
+    unit_rate,
+)
 from relaysched.mobility import VehicleState
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
@@ -14,7 +22,9 @@ from relaysched.service import (
     Period,
     QuadratureSpec,
     unit_service_batch,
+    _ABS_FLOOR,
     _affine_motion,
+    _simpson,
 )
 
 
@@ -44,6 +54,40 @@ def v2v_services(links, cfg, n_av, period, quad=QuadratureSpec()):
     return rb_share(cfg.k_dsrc, n_av) * vals
 
 
+def reevaluating_service_batch(motions, model, p_tx_dbm, noise_dbm, period, quad):
+    """Refinement that re-evaluates every node of each doubled grid: the reference oracle."""
+    values = np.zeros(len(motions))
+    converged = np.zeros(len(motions), dtype=bool)
+
+    def eval_batch(rows, m):
+        t = np.linspace(0.0, period.duration, m + 1)
+        d = np.hypot(rows[:, 0:1] + rows[:, 2:3] * t, rows[:, 1:2] + rows[:, 3:4] * t)
+        return _simpson(unit_rate(model, p_tx_dbm, noise_dbm, d), period.duration / m)
+
+    active = np.arange(len(motions))
+    m = quad.initial_subintervals
+    est = eval_batch(motions, m)
+    for _ in range(quad.max_refinements):
+        m *= 2
+        new = eval_batch(motions[active], m)
+        ok = np.abs(new - est) <= quad.relative_tolerance * np.maximum(np.abs(new), _ABS_FLOOR)
+        values[active[ok]] = new[ok]
+        converged[active[ok]] = True
+        active = active[~ok]
+        if active.size == 0:
+            return values, converged
+        est = new[~ok]
+    values[active] = est
+    return values, converged
+
+
+def close_pass():
+    """Fast opposing vehicles passing 3.5 m apart: the hardest link to integrate."""
+    tx = VehicleState(id=0, x=-50.0, y=1.75, speed=35.0, heading=0.0)
+    rx = VehicleState(id=1, x=50.0, y=5.25, speed=35.0, heading=math.pi)
+    return tx, rx
+
+
 class TestIntegrateRate:
     def test_exact_on_constants(self, bs, cfg):
         # a parked vehicle has a constant rate: Simpson is exact from the first estimate
@@ -62,9 +106,8 @@ class TestIntegrateRate:
         assert converged.all() and vals[0] == 0.0
 
     def test_nonconverged_flag(self, cfg, period):
-        # fast opposing vehicles passing 3.5 m apart, with no refinement budget
-        tx = VehicleState(id=0, x=-50.0, y=1.75, speed=35.0, heading=0.0)
-        rx = VehicleState(id=1, x=50.0, y=5.25, speed=35.0, heading=math.pi)
+        # the close pass with no refinement budget
+        tx, rx = close_pass()
         spec = QuadratureSpec(max_refinements=0)
         vals, converged = unit_service_batch(
             np.array([_affine_motion(tx, rx)]), cfg.v2v_model, cfg.p_vn_per_rb,
@@ -179,7 +222,8 @@ class TestOracleProperties:
 
 class TestBatchIntegrator:
     def test_matches_scalar_services(self, bs, cfg, period, quad):
-        # a link's value does not depend on which other links share its batch
+        # a link's value does not depend on which other links share its batch, to
+        # the bit: demand-driven service tables integrate pairs in varying batches
         gen = Xoshiro256StarStar(31)
         vehicles = [
             VehicleState(id=i, x=gen.uniform(-450, 450), y=1.75,
@@ -190,10 +234,53 @@ class TestBatchIntegrator:
         together = v2i_services(vehicles, bs, cfg, 1, period, quad)
         for v, got in zip(vehicles, together):
             (alone,) = v2i_services([v], bs, cfg, 1, period, quad)
-            assert got == pytest.approx(alone, rel=1e-12)
+            assert got == alone
 
     def test_empty_batch(self, cfg, period, quad):
         vals, converged = unit_service_batch(
             np.zeros((0, 4)), cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad
         )
         assert vals.shape == (0,) and converged.shape == (0,)
+
+
+class TestNodeReuse:
+    @pytest.mark.parametrize("max_refinements", [0, 3, 12])
+    def test_matches_reevaluating_refinement(self, cfg, period, max_refinements):
+        # parked, passing and 3.5 m close-passing links converge after different doublings
+        gen = Xoshiro256StarStar(43)
+        links = [(VehicleState(0, 120.0, 1.75, 0.0, 0.0), VehicleState(1, 180.0, 5.25, 0.0, 0.0))]
+        for k in range(30):
+            tx = VehicleState(0, gen.uniform(-450, 450), 1.75, gen.uniform(4, 35), 0.0)
+            rx = VehicleState(1, gen.uniform(-450, 450), 5.25, gen.uniform(4, 35), math.pi)
+            links.append((tx, rx))
+        tx, rx = close_pass()
+        links += [(tx, rx), (rx, tx)]
+        motions = np.array([_affine_motion(a, b) for a, b in links])
+        quad = QuadratureSpec(max_refinements=max_refinements)
+        args = (motions, cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad)
+        got, got_ok = unit_service_batch(*args)
+        want, want_ok = reevaluating_service_batch(*args)
+        assert np.array_equal(got, want) and np.array_equal(got_ok, want_ok)
+        if max_refinements == 12:
+            assert got_ok.all()
+        if max_refinements == 3:
+            assert got_ok.any() and not got_ok.all()
+
+    def test_each_node_evaluated_once(self, cfg, period, monkeypatch):
+        # one link that uses every refinement evaluates the m0 * 2**r + 1 nodes of its finest grid
+        real = service_module.unit_rate
+        nodes = []
+
+        def counting(model, p_tx_dbm, noise_dbm, d):
+            nodes.append(np.size(d))
+            return real(model, p_tx_dbm, noise_dbm, d)
+
+        monkeypatch.setattr(service_module, "unit_rate", counting)
+        tx, rx = close_pass()
+        quad = QuadratureSpec(initial_subintervals=16, max_refinements=4)
+        _, converged = unit_service_batch(
+            np.array([_affine_motion(tx, rx)]), cfg.v2v_model, cfg.p_vn_per_rb,
+            cfg.noise_v2v_per_rb, period, quad,
+        )
+        assert not converged.any()
+        assert sum(nodes) == 16 * 2**4 + 1
