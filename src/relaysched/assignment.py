@@ -10,7 +10,9 @@ matrices (O(R*C^2), Kuhn-Munkres family; Crouse, IEEE TAES 2016).
 
 Tie-breaking is deterministic: among equal-total matchings the solver returns
 the one that, scanning columns in ascending order, pairs each column with the
-largest-index row still compatible with optimality.
+largest-index row still compatible with optimality.  Ties are decided on the
+tight-edge graph of the solver's dual solution by alternating paths, with no
+further assignment solve.
 """
 
 from __future__ import annotations
@@ -107,25 +109,83 @@ def _rect_min_assign(cost: np.ndarray):
     return row_for_col, u, v[:n_rows]
 
 
-def _max_assign(w: np.ndarray):
-    """Max-benefit counterpart of `_rect_min_assign` via the max-minus conversion."""
-    if w.shape[1] == 0:
-        return 0.0, np.zeros(0, dtype=int)
-    cost = float(w.max()) - w
-    row_for_col, _, _ = _rect_min_assign(cost)
-    total = 0.0
-    for c in range(w.shape[1]):
-        total += w[row_for_col[c], c]
-    return total, row_for_col
+def _alternating_search(start, adj, mate, skip, is_end):
+    """Breadth-first search over tight edges, stepping on from each reached vertex to its mate.
+
+    Returns (end, came): the first reached vertex that `is_end` accepts, or -1,
+    and for every reached vertex the vertex it was reached from.
+    """
+    came = {}
+    queue = [start]
+    for a in queue:  # grows while it is scanned
+        for b in adj[a]:
+            if b in came or skip(b):
+                continue
+            came[b] = a
+            if is_end(b):
+                return b, came
+            if mate[b] >= 0:
+                queue.append(mate[b])
+    return -1, came
+
+
+def _try_move(c, r, match, owner, fixed, rows_of, cols_of, droppable) -> bool:
+    """Give column c the higher row r if an optimal matching keeps the fixed rows.
+
+    Column c leaves its row r0.  The column that r gives up must find another
+    row along an alternating path: reaching r0 closes a cycle, reaching a free
+    row ends a path.  A path leaves r0 unmatched, which optimality allows only
+    when r0 is droppable, or when r0 in turn takes a column along a second
+    path whose last row is droppable.  The two paths share no vertex: a shared
+    one would make r0 reachable from the first.  On success both are applied.
+    """
+    r0 = match[c]
+    end, came = r, {}
+    if owner[r] >= 0:
+        end, came = _alternating_search(
+            owner[r], rows_of, owner,
+            lambda y: fixed[y] or y == r,
+            lambda y: y == r0 or (owner[y] < 0 and droppable[r0]),
+        )
+        if end < 0:
+            end = next((y for y in came if owner[y] < 0), -1)
+            if end < 0:
+                return False
+    second = end != r0 and not droppable[r0]
+    if second:
+        x_end, came2 = _alternating_search(
+            r0, cols_of, match, lambda x: x <= c, lambda x: droppable[match[x]]
+        )
+        if x_end < 0:
+            return False
+    owner[r0] = -1
+    y = end
+    while y != r:  # each path row goes to the column it was reached from
+        x = came[y]
+        prev = match[x]
+        match[x], owner[y] = y, x
+        y = prev
+    match[c], owner[r] = r, c
+    if second:
+        x = x_end
+        owner[match[x]] = -1
+        while x >= 0:  # ends at r0, whose owner is now -1
+            y = came2[x]
+            prev = owner[y]
+            match[x], owner[y] = y, x
+            x = prev
+    return True
 
 
 def _canonical_match(w: np.ndarray) -> np.ndarray:
     """Optimal matching of all columns of rectangular `w` (R >= C), canonical ties.
 
     Scans columns in ascending order and keeps, for each, the largest-index
-    row that still permits an optimal completion.  Candidate rows are pruned
-    to the zero-reduced-cost edges of the dual solution (every optimal
-    matching lives there), so tie-free instances cost nothing extra.
+    row that still permits an optimal completion.  By complementary slackness
+    a matching of every column is optimal exactly when it uses only tight
+    edges of the dual solution and covers every row with a negative
+    potential, so each tie is decided by alternating paths on the tight-edge
+    graph, with no further assignment solve.
     """
     n_rows, n_cols = w.shape
     if n_cols == 0:
@@ -137,25 +197,28 @@ def _canonical_match(w: np.ndarray) -> np.ndarray:
     cost = peak - w
     match, u, v = _rect_min_assign(cost)
     eps = 1e-9 * (1.0 + abs(peak))
-    fixed = np.zeros(n_rows, dtype=bool)
+    tight = np.abs(cost - u - v[:, None]) <= eps
+    if not (tight & (np.arange(n_rows)[:, None] > match)).any():
+        return match  # no column has a higher tight row: already canonical
+    rows_of = [[] for _ in range(n_cols)]
+    cols_of = [[] for _ in range(n_rows)]
+    for r, c in zip(*(a.tolist() for a in np.nonzero(tight))):
+        rows_of[c].append(r)
+        cols_of[r].append(c)
+    droppable = (v >= -eps).tolist()  # rows an optimal matching may leave unmatched
+    match = match.tolist()
+    owner = [-1] * n_rows
+    for c, r in enumerate(match):
+        owner[r] = c
+    fixed = [False] * n_rows
     for c in range(n_cols):
-        cur_row = int(match[c])
-        tight = np.abs(cost[:, c] - u[c] - v) <= eps
-        higher = [r for r in np.where(tight & ~fixed)[0][::-1] if r > cur_row]
-        if higher:
-            rem_opt = sum(w[match[k], k] for k in range(c, n_cols))
-            rest_cols = list(range(c + 1, n_cols))
-            for r in higher:
-                rows_left = [j for j in range(n_rows) if not fixed[j] and j != r]
-                sub = w[np.ix_(rows_left, rest_cols)]
-                sub_total, sub_match = _max_assign(sub)
-                if w[r, c] + sub_total >= rem_opt - eps:
-                    match[c] = r
-                    for i, k in enumerate(rest_cols):
-                        match[k] = rows_left[sub_match[i]]
-                    break
+        for r in reversed(rows_of[c]):
+            if r <= match[c]:
+                break
+            if not fixed[r] and _try_move(c, r, match, owner, fixed, rows_of, cols_of, droppable):
+                break
         fixed[match[c]] = True
-    return match
+    return np.array(match)
 
 
 def solve_max_assignment(w: BenefitMatrix) -> Assignment:

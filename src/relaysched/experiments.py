@@ -19,6 +19,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -387,6 +388,30 @@ def _check_assignment_oracle(trials_per_size: int = 200) -> dict:
             "detail": f"worst relative total gap {worst:.3e}"}
 
 
+def _check_canonical_tie_break(trials: int = 300) -> dict:
+    """Tie rule against enumeration on tie-heavy clamped integer rectangles.
+
+    Among the optimal row tuples (one row per column, in column order) the
+    solver must return the lexicographically largest.
+    """
+    gen = Xoshiro256StarStar(103)
+    wrong = 0
+    for _ in range(trials):
+        cols = 1 + int(gen.random() * 4)
+        rows = cols + int(gen.random() * 3)
+        cap = [int(gen.random() * 4) for _ in range(rows)]
+        vals = [[float(min(int(gen.random() * 6), cap[r])) for _ in range(cols)]
+                for r in range(rows)]
+        got = solve_max_assignment(BenefitMatrix(vals))
+        totals = {perm: sum(vals[r][c] for c, r in enumerate(perm))
+                  for perm in itertools.permutations(range(rows), cols)}
+        best = max(totals.values())
+        canonical = max(perm for perm, t in totals.items() if t == best)
+        wrong += got.total != best or tuple(got.match[c] for c in range(cols)) != canonical
+    return {"name": "canonical_tie_break", "passed": wrong == 0,
+            "detail": f"{wrong} of {trials} clamped integer matrices off the canonical optimum"}
+
+
 def _check_scheduler_oracle(config: ExperimentConfig) -> dict:
     losses = []
     dominated = True
@@ -442,6 +467,7 @@ def cmd_validate(config: ExperimentConfig | None = None) -> dict:
     checks = [
         _check_reference_assignment(),
         _check_assignment_oracle(),
+        _check_canonical_tie_break(),
         _check_scheduler_oracle(config),
         _check_quadrature(config),
     ]

@@ -210,43 +210,25 @@ def _sorted_by_direct(tables: ServiceTables) -> list[int]:
     return sorted(range(v2i.shape[0]), key=lambda i: (-v2i[i], i))
 
 
-def _pair_candidates(tables: ServiceTables, order: list[int], n_av: int):
-    """Pipeline step for one aided-vehicle count: select, pair, and score.
+def _pair_candidates(tables: ServiceTables, avs: list[int], cands: list[int], w_vals: np.ndarray):
+    """Pipeline step for one aided-vehicle count: pair and score.
 
-    Takes the `n_av` weakest vehicles (tail of the sorted order) as aided,
-    builds the benefit matrix of two-hop amounts against the remaining
-    candidates and solves the assignment.  Candidate rows that win no aided
-    vehicle fall back to common-vehicle service.
+    Solves the assignment of the aided vehicles `avs` (columns) to the relay
+    candidates `cands` (rows) on their benefit matrix `w_vals` of two-hop
+    amounts.  Candidate rows that win no aided vehicle fall back to
+    common-vehicle service.
     Returns (total, av_ids, pairing).
     """
-    n = len(order)
-    if n_av == 0:
-        return _partition_total(tables, (), {}), (), {}
-    avs = order[n - n_av:]
-    cands = order[: n - n_av]
-    share = rb_share(tables.k_dsrc, n_av)
-    w_vals = np.minimum(
-        share * tables.v2v_unit[np.ix_(cands, avs)], tables.v2i[cands][:, None]
-    )
     solved = solve_max_assignment(BenefitMatrix(w_vals))
     pairing = {avs[c]: cands[r] for c, r in solved.match.items()}
     total = _partition_total(tables, avs, pairing)
     return total, tuple(avs), pairing
 
 
-def _benefit_upper_bound(tables: ServiceTables, order: list[int], n_av: int) -> float:
+def _benefit_upper_bound(tables: ServiceTables, avs: list[int], w_vals: np.ndarray) -> float:
     """Cheap upper bound on `_pair_candidates` total: column maxima, no matching."""
-    n = len(order)
-    if n_av == 0:
-        return _partition_total(tables, (), {})
-    avs = order[n - n_av:]
-    cands = order[: n - n_av]
-    share = rb_share(tables.k_dsrc, n_av)
     av_set = set(avs)
-    direct = sum(float(tables.v2i[i]) for i in range(n) if i not in av_set)
-    w_vals = np.minimum(
-        share * tables.v2v_unit[np.ix_(cands, avs)], tables.v2i[cands][:, None]
-    )
+    direct = sum(float(tables.v2i[i]) for i in range(tables.v2i.shape[0]) if i not in av_set)
     return direct + float(w_vals.max(axis=0).sum())
 
 
@@ -270,16 +252,23 @@ def _aided_cap(n: int, k_dsrc: int) -> int:
 def _best_partition(tables: ServiceTables):
     """Search the aided-vehicle count; returns (total, av_ids, pairing)."""
     order = _sorted_by_direct(tables)
-    cap = _aided_cap(len(order), tables.k_dsrc)
+    n = len(order)
+    cap = _aided_cap(n, tables.k_dsrc)
     # every candidate count pairs all vehicles against the `cap` weakest at most
-    tables.require(np.array(order)[:, None], order[len(order) - cap:])
-    best = _pair_candidates(tables, order, 0)
+    tables.require(np.array(order)[:, None], order[n - cap:])
+    best = (_partition_total(tables, (), {}), (), {})
     for n_av in range(1, cap + 1):
+        # the n_av weakest vehicles (tail of the sorted order) are aided
+        avs, cands = order[n - n_av:], order[: n - n_av]
+        w_vals = np.minimum(
+            rb_share(tables.k_dsrc, n_av) * tables.v2v_unit[np.ix_(cands, avs)],
+            tables.v2i[cands][:, None],
+        )
         # the margin keeps the prune sound across summation-order roundoff
-        bound = _benefit_upper_bound(tables, order, n_av)
+        bound = _benefit_upper_bound(tables, avs, w_vals)
         if bound + 1e-9 * (1.0 + abs(bound)) <= best[0]:
             continue
-        cand = _pair_candidates(tables, order, n_av)
+        cand = _pair_candidates(tables, avs, cands, w_vals)
         if cand[0] > best[0]:
             best = cand
     return best

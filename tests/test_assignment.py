@@ -4,13 +4,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import relaysched.scheduler as scheduler_module
 from relaysched.assignment import (
     BenefitMatrix,
+    _canonical_match,
+    _rect_min_assign,
     brute_force_assignment,
     solve_max_assignment,
 )
+from relaysched.channel import default_radio_config
 from relaysched.rng import Xoshiro256StarStar
+from relaysched.scenario import ScenarioSpec, generate
+from relaysched.scheduler import build_service_tables, solve_irrs, solve_msrs
 
 # known-answer case: five candidate relays, four aided vehicles
 REFERENCE = [
@@ -179,3 +187,143 @@ class TestInvariants:
             expected = max(optima)  # tuple order == column-ascending, larger row preferred
             assert got.total == best
             assert tuple(got.match[c] for c in range(cols)) == expected
+
+
+# --- reference tie-break: re-solve the remaining assignment per candidate row ---
+
+def _max_assign(w: np.ndarray):
+    """Max-benefit counterpart of `_rect_min_assign` via the max-minus conversion."""
+    if w.shape[1] == 0:
+        return 0.0, np.zeros(0, dtype=int)
+    cost = float(w.max()) - w
+    row_for_col, _, _ = _rect_min_assign(cost)
+    total = 0.0
+    for c in range(w.shape[1]):
+        total += w[row_for_col[c], c]
+    return total, row_for_col
+
+
+def resolving_canonical_match(w: np.ndarray) -> np.ndarray:
+    """The tie rule decided by sub-solves: for each column in ascending order,
+    try its higher tight rows from the top and keep the first whose best
+    completion of the remaining columns still reaches the optimal total."""
+    n_rows, n_cols = w.shape
+    if n_cols == 0:
+        return np.zeros(0, dtype=int)
+    if np.all(w == w.flat[0]):
+        return np.arange(n_rows - 1, n_rows - 1 - n_cols, -1)
+    peak = float(w.max())
+    cost = peak - w
+    match, u, v = _rect_min_assign(cost)
+    eps = 1e-9 * (1.0 + abs(peak))
+    fixed = np.zeros(n_rows, dtype=bool)
+    for c in range(n_cols):
+        cur_row = int(match[c])
+        tight = np.abs(cost[:, c] - u[c] - v) <= eps
+        higher = [r for r in np.where(tight & ~fixed)[0][::-1] if r > cur_row]
+        if higher:
+            rem_opt = sum(w[match[k], k] for k in range(c, n_cols))
+            rest_cols = list(range(c + 1, n_cols))
+            for r in higher:
+                rows_left = [j for j in range(n_rows) if not fixed[j] and j != r]
+                sub = w[np.ix_(rows_left, rest_cols)]
+                sub_total, sub_match = _max_assign(sub)
+                if w[r, c] + sub_total >= rem_opt - eps:
+                    match[c] = r
+                    for i, k in enumerate(rest_cols):
+                        match[k] = rows_left[sub_match[i]]
+                    break
+        fixed[match[c]] = True
+    return match
+
+
+def tie_heavy_matrix(rng: np.random.Generator, rows: int, cols: int, kind: str) -> np.ndarray:
+    if kind == "integer":
+        return rng.integers(0, 5, size=(rows, cols)).astype(float)
+    if kind == "clamped integer":
+        a = rng.integers(0, 8, size=(rows, cols))
+        return np.minimum(a, rng.integers(0, 6, size=rows)[:, None]).astype(float)
+    # clamped float: a relay whose direct amount binds repeats it along its row
+    return np.minimum(rng.random((rows, cols)) * 10.0, rng.random(rows)[:, None] * 6.0)
+
+
+@pytest.fixture(scope="module")
+def scheduler_matrices():
+    """Every benefit matrix msrs and irrs solve on one N=200 scenario."""
+    captured = []
+    real_solve = scheduler_module.solve_max_assignment
+
+    def capturing(w):
+        captured.append(w.values.copy())
+        return real_solve(w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler_module, "solve_max_assignment", capturing)
+        cfg = default_radio_config()
+        sc = generate(ScenarioSpec(n_vehicles=200, seed=5))
+        tables = build_service_tables(sc, cfg)
+        solve_msrs(sc, cfg, tables=tables)
+        solve_irrs(sc, cfg, tables=tables)
+    return captured
+
+
+class TestTieBreakAgainstResolving:
+    @pytest.mark.parametrize("kind", ["integer", "clamped integer", "clamped float"])
+    def test_small_matrices(self, kind):
+        rng = np.random.default_rng(43)
+        for rows in range(1, 10):
+            for cols in range(rows + 1):
+                for _ in range(6):
+                    w = tie_heavy_matrix(rng, rows, cols, kind)
+                    assert np.array_equal(_canonical_match(w), resolving_canonical_match(w)), w
+
+    def test_clamped_float_175x25(self):
+        rng = np.random.default_rng(47)
+        for _ in range(4):
+            w = np.minimum(rng.random((175, 25)) * 10.0, rng.random(175)[:, None] * 3.0)
+            assert np.array_equal(_canonical_match(w), resolving_canonical_match(w))
+
+    def test_scheduler_matrices_at_n200(self, scheduler_matrices):
+        assert len(scheduler_matrices) >= 2
+        for w in scheduler_matrices:
+            assert np.array_equal(_canonical_match(w), resolving_canonical_match(w))
+
+
+@st.composite
+def clamped_integer_matrices(draw):
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(0, rows))
+    entries = st.lists(st.integers(0, 6), min_size=rows * cols, max_size=rows * cols)
+    caps = st.lists(st.integers(0, 6), min_size=rows, max_size=rows)
+    vals = np.array(draw(entries), dtype=float).reshape(rows, cols)
+    return np.minimum(vals, np.array(draw(caps), dtype=float)[:, None])
+
+
+class TestTieBreakProperties:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(clamped_integer_matrices())
+    def test_lexicographically_largest_optimum(self, vals):
+        rows, cols = vals.shape
+        totals = {perm: sum(vals[r, c] for c, r in enumerate(perm))
+                  for perm in itertools.permutations(range(rows), cols)}
+        best = max(totals.values())
+        got = solve_max_assignment(BenefitMatrix(vals))
+        assert tuple(got.match[c] for c in range(cols)) == max(
+            perm for perm, t in totals.items() if t == best
+        )
+        assert got.total == brute_force_assignment(BenefitMatrix(vals)).total
+
+
+class TestScipyDifferential:
+    def test_totals_match_linear_sum_assignment(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(53)
+        shapes = [(200, 25), (175, 25), (60, 30), (40, 40), (12, 9), (9, 1)]
+        for rows, cols in shapes:
+            for kind in ("plain", "clamped"):
+                w = rng.random((rows, cols)) * 10.0
+                if kind == "clamped":
+                    w = np.minimum(w, rng.random(rows)[:, None] * 6.0)
+                got = solve_max_assignment(BenefitMatrix(w))
+                r_idx, c_idx = optimize.linear_sum_assignment(w, maximize=True)
+                assert got.total == pytest.approx(float(w[r_idx, c_idx].sum()), rel=1e-12)

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+import relaysched.experiments as experiments_module
+from relaysched.assignment import brute_force_assignment
 from relaysched.experiments import (
     DEFAULT_N_VALUES,
     DEFAULT_SPEED_VALUES,
@@ -15,6 +17,7 @@ from relaysched.experiments import (
     config_from_doc,
     rows_to_csv,
     summarize,
+    _check_canonical_tie_break,
     _check_quadrature,
 )
 from relaysched.service import QuadratureSpec
@@ -182,8 +185,15 @@ class TestValidateSuite:
         report = cmd_validate()
         assert report["passed"], report
         names = [c["name"] for c in report["checks"]]
-        assert names == ["reference_assignment", "assignment_oracle",
+        assert names == ["reference_assignment", "assignment_oracle", "canonical_tie_break",
                          "scheduler_vs_oracle", "quadrature"]
+
+    def test_tie_break_check_fails_on_non_canonical_optimum(self, monkeypatch):
+        # enumeration keeps the first optimum it meets: the lexicographically smallest
+        monkeypatch.setattr(experiments_module, "solve_max_assignment", brute_force_assignment)
+        check = _check_canonical_tie_break()
+        assert not check["passed"]
+        assert not check["detail"].startswith("0 of")
 
     def test_quadrature_check_fails_on_unconverged_links(self):
         # accurate to 1e-9, but the tolerance cannot be met within the refinement budget

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import relaysched.assignment as assignment_module
 import relaysched.scheduler as scheduler_module
 from relaysched.assignment import BenefitMatrix
 from relaysched.channel import default_radio_config, rate_v2i, rate_v2v, rb_share
@@ -294,6 +295,34 @@ class TestMsrs:
         assert 0 < len(solves) <= cfg.k_dsrc
         assert sched.n_av == 0 and sched.cv_set == frozenset(range(sc.n))
         assert sched.total_service == 0.0
+
+
+class TestAssignmentSolves:
+    def test_one_dual_solve_per_assignment(self, monkeypatch, cfg):
+        # ties are decided on the dual's tight edges, with no re-solves
+        solves = []
+        real_rect = assignment_module._rect_min_assign
+
+        def counting_rect(cost):
+            solves.append(cost.shape)
+            return real_rect(cost)
+
+        real_solve = scheduler_module.solve_max_assignment
+        needing_solve = []
+
+        def counting_solve(w):
+            if w.cols and not np.all(w.values == w.values.flat[0]):
+                needing_solve.append(w.values.shape)
+            return real_solve(w)
+
+        monkeypatch.setattr(assignment_module, "_rect_min_assign", counting_rect)
+        monkeypatch.setattr(scheduler_module, "solve_max_assignment", counting_solve)
+        sc = generate(ScenarioSpec(n_vehicles=200, seed=9))
+        tables = build_service_tables(sc, cfg)
+        solve_msrs(sc, cfg, tables=tables)
+        solve_irrs(sc, cfg, tables=tables)
+        assert len(needing_solve) >= 2
+        assert solves == needing_solve
 
 
 class TestIrrs:
