@@ -32,7 +32,7 @@ import numpy as np
 
 from .assignment import BenefitMatrix, brute_force_assignment, solve_max_assignment
 from .channel import PathLossModel, RadioConfig, default_radio_config, rate_v2i, rb_share
-from .mobility import BasePosition, VehicleState
+from .mobility import BasePosition, VehicleState, motion_rows
 from .rng import Xoshiro256StarStar, split_seeds
 from .scenario import ScenarioSpec, generate
 from .scheduler import (
@@ -43,7 +43,7 @@ from .scheduler import (
     solve_optimal_bruteforce,
     validate_schedule,
 )
-from .service import Period, QuadratureSpec, _affine_motion, unit_service_batch
+from .service import Period, QuadratureSpec, unit_service_batch
 
 POLICIES = ("msrs", "irrs", "noncoop", "optimal")
 
@@ -63,7 +63,6 @@ class ExperimentConfig:
     bs_offset: float = 15.0
     lane_offsets: tuple[float, float] = (1.75, 5.25)
     speed_range: tuple[float, float] = (4.0, 35.0)
-    period_start: float = 0.0
     period_duration: float = 5.0
     radio: RadioConfig = field(default_factory=default_radio_config)
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
@@ -90,7 +89,6 @@ class ExperimentConfig:
             bs_offset=self.bs_offset,
             lane_offsets=self.lane_offsets,
             speed_range=self.speed_range if speed_range is None else speed_range,
-            period_start=self.period_start,
             period_duration=self.period_duration,
         )
 
@@ -169,7 +167,6 @@ def config_from_doc(doc: dict, overrides: dict | None = None) -> ExperimentConfi
         bs_offset=scen.get("bs_offset_m", 15.0),
         lane_offsets=tuple(scen.get("lane_offsets_m", (1.75, 5.25))),
         speed_range=tuple(speed),
-        period_start=doc.get("period", {}).get("t_start_s", 0.0),
         period_duration=doc.get("period", {}).get("duration_s", 5.0),
         radio=radio,
         quad=quad,
@@ -195,21 +192,18 @@ def _run_trial(args) -> list[MetricsRow]:
     for policy in config.policies:
         t0 = time.perf_counter()
         if policy == "msrs":
-            schedules[policy] = solve_msrs(scenario, config.radio, quad=config.quad, tables=tables)
+            schedules[policy] = solve_msrs(scenario, config.radio, tables=tables)
         elif policy == "irrs":
-            schedules[policy] = solve_irrs(scenario, config.radio, quad=config.quad, tables=tables)
+            schedules[policy] = solve_irrs(scenario, config.radio, tables=tables)
         elif policy == "noncoop":
-            schedules[policy] = solve_noncooperative(
-                scenario, config.radio, quad=config.quad, tables=tables
-            )
+            schedules[policy] = solve_noncooperative(scenario, config.radio, tables=tables)
         elif policy == "optimal":
             if scenario.n > config.oracle_cap:
                 schedules[policy] = None
                 notes[policy] = f"refused: n_vehicles={scenario.n} exceeds oracle cap {config.oracle_cap}"
             else:
                 schedules[policy] = solve_optimal_bruteforce(
-                    scenario, config.radio, quad=config.quad,
-                    cap=config.oracle_cap, tables=tables,
+                    scenario, config.radio, tables=tables, cap=config.oracle_cap
                 )
         timings[policy] = 1000.0 * (time.perf_counter() - t0)
 
@@ -217,12 +211,15 @@ def _run_trial(args) -> list[MetricsRow]:
     if scenario.n and rb_share(config.radio.k_lte, scenario.n) == 0:
         # every direct share is 0, so every policy totals 0
         starved = f"no direct RBs: n_vehicles={scenario.n} exceeds k_lte={config.radio.k_lte}"
+    unconverged = ""
+    if tables.unconverged:
+        unconverged = f"quadrature not converged on {tables.unconverged} links"
 
     opt = schedules.get("optimal")
     rows = []
     for policy in config.policies:
         sched = schedules[policy]
-        note = "; ".join(part for part in (notes.get(policy, ""), starved) if part)
+        note = "; ".join(part for part in (notes.get(policy, ""), starved, unconverged) if part)
         if sched is None:
             rows.append(MetricsRow(policy, seed, scenario.n, spec.speed_range, None,
                                    None, timings[policy], note))
@@ -419,9 +416,9 @@ def _check_scheduler_oracle(config: ExperimentConfig) -> dict:
         for seed in range(25):
             scenario = generate(config.scenario_spec(seed=seed, n_vehicles=n))
             tables = build_service_tables(scenario, config.radio, quad=config.quad)
-            msrs = solve_msrs(scenario, config.radio, quad=config.quad, tables=tables)
-            noncoop = solve_noncooperative(scenario, config.radio, quad=config.quad, tables=tables)
-            opt = solve_optimal_bruteforce(scenario, config.radio, quad=config.quad, tables=tables)
+            msrs = solve_msrs(scenario, config.radio, tables=tables)
+            noncoop = solve_noncooperative(scenario, config.radio, tables=tables)
+            opt = solve_optimal_bruteforce(scenario, config.radio, tables=tables)
             dominated &= opt.total_service >= msrs.total_service >= noncoop.total_service
             losses.append((opt.total_service - msrs.total_service) / opt.total_service)
     frac_ok = float(np.mean([loss <= 0.05 for loss in losses]))
@@ -432,7 +429,7 @@ def _check_scheduler_oracle(config: ExperimentConfig) -> dict:
 
 def _check_quadrature(config: ExperimentConfig) -> dict:
     bs = BasePosition(0.0, -15.0)
-    period = Period(0.0, config.period_duration)
+    period = Period(config.period_duration)
     radio = config.radio
     parked = VehicleState(0, 120.0, 1.75, 0.0, 0.0)
     gen = Xoshiro256StarStar(77)
@@ -441,7 +438,7 @@ def _check_quadrature(config: ExperimentConfig) -> dict:
                      0.0 if gen.random() < 0.5 else math.pi)
         for _ in range(20)
     ]
-    motions = np.array([_affine_motion(v, bs) for v in [parked, *moving]])
+    motions = motion_rows([parked, *moving]) - motion_rows([bs])
     units, converged = unit_service_batch(
         motions, radio.v2i_model, radio.p_bs_per_rb, radio.noise_v2i_per_rb, period, config.quad
     )

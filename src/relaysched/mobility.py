@@ -52,6 +52,18 @@ class BasePosition:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite base position ({self.x!r}, {self.y!r})")
 
+    @property
+    def velocity(self) -> tuple[float, float]:
+        return 0.0, 0.0
+
+
+def motion_rows(nodes) -> np.ndarray:
+    """(N, 4) rows of (x, y, vx, vy) at the period start, one per vehicle or base station.
+
+    A link's relative motion (`service.unit_service_batch`) is the difference of its ends' rows.
+    """
+    return np.array([(v.x, v.y, *v.velocity) for v in nodes], dtype=float).reshape(-1, 4)
+
 
 def _check_dt(dt):
     arr = np.asarray(dt, dtype=float)

@@ -11,9 +11,12 @@ scenario on any platform.
 Scenario files are JSON with units embedded in the field names:
 
     {"bs": {"x_m": 0.0, "y_m": -15.0},
-     "period": {"t_start_s": 0.0, "duration_s": 5.0},
+     "period": {"duration_s": 5.0},
      "vehicles": [{"id": 0, "x_m": ..., "y_m": ..., "speed_mps": ...,
                    "heading_rad": ...}, ...]}
+
+Vehicle states are those at the period start.  Files from older versions
+also carry `period.t_start_s`; loading ignores it.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ class ScenarioSpec:
     bs_offset: float = 15.0  # m, distance of the BS from the road
     lane_offsets: tuple[float, float] = (1.75, 5.25)  # m, one lane per direction
     speed_range: tuple[float, float] = (4.0, 35.0)  # m/s; (v, v) pins the speed
-    period_start: float = 0.0  # s
     period_duration: float = 5.0  # s
 
     def __post_init__(self):
@@ -99,14 +101,14 @@ def generate(spec: ScenarioSpec) -> Scenario:
     return Scenario(
         bs=BasePosition(0.0, -spec.bs_offset),
         vehicles=tuple(vehicles),
-        period=Period(spec.period_start, spec.period_duration),
+        period=Period(spec.period_duration),
     )
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
     doc = {
         "bs": {"x_m": scenario.bs.x, "y_m": scenario.bs.y},
-        "period": {"t_start_s": scenario.period.t_start, "duration_s": scenario.period.duration},
+        "period": {"duration_s": scenario.period.duration},
         "vehicles": [
             {
                 "id": v.id,
@@ -168,10 +170,7 @@ def load_scenario(path: str | Path) -> Scenario:
         return Scenario(
             bs=BasePosition(_number(bs_doc, "x_m", "bs"), _number(bs_doc, "y_m", "bs")),
             vehicles=tuple(vehicles),
-            period=Period(
-                _number(period_doc, "t_start_s", "period"),
-                _number(period_doc, "duration_s", "period"),
-            ),
+            period=Period(_number(period_doc, "duration_s", "period")),
         )
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from None

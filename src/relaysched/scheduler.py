@@ -4,8 +4,10 @@ A schedule partitions the fleet into relays (RV), aided vehicles (AV) and
 common vehicles (CV), with a one-to-one pairing of relays to aided vehicles.
 Relays and common vehicles receive their direct downlink service; each aided
 vehicle receives the two-hop service of its relay pair (the weaker of the
-relay's downlink amount and the relay-to-vehicle amount).  Four policies are
-provided:
+relay's downlink amount and the relay-to-vehicle amount).  That objective is
+written once, on `ServiceTables`: `direct_sum` for the vehicles that are not
+aided and `benefit` for the pairs.  Every policy searches or scores with it.
+Four policies are provided, each called as `(scenario, cfg, tables=None)`:
 
 * `solve_msrs`            -- service-integral driven: sort by direct service,
                              take the weakest vehicles as aided, pair them
@@ -33,9 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import BenefitMatrix, solve_max_assignment
-from .channel import RadioConfig, rb_share, unit_rate
+from .channel import RadioConfig, rate_two_hop, rb_share, unit_rate
+from .mobility import motion_rows
 from .scenario import Scenario
-from .service import Period, QuadratureSpec, unit_service_batch
+from .service import QuadratureSpec, unit_service_batch
 
 BRUTE_FORCE_VEHICLE_CAP = 12
 
@@ -74,7 +77,7 @@ def validate_schedule(schedule: Schedule, n_vehicles: int) -> None:
         raise InvalidScheduleError("a relay cannot serve two aided vehicles")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ServiceTables:
     """Per-vehicle direct amounts and per-pair unit amounts for one scenario.
 
@@ -92,13 +95,15 @@ class ServiceTables:
     which `BenefitMatrix` rejects.  `v2v_link` carries what that needs: the
     (N, 4) start states (x, y, vx, vy) and the link arguments of
     `unit_service_batch`.  Without it the table is dense and `require` does
-    nothing.
+    nothing.  `unconverged` counts the integrated links whose quadrature hit
+    its refinement cap.
     """
 
     v2i: np.ndarray
     v2v_unit: np.ndarray
     k_dsrc: int
     v2v_link: tuple | None = field(default=None, repr=False, compare=False)
+    unconverged: int = 0
 
     def require(self, rows, cols) -> None:
         """Integrate the unknown V2V entries among broadcastable index arrays `rows` x `cols`."""
@@ -114,38 +119,43 @@ class ServiceTables:
             return
         i, j = i[missing], j[missing]
         state, link = self.v2v_link
-        vals, _ = unit_service_batch(state[i] - state[j], *link)
+        vals, converged = unit_service_batch(state[i] - state[j], *link)
         self.v2v_unit[i, j] = vals
         self.v2v_unit[j, i] = vals
+        self.unconverged += int(np.count_nonzero(~converged))
 
-    def two_hop(self, relay: int, aided: int, n_av: int) -> float:
-        """Two-hop amount from the BS to `aided` via `relay` when n_av share the V2V RBs."""
-        self.require(relay, aided)
+    def benefit(self, rows, cols, n_av: int) -> np.ndarray:
+        """Two-hop amounts of relays `rows` serving aided `cols` when n_av share the V2V RBs.
+
+        The index arrays broadcast; their V2V entries must have been required.
+        """
         share = rb_share(self.k_dsrc, n_av)
-        return min(share * self.v2v_unit[relay, aided], self.v2i[relay])
+        return rate_two_hop(share * self.v2v_unit[rows, cols], self.v2i[rows])
+
+    def direct_sum(self, aided: set) -> float:
+        """Direct amounts of every vehicle not in the set `aided`, summed in ascending id order."""
+        return sum(x for i, x in enumerate(self.v2i.tolist()) if i not in aided)
 
 
 def build_service_tables(
-    scenario: Scenario,
-    cfg: RadioConfig,
-    period: Period | None = None,
-    quad: QuadratureSpec = QuadratureSpec(),
+    scenario: Scenario, cfg: RadioConfig, quad: QuadratureSpec = QuadratureSpec()
 ) -> ServiceTables:
     """Service-integral tables: direct links integrated now, V2V pairs on `require`."""
-    period = period if period is not None else scenario.period
     n = scenario.n
     if n == 0:
         return ServiceTables(np.zeros(0), np.zeros((0, 0)), cfg.k_dsrc)
-    state = np.array([(v.x, v.y, *v.velocity) for v in scenario.vehicles])
-    unit_bs, _ = unit_service_batch(
-        state - np.array([scenario.bs.x, scenario.bs.y, 0.0, 0.0]),
-        cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad,
+    state = motion_rows(scenario.vehicles)
+    unit_bs, converged = unit_service_batch(
+        state - motion_rows([scenario.bs]),
+        cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, scenario.period, quad,
     )
     v2i = rb_share(cfg.k_lte, n) * unit_bs
     v2v_unit = np.full((n, n), np.nan)
     np.fill_diagonal(v2v_unit, 0.0)
-    link = (cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad)
-    return ServiceTables(v2i, v2v_unit, cfg.k_dsrc, (state, link))
+    link = (cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, scenario.period, quad)
+    return ServiceTables(
+        v2i, v2v_unit, cfg.k_dsrc, (state, link), int(np.count_nonzero(~converged))
+    )
 
 
 def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
@@ -153,14 +163,15 @@ def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
     n = scenario.n
     if n == 0:
         return ServiceTables(np.zeros(0), np.zeros((0, 0)), cfg.k_dsrc)
-    x = np.array([v.x for v in scenario.vehicles])
-    y = np.array([v.y for v in scenario.vehicles])
-    d_bs = np.hypot(x - scenario.bs.x, y - scenario.bs.y)
+    state = motion_rows(scenario.vehicles)
+    to_bs = state - motion_rows([scenario.bs])
     v2i = rb_share(cfg.k_lte, n) * unit_rate(
-        cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, d_bs
+        cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, np.hypot(to_bs[:, 0], to_bs[:, 1])
     )
-    d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
-    v2v_unit = unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, d)
+    gap = state[:, None, :2] - state[None, :, :2]
+    v2v_unit = unit_rate(
+        cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, np.hypot(gap[..., 0], gap[..., 1])
+    )
     np.fill_diagonal(v2v_unit, 0.0)
     return ServiceTables(v2i, v2v_unit, cfg.k_dsrc)
 
@@ -171,65 +182,24 @@ def _partition_total(tables: ServiceTables, av_ids, pairing: dict[int, int]) -> 
     Summation order is pinned (ascending ids, direct part then relay part) so
     that every policy and re-evaluation reproduces identical floats.
     """
-    n = tables.v2i.shape[0]
     av_set = set(av_ids)
-    v2i = tables.v2i
-    direct = sum(float(v2i[i]) for i in range(n) if i not in av_set)
-    n_av = len(av_set)
-    if n_av == 0:
+    direct = tables.direct_sum(av_set)
+    if not av_set:
         return direct
-    share = rb_share(tables.k_dsrc, n_av)
     aided = sorted(av_set)
-    tables.require([pairing[j] for j in aided], aided)
-    unit = tables.v2v_unit
-    relay = sum(
-        min(share * float(unit[pairing[j], j]), float(v2i[pairing[j]]))
-        for j in aided
-    )
-    return direct + relay
+    relays = [pairing[j] for j in aided]
+    tables.require(relays, aided)
+    return direct + sum(tables.benefit(relays, aided, len(aided)).tolist())
 
 
 def evaluate_schedule(
-    schedule: Schedule,
-    scenario: Scenario,
-    cfg: RadioConfig,
-    period: Period | None = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-    tables: ServiceTables | None = None,
+    schedule: Schedule, scenario: Scenario, cfg: RadioConfig, tables: ServiceTables | None = None
 ) -> float:
     """Total service amount of a structurally valid schedule."""
     validate_schedule(schedule, scenario.n)
     if tables is None:
-        tables = build_service_tables(scenario, cfg, period, quad)
+        tables = build_service_tables(scenario, cfg)
     return _partition_total(tables, schedule.av_set, schedule.pairing)
-
-
-def _sorted_by_direct(tables: ServiceTables) -> list[int]:
-    # descending direct amount, ties by ascending id
-    v2i = tables.v2i
-    return sorted(range(v2i.shape[0]), key=lambda i: (-v2i[i], i))
-
-
-def _pair_candidates(tables: ServiceTables, avs: list[int], cands: list[int], w_vals: np.ndarray):
-    """Pipeline step for one aided-vehicle count: pair and score.
-
-    Solves the assignment of the aided vehicles `avs` (columns) to the relay
-    candidates `cands` (rows) on their benefit matrix `w_vals` of two-hop
-    amounts.  Candidate rows that win no aided vehicle fall back to
-    common-vehicle service.
-    Returns (total, av_ids, pairing).
-    """
-    solved = solve_max_assignment(BenefitMatrix(w_vals))
-    pairing = {avs[c]: cands[r] for c, r in solved.match.items()}
-    total = _partition_total(tables, avs, pairing)
-    return total, tuple(avs), pairing
-
-
-def _benefit_upper_bound(tables: ServiceTables, avs: list[int], w_vals: np.ndarray) -> float:
-    """Cheap upper bound on `_pair_candidates` total: column maxima, no matching."""
-    av_set = set(avs)
-    direct = sum(float(tables.v2i[i]) for i in range(tables.v2i.shape[0]) if i not in av_set)
-    return direct + float(w_vals.max(axis=0).sum())
 
 
 def _schedule_from_parts(n: int, av_ids, pairing: dict[int, int], total: float) -> Schedule:
@@ -250,51 +220,49 @@ def _aided_cap(n: int, k_dsrc: int) -> int:
 
 
 def _best_partition(tables: ServiceTables):
-    """Search the aided-vehicle count; returns (total, av_ids, pairing)."""
-    order = _sorted_by_direct(tables)
-    n = len(order)
+    """Search the aided-vehicle count; returns (total, av_ids, pairing).
+
+    For each count n_av the n_av weakest vehicles are aided and paired with
+    relays among the rest; rows that win no aided vehicle stay common vehicles.
+    """
+    n = tables.v2i.shape[0]
+    # descending direct amount, ties by ascending id
+    order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
     cap = _aided_cap(n, tables.k_dsrc)
+    rows = np.array(order, dtype=int)[:, None]
     # every candidate count pairs all vehicles against the `cap` weakest at most
-    tables.require(np.array(order)[:, None], order[n - cap:])
+    tables.require(rows, order[n - cap:])
+    # kept[k]: the summed direct amounts of the k strongest vehicles
+    kept = np.concatenate(([0.0], np.cumsum(tables.v2i[order])))
     best = (_partition_total(tables, (), {}), (), {})
     for n_av in range(1, cap + 1):
-        # the n_av weakest vehicles (tail of the sorted order) are aided
-        avs, cands = order[n - n_av:], order[: n - n_av]
-        w_vals = np.minimum(
-            rb_share(tables.k_dsrc, n_av) * tables.v2v_unit[np.ix_(cands, avs)],
-            tables.v2i[cands][:, None],
-        )
-        # the margin keeps the prune sound across summation-order roundoff
-        bound = _benefit_upper_bound(tables, avs, w_vals)
+        avs = order[n - n_av:]
+        w = tables.benefit(rows[: n - n_av], avs, n_av)
+        # column maxima bound the matching; the margin keeps the prune sound
+        # across summation-order roundoff
+        bound = kept[n - n_av] + w.max(axis=0).sum()
         if bound + 1e-9 * (1.0 + abs(bound)) <= best[0]:
             continue
-        cand = _pair_candidates(tables, avs, cands, w_vals)
-        if cand[0] > best[0]:
-            best = cand
+        solved = solve_max_assignment(BenefitMatrix(w))
+        pairing = {avs[c]: order[r] for c, r in solved.match.items()}
+        total = _partition_total(tables, avs, pairing)
+        if total > best[0]:
+            best = (total, tuple(avs), pairing)
     return best
 
 
 def solve_msrs(
-    scenario: Scenario,
-    cfg: RadioConfig,
-    period: Period | None = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-    tables: ServiceTables | None = None,
+    scenario: Scenario, cfg: RadioConfig, tables: ServiceTables | None = None
 ) -> Schedule:
     """Service-integral-driven schedule (sort, select, pair, search the AV count)."""
     if tables is None:
-        tables = build_service_tables(scenario, cfg, period, quad)
+        tables = build_service_tables(scenario, cfg)
     total, av_ids, pairing = _best_partition(tables)
     return _schedule_from_parts(scenario.n, av_ids, pairing, total)
 
 
 def solve_irrs(
-    scenario: Scenario,
-    cfg: RadioConfig,
-    period: Period | None = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-    tables: ServiceTables | None = None,
-    rate_tables: ServiceTables | None = None,
+    scenario: Scenario, cfg: RadioConfig, tables: ServiceTables | None = None
 ) -> Schedule:
     """Rate-driven schedule: decisions use period-start rates, scoring uses integrals.
 
@@ -303,25 +271,19 @@ def solve_irrs(
     evaluated with mobile-service integrals so totals are comparable across
     policies.
     """
-    if rate_tables is None:
-        rate_tables = build_rate_tables(scenario, cfg)
-    _, av_ids, pairing = _best_partition(rate_tables)
+    _, av_ids, pairing = _best_partition(build_rate_tables(scenario, cfg))
     if tables is None:
-        tables = build_service_tables(scenario, cfg, period, quad)
+        tables = build_service_tables(scenario, cfg)
     total = _partition_total(tables, av_ids, pairing)
     return _schedule_from_parts(scenario.n, av_ids, pairing, total)
 
 
 def solve_noncooperative(
-    scenario: Scenario,
-    cfg: RadioConfig,
-    period: Period | None = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-    tables: ServiceTables | None = None,
+    scenario: Scenario, cfg: RadioConfig, tables: ServiceTables | None = None
 ) -> Schedule:
     """Everyone direct to the BS; no relaying, no V2V resource use."""
     if tables is None:
-        tables = build_service_tables(scenario, cfg, period, quad)
+        tables = build_service_tables(scenario, cfg)
     total = _partition_total(tables, (), {})
     return _schedule_from_parts(scenario.n, (), {}, total)
 
@@ -329,10 +291,8 @@ def solve_noncooperative(
 def solve_optimal_bruteforce(
     scenario: Scenario,
     cfg: RadioConfig,
-    period: Period | None = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-    cap: int = BRUTE_FORCE_VEHICLE_CAP,
     tables: ServiceTables | None = None,
+    cap: int = BRUTE_FORCE_VEHICLE_CAP,
 ) -> Schedule:
     """Exact optimum by enumerating every partition and pairing.
 
@@ -350,20 +310,19 @@ def solve_optimal_bruteforce(
             f"schedules); cap is {cap}"
         )
     if tables is None:
-        tables = build_service_tables(scenario, cfg, period, quad)
-    tables.require(np.arange(n)[:, None], np.arange(n))
-    v2i_list = tables.v2i.tolist()
+        tables = build_service_tables(scenario, cfg)
+    every = np.arange(n)
+    tables.require(every[:, None], every)
     ids = list(range(n))
 
     best_total = _partition_total(tables, (), {})
     best_av: tuple = ()
     best_pairing: dict[int, int] = {}
     for n_av in range(1, _aided_cap(n, tables.k_dsrc) + 1):
-        share = rb_share(tables.k_dsrc, n_av)
-        w = np.minimum(share * tables.v2v_unit, tables.v2i[:, None]).tolist()
+        w = tables.benefit(every[:, None], every, n_av).tolist()
         for av in itertools.combinations(ids, n_av):
             av_set = set(av)
-            direct = sum(v2i_list[i] for i in ids if i not in av_set)
+            direct = tables.direct_sum(av_set)
             rest = [i for i in ids if i not in av_set]
             bound = direct + sum(max(w[r][a] for r in rest) for a in av)
             if bound <= best_total:

@@ -15,20 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PathLossModel, unit_rate
-from .mobility import BasePosition, VehicleState
 
 _ABS_FLOOR = 1e-30  # guards the relative convergence test for all-zero integrands
 
 
 @dataclass(frozen=True)
 class Period:
-    """One scheduling period: start instant and horizon length, in seconds."""
+    """One scheduling period: its length in seconds, from the vehicles' start states."""
 
-    t_start: float = 0.0
     duration: float = 5.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.duration)):
+        if not math.isfinite(self.duration):
             raise ValueError("non-finite period")
         if self.duration <= 0:
             raise ValueError(f"period duration must be positive, got {self.duration}")
@@ -61,18 +59,6 @@ def _simpson(f: np.ndarray, h: float):
     )
 
 
-def _affine_motion(a: VehicleState, b: VehicleState | BasePosition):
-    """Relative position/velocity coefficients so that d(t) = |(ax+bx*t, ay+by*t)|."""
-    avx, avy = a.velocity
-    if isinstance(b, BasePosition):
-        bvx = bvy = 0.0
-        bx_, by_ = b.x, b.y
-    else:
-        bvx, bvy = b.velocity
-        bx_, by_ = b.x, b.y
-    return a.x - bx_, a.y - by_, avx - bvx, avy - bvy
-
-
 def unit_service_batch(
     motions: np.ndarray,
     model: PathLossModel,
@@ -83,8 +69,9 @@ def unit_service_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-RB service integrals for many links at once.
 
-    `motions` is (P, 4): rows of (ax, ay, bx, by) relative-motion coefficients
-    as produced by scenario geometry, one per link.  Returns (values,
+    `motions` is (P, 4): rows of (ax, ay, bx, by) relative-motion coefficients,
+    so that d(t) = |(ax + bx*t, ay + by*t)|, one per link: the difference of
+    the link's two `mobility.motion_rows`.  Returns (values,
     converged) arrays of length P.  Each link's subintervals are doubled until
     two successive Simpson estimates agree to the requested relative
     tolerance; a link that reaches the refinement cap first keeps its last

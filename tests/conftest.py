@@ -19,7 +19,7 @@ def bs():
 
 @pytest.fixture(scope="session")
 def period():
-    return Period(0.0, 5.0)
+    return Period(5.0)
 
 
 @pytest.fixture(scope="session")

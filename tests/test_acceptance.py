@@ -17,7 +17,7 @@ import pytest
 
 from relaysched.assignment import BenefitMatrix, brute_force_assignment, solve_max_assignment
 from relaysched.channel import rate_v2i, rate_v2v, rb_share
-from relaysched.mobility import VehicleState
+from relaysched.mobility import VehicleState, motion_rows
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import (
@@ -30,7 +30,7 @@ from relaysched.scheduler import (
     solve_optimal_bruteforce,
     validate_schedule,
 )
-from relaysched.service import _affine_motion, unit_service_batch
+from relaysched.service import unit_service_batch
 
 REFERENCE = [
     [2, 3, 0, 1],
@@ -215,7 +215,7 @@ class TestCriterion7Quadrature:
         t0 = time.perf_counter()
 
         def services(links, model, p_tx_dbm, noise_dbm, share):
-            motions = np.array([_affine_motion(a, b) for a, b in links])
+            motions = motion_rows([a for a, _ in links]) - motion_rows([b for _, b in links])
             vals, converged = unit_service_batch(motions, model, p_tx_dbm, noise_dbm, period, quad)
             assert converged.all(), "quadrature left links unconverged"
             return share * vals

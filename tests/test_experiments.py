@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +125,48 @@ class TestCmdRun:
     def test_rows_sorted_by_policy_then_seed(self):
         rows = cmd_run(small_config(trials=4))
         assert [(r.policy, r.seed) for r in rows] == sorted((r.policy, r.seed) for r in rows)
+
+    def test_unconverged_quadrature_noted_on_every_row(self):
+        # no refinement budget: no link can pass the convergence test
+        cfg = config_from_doc({
+            "scenario": {"n_vehicles": 6},
+            "quadrature": {"max_refinements": 0},
+            "run": {"seed": 3, "trials": 2,
+                    "policies": ["msrs", "irrs", "noncoop", "optimal"]},
+        })
+        rows = cmd_run(cfg)
+        # 6 direct links, then the oracle integrates all 15 pairs
+        assert len(rows) == 8
+        assert all(r.note == "quadrature not converged on 21 links" for r in rows)
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestGoldenMetrics:
+    @pytest.mark.parametrize("name,n_vehicles,policies", [
+        ("metrics_seed7_n40.csv", 40, ["msrs", "irrs", "noncoop"]),
+        ("metrics_seed7_n10_optimal.csv", 10, ["msrs", "irrs", "noncoop", "optimal"]),
+    ], ids=["n40", "n10-optimal"])
+    def test_schedules_match_recorded_run(self, name, n_vehicles, policies):
+        # `run --seed 7 --trials 3 --n <N>`: every non-float column exactly, and
+        # the totals to rel 1e-9, so a changed schedule fails and a last-bit
+        # libm difference does not
+        cfg = config_from_doc({"scenario": {"n_vehicles": n_vehicles},
+                               "run": {"seed": 7, "trials": 3, "policies": policies}})
+        got = rows_to_csv(cmd_run(cfg)).splitlines()
+        want = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+        assert got[0] == want[0] and len(got) == len(want)
+        header = want[0].split(",")
+        floats = {header.index("total_service"), header.index("loss_ratio")}
+        for got_row, want_row in zip(got[1:], want[1:]):
+            g, w = got_row.split(","), want_row.split(",")
+            assert len(g) == len(w)
+            for k, (a, b) in enumerate(zip(g, w)):
+                if k in floats and b:
+                    assert float(a) == pytest.approx(float(b), rel=1e-9), want_row
+                else:
+                    assert a == b, want_row
 
 
 class TestSweeps:

@@ -74,6 +74,11 @@ class TestSerialization:
         save_scenario(sc, path)
         assert load_scenario(path) == sc
 
+    def test_saved_period_is_duration_only(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        save_scenario(generate(ScenarioSpec(n_vehicles=2, seed=3, period_duration=7.5)), path)
+        assert json.loads(path.read_text(encoding="utf-8"))["period"] == {"duration_s": 7.5}
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("", encoding="utf-8")
@@ -82,7 +87,7 @@ class TestSerialization:
 
     def test_missing_field_reports_context(self, tmp_path):
         doc = {"bs": {"x_m": 0.0, "y_m": -15.0},
-               "period": {"t_start_s": 0.0, "duration_s": 5.0},
+               "period": {"duration_s": 5.0},
                "vehicles": [{"id": 0, "x_m": 1.0, "y_m": 2.0, "speed_mps": 3.0}]}
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -91,7 +96,7 @@ class TestSerialization:
 
     def test_type_error_reports_field(self, tmp_path):
         doc = {"bs": {"x_m": "zero", "y_m": -15.0},
-               "period": {"t_start_s": 0.0, "duration_s": 5.0},
+               "period": {"duration_s": 5.0},
                "vehicles": []}
         path = tmp_path / "badtype.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -99,6 +104,7 @@ class TestSerialization:
             load_scenario(path)
 
     def test_hand_written_fixture(self, tmp_path):
+        # written by an older version: `t_start_s` is read and ignored
         doc = {
             "bs": {"x_m": 0.0, "y_m": -15.0},
             "period": {"t_start_s": 0.0, "duration_s": 5.0},
@@ -117,7 +123,7 @@ class TestSerialization:
     def test_invalid_vehicle_rejected(self, tmp_path):
         doc = {
             "bs": {"x_m": 0.0, "y_m": -15.0},
-            "period": {"t_start_s": 0.0, "duration_s": 5.0},
+            "period": {"duration_s": 5.0},
             "vehicles": [
                 {"id": 0, "x_m": 0.0, "y_m": 0.0, "speed_mps": -4.0, "heading_rad": 0.0}
             ],
@@ -130,7 +136,7 @@ class TestSerialization:
     def test_duplicate_ids_rejected(self, tmp_path):
         doc = {
             "bs": {"x_m": 0.0, "y_m": -15.0},
-            "period": {"t_start_s": 0.0, "duration_s": 5.0},
+            "period": {"duration_s": 5.0},
             "vehicles": [
                 {"id": 0, "x_m": 0.0, "y_m": 0.0, "speed_mps": 4.0, "heading_rad": 0.0},
                 {"id": 0, "x_m": 1.0, "y_m": 0.0, "speed_mps": 4.0, "heading_rad": 0.0},
@@ -151,5 +157,5 @@ class TestScenarioType:
             Scenario(
                 bs=BasePosition(0, 0),
                 vehicles=(VehicleState(id=3, x=0, y=0, speed=0, heading=0),),
-                period=Period(0.0, 5.0),
+                period=Period(5.0),
             )

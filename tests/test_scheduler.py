@@ -10,7 +10,7 @@ import relaysched.assignment as assignment_module
 import relaysched.scheduler as scheduler_module
 from relaysched.assignment import BenefitMatrix
 from relaysched.channel import default_radio_config, rate_v2i, rate_v2v, rb_share
-from relaysched.mobility import BasePosition, VehicleState
+from relaysched.mobility import BasePosition, VehicleState, motion_rows
 from relaysched.scenario import Scenario, ScenarioSpec, generate
 from relaysched.scheduler import (
     InvalidScheduleError,
@@ -28,17 +28,17 @@ from relaysched.scheduler import (
     validate_schedule,
     _partition_total,
 )
-from relaysched.service import Period, _affine_motion, unit_service_batch
+from relaysched.service import Period, unit_service_batch
 
 
 def scenario_with(vehicles, bs=BasePosition(0.0, -15.0), duration=5.0):
-    return Scenario(bs=bs, vehicles=tuple(vehicles), period=Period(0.0, duration))
+    return Scenario(bs=bs, vehicles=tuple(vehicles), period=Period(duration))
 
 
 def unit_service(a, b, model, p_tx_dbm, noise_dbm, period):
     """Per-RB service of the single link between `a` and `b`, integrated on its own."""
     vals, converged = unit_service_batch(
-        np.array([_affine_motion(a, b)]), model, p_tx_dbm, noise_dbm, period
+        motion_rows([a]) - motion_rows([b]), model, p_tx_dbm, noise_dbm, period
     )
     assert converged.all()
     return float(vals[0])
@@ -138,7 +138,8 @@ class TestServiceTables:
                         cfg.noise_v2v_per_rb, sc.period,
                     )
                     want = min(relay, direct)
-                    assert tables.two_hop(i, j, n_av) == pytest.approx(want, rel=1e-9)
+                    tables.require(i, j)
+                    assert tables.benefit(i, j, n_av) == pytest.approx(want, rel=1e-9)
 
     def test_v2i_column_matches_scalar(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=7, seed=22))
@@ -298,6 +299,20 @@ class TestMsrs:
 
 
 class TestAssignmentSolves:
+    def test_prune_keeps_msrs_solve_count(self, monkeypatch, cfg):
+        # N=100, seed 7: the column-maxima bound prunes n_av = 6..25 after
+        # n_av = 1..5 are solved
+        real_solve = scheduler_module.solve_max_assignment
+        cols = []
+
+        def counting(w):
+            cols.append(w.cols)
+            return real_solve(w)
+
+        monkeypatch.setattr(scheduler_module, "solve_max_assignment", counting)
+        solve_msrs(generate(ScenarioSpec(n_vehicles=100, seed=7)), cfg)
+        assert cols == [1, 2, 3, 4, 5]
+
     def test_one_dual_solve_per_assignment(self, monkeypatch, cfg):
         # ties are decided on the dual's tight edges, with no re-solves
         solves = []

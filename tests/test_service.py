@@ -14,7 +14,7 @@ from relaysched.channel import (
     rb_share,
     unit_rate,
 )
-from relaysched.mobility import VehicleState
+from relaysched.mobility import VehicleState, motion_rows
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import ServiceTables, build_service_tables
@@ -23,7 +23,6 @@ from relaysched.service import (
     QuadratureSpec,
     unit_service_batch,
     _ABS_FLOOR,
-    _affine_motion,
     _simpson,
 )
 
@@ -36,7 +35,7 @@ def trapezoid_oracle(rate_fn, period: Period, points: int = 10_000) -> float:
 
 def v2i_services(vehicles, bs, cfg, n_total, period, quad=QuadratureSpec()):
     """Direct service amounts of `vehicles` when `n_total` vehicles share the cellular RBs."""
-    motions = np.array([_affine_motion(v, bs) for v in vehicles])
+    motions = motion_rows(vehicles) - motion_rows([bs])
     vals, converged = unit_service_batch(
         motions, cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad
     )
@@ -46,7 +45,7 @@ def v2i_services(vehicles, bs, cfg, n_total, period, quad=QuadratureSpec()):
 
 def v2v_services(links, cfg, n_av, period, quad=QuadratureSpec()):
     """Relay-link service amounts of (tx, rx) pairs when `n_av` aided vehicles share the V2V RBs."""
-    motions = np.array([_affine_motion(tx, rx) for tx, rx in links])
+    motions = motion_rows([tx for tx, _ in links]) - motion_rows([rx for _, rx in links])
     vals, converged = unit_service_batch(
         motions, cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad
     )
@@ -92,7 +91,7 @@ class TestIntegrateRate:
     def test_exact_on_constants(self, bs, cfg):
         # a parked vehicle has a constant rate: Simpson is exact from the first estimate
         parked = VehicleState(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
-        period = Period(0.0, 7.0)
+        period = Period(7.0)
         (s,) = v2i_services([parked], bs, cfg, 1, period)
         assert s == pytest.approx(7.0 * float(rate_v2i(parked, bs, cfg, 1, 0.0)), rel=1e-12)
 
@@ -100,7 +99,7 @@ class TestIntegrateRate:
         # the SNR underflows 1 + snr == 1, so the integrand is exactly zero
         parked = VehicleState(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
         vals, converged = unit_service_batch(
-            np.array([_affine_motion(parked, bs)]), cfg.v2i_model, -400.0,
+            motion_rows([parked]) - motion_rows([bs]), cfg.v2i_model, -400.0,
             cfg.noise_v2i_per_rb, period, quad,
         )
         assert converged.all() and vals[0] == 0.0
@@ -110,7 +109,7 @@ class TestIntegrateRate:
         tx, rx = close_pass()
         spec = QuadratureSpec(max_refinements=0)
         vals, converged = unit_service_batch(
-            np.array([_affine_motion(tx, rx)]), cfg.v2v_model, cfg.p_vn_per_rb,
+            motion_rows([tx]) - motion_rows([rx]), cfg.v2v_model, cfg.p_vn_per_rb,
             cfg.noise_v2v_per_rb, period, spec,
         )
         assert not converged.any()
@@ -122,7 +121,7 @@ class TestIntegrateRate:
         with pytest.raises(ValueError):
             QuadratureSpec(relative_tolerance=0.0)
         with pytest.raises(ValueError):
-            Period(0.0, 0.0)
+            Period(0.0)
 
 
 class TestServiceV2I:
@@ -141,8 +140,8 @@ class TestServiceV2I:
         # closest approach exactly at mid-period: the full integral is twice the half one
         duration, speed = 8.0, 20.0
         v = VehicleState(id=0, x=-speed * duration / 2.0, y=1.75, speed=speed, heading=0.0)
-        (full,) = v2i_services([v], bs, cfg, 10, Period(0.0, duration), quad)
-        (half,) = v2i_services([v], bs, cfg, 10, Period(0.0, duration / 2.0), quad)
+        (full,) = v2i_services([v], bs, cfg, 10, Period(duration), quad)
+        (half,) = v2i_services([v], bs, cfg, 10, Period(duration / 2.0), quad)
         assert full == pytest.approx(2.0 * half, rel=1e-5)
 
 
@@ -156,8 +155,8 @@ class TestServiceV2V:
     def test_zero_share(self, cfg):
         # more aided vehicles than V2V RBs: the relay hop carries nothing
         tables = ServiceTables(np.array([4.0, 1.0]), np.array([[0.0, 2.0], [2.0, 0.0]]), cfg.k_dsrc)
-        assert tables.two_hop(0, 1, cfg.k_dsrc) == 2.0
-        assert tables.two_hop(0, 1, cfg.k_dsrc + 1) == 0.0
+        assert tables.benefit(0, 1, cfg.k_dsrc) == 2.0
+        assert tables.benefit(0, 1, cfg.k_dsrc + 1) == 0.0
 
     def test_opposing_vehicles_vs_trapezoid(self, period, quad):
         cfg = RadioConfig(k_lte=222, k_dsrc=25, p_bs_per_rb=29.0, p_vn_per_rb=20.0,
@@ -174,7 +173,7 @@ class TestTwoHop:
     def test_min_of_amounts(self, a, b, want):
         # relay-link amount a, relay's direct amount b; one V2V RB so no share scaling
         tables = ServiceTables(np.array([b, 0.0]), np.array([[0.0, a], [a, 0.0]]), 1)
-        assert tables.two_hop(0, 1, 1) == want
+        assert tables.benefit(0, 1, 1) == want
 
 
 class TestOracleProperties:
@@ -202,12 +201,12 @@ class TestOracleProperties:
 
     def test_period_additivity(self, bs, cfg, quad):
         v = VehicleState(id=0, x=-100.0, y=1.75, speed=25.0, heading=0.0)
-        (s_full,) = v2i_services([v], bs, cfg, 10, Period(0.0, 6.0), quad)
-        (s_a,) = v2i_services([v], bs, cfg, 10, Period(0.0, 3.0), quad)
+        (s_full,) = v2i_services([v], bs, cfg, 10, Period(6.0), quad)
+        (s_a,) = v2i_services([v], bs, cfg, 10, Period(3.0), quad)
         # second half: same trajectory advanced 3 s
         x3, y3 = v.x + 3.0 * v.speed, v.y
         v3 = VehicleState(id=0, x=x3, y=y3, speed=v.speed, heading=v.heading)
-        (s_b,) = v2i_services([v3], bs, cfg, 10, Period(3.0, 3.0), quad)
+        (s_b,) = v2i_services([v3], bs, cfg, 10, Period(3.0), quad)
         assert s_full == pytest.approx(s_a + s_b, rel=2e-6)
 
     def test_nonnegative(self, bs, cfg, period, quad):
@@ -255,7 +254,7 @@ class TestNodeReuse:
             links.append((tx, rx))
         tx, rx = close_pass()
         links += [(tx, rx), (rx, tx)]
-        motions = np.array([_affine_motion(a, b) for a, b in links])
+        motions = motion_rows([a for a, _ in links]) - motion_rows([b for _, b in links])
         quad = QuadratureSpec(max_refinements=max_refinements)
         args = (motions, cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad)
         got, got_ok = unit_service_batch(*args)
@@ -279,7 +278,7 @@ class TestNodeReuse:
         tx, rx = close_pass()
         quad = QuadratureSpec(initial_subintervals=16, max_refinements=4)
         _, converged = unit_service_batch(
-            np.array([_affine_motion(tx, rx)]), cfg.v2v_model, cfg.p_vn_per_rb,
+            motion_rows([tx]) - motion_rows([rx]), cfg.v2v_model, cfg.p_vn_per_rb,
             cfg.noise_v2v_per_rb, period, quad,
         )
         assert not converged.any()
