@@ -88,8 +88,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "validate":
-        doc = load_config_file(args.config) if args.config else {}
-        report = cmd_validate(config_from_doc(doc, {"seed": 0, "trials": 1}))
+        try:
+            doc = load_config_file(args.config) if args.config else {}
+            config = config_from_doc(doc, {"seed": 0, "trials": 1})
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        report = cmd_validate(config)
         for check in report["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
             print(f"{status} {check['name']}: {check['detail']}")

@@ -126,8 +126,49 @@ def _path_loss_from_doc(doc: dict, fallback: PathLossModel) -> PathLossModel:
     )
 
 
+_PATH_LOSS_KEYS = dict.fromkeys(
+    ("reference_loss_db", "slope_db_per_decade", "distance_divisor_m", "min_distance_m")
+)
+
+# Every key a config document may hold: a section maps to its own keys, a value to None.
+_CONFIG_KEYS = {
+    "scenario": dict.fromkeys(
+        ("n_vehicles", "coverage_radius_m", "bs_offset_m", "lane_offsets_m", "speed_range_mps")
+    ),
+    "period": dict.fromkeys(("duration_s",)),
+    "radio": {
+        **dict.fromkeys(
+            ("k_lte", "k_dsrc", "p_bs_total_dbm", "p_bs_per_rb_dbm", "p_vn_per_rb_dbm",
+             "noise_v2i_per_rb_dbm", "noise_v2v_per_rb_dbm")
+        ),
+        "v2i_path_loss": _PATH_LOSS_KEYS,
+        "v2v_path_loss": _PATH_LOSS_KEYS,
+    },
+    "quadrature": dict.fromkeys(("initial_subintervals", "relative_tolerance", "max_refinements")),
+    "run": dict.fromkeys(("seed", "trials", "policies", "oracle_cap", "workers")),
+    "sweep": dict.fromkeys(("n_values", "speed_values")),
+}
+
+
+def _check_keys(doc: dict, known: dict, prefix: str = "") -> None:
+    """Raise ValueError naming the dotted path of the first key `known` does not list."""
+    for key, value in doc.items():
+        path = prefix + key
+        if key not in known:
+            raise ValueError(f"unknown config key {path!r}; expected one of {', '.join(known)}")
+        if known[key] is not None:
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {path!r} must be an object")
+            _check_keys(value, known[key], path + ".")
+
+
 def config_from_doc(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
-    """Build a config from a parsed JSON document; `overrides` wins over the file."""
+    """Build a config from a parsed JSON document; `overrides` wins over the file.
+
+    A key the document format does not define raises ValueError naming its
+    dotted path, so a misspelled or retired key cannot fall back to a default.
+    """
+    _check_keys(doc, _CONFIG_KEYS)
     scen = doc.get("scenario", {})
     radio_doc = doc.get("radio", {})
     quad_doc = doc.get("quadrature", {})

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from relaysched.cli import main
 
 
@@ -48,6 +50,18 @@ class TestRunCommand:
         echo = json.loads((out / "config_echo.json").read_text())
         assert echo["trials"] == 2  # flag beats file
         assert echo["n_vehicles"] == 4  # file beats default
+
+
+    @pytest.mark.parametrize("command", [["run", "--seed", "1"], ["validate"]])
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"period": {"duration_s": 5.0, "t_start_s": 2.0}}))
+        out = tmp_path / "res"
+        code = run_cli(command + ["--config", str(cfg_path)]
+                       + (["--out", str(out)] if command[0] == "run" else []))
+        assert code == 1
+        assert "unknown config key 'period.t_start_s'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommands:

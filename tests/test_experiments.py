@@ -67,6 +67,49 @@ class TestConfig:
         assert cfg.radio.v2v_model.slope == 30.0
         assert cfg.radio.v2v_model.reference_loss == 43.9  # untouched fields keep defaults
 
+    def test_every_documented_key_at_its_default(self):
+        # the README's config example, plus the per-RB power, resolves to the defaults
+        doc = {
+            "scenario": {"n_vehicles": 100, "coverage_radius_m": 500.0, "bs_offset_m": 15.0,
+                         "lane_offsets_m": [1.75, 5.25], "speed_range_mps": [4.0, 35.0]},
+            "period": {"duration_s": 5.0},
+            "radio": {
+                "k_lte": 222, "k_dsrc": 25, "p_bs_total_dbm": 52.0, "p_vn_per_rb_dbm": 20.0,
+                "noise_v2i_per_rb_dbm": -96.0, "noise_v2v_per_rb_dbm": -112.0,
+                "v2i_path_loss": {"reference_loss_db": 128.1, "slope_db_per_decade": 37.6,
+                                  "distance_divisor_m": 1000.0, "min_distance_m": 1.0},
+                "v2v_path_loss": {"reference_loss_db": 43.9, "slope_db_per_decade": 27.5,
+                                  "distance_divisor_m": 1.0, "min_distance_m": 1.0},
+            },
+            "quadrature": {"initial_subintervals": 16, "relative_tolerance": 1e-6,
+                           "max_refinements": 12},
+            "run": {"seed": None, "trials": 200, "policies": ["msrs", "irrs", "noncoop"],
+                    "oracle_cap": 12, "workers": 1},
+            "sweep": {"n_values": [20, 40, 60, 80, 100, 120, 140, 160, 180, 200],
+                      "speed_values": [4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44]},
+        }
+        assert config_from_doc(doc) == config_from_doc({})
+        default_per_rb = config_from_doc({}).radio.p_bs_per_rb
+        doc["radio"]["p_bs_per_rb_dbm"] = default_per_rb
+        assert config_from_doc(doc) == config_from_doc({})
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"quadrature": {"max_refinement": 0}}, "quadrature.max_refinement"),
+            ({"period": {"duration_s": 5.0, "t_start_s": 2.0}}, "period.t_start_s"),
+            ({"radio": {"v2v_path_loss": {"slope": 30.0}}}, "radio.v2v_path_loss.slope"),
+            ({"runs": {"trials": 3}}, "runs"),
+        ],
+    )
+    def test_rejects_unknown_keys(self, doc, path):
+        with pytest.raises(ValueError, match=f"unknown config key '{path}'"):
+            config_from_doc(doc)
+
+    def test_rejects_section_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="'scenario' must be an object"):
+            config_from_doc({"scenario": 12})
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="polic"):
             ExperimentConfig(seed=1, policies=("msrs", "magic"))

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relaysched.assignment as assignment_module
 import relaysched.scheduler as scheduler_module
@@ -373,6 +377,9 @@ class TestBruteForce:
         sc = generate(ScenarioSpec(n_vehicles=13, seed=1))
         with pytest.raises(ValueError, match="cap"):
             solve_optimal_bruteforce(sc, cfg)
+        # the count covers the aided counts the search would try: n_av <= k_dsrc = 3
+        with pytest.raises(ValueError, match=r"\(214657 candidate schedules\); cap"):
+            solve_optimal_bruteforce(sc, default_radio_config(k_dsrc=3))
 
     def test_single_vehicle_matches_msrs(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=1, seed=6))
@@ -388,6 +395,155 @@ class TestBruteForce:
         )
         opt = solve_optimal_bruteforce(sc, cfg)
         assert opt.n_av == 0
+
+
+def enumerated_optimum(tables, starts=None):
+    """Exact optimum with every aided set through the per-set bound, one set at a time.
+
+    The oracle for `solve_optimal_bruteforce`'s screened search: the same
+    bound, pairing loops and summation order.  `starts`, when given, receives
+    the incumbent total at the start of each aided count.
+    """
+    n = tables.v2i.shape[0]
+    every = np.arange(n)
+    tables.require(every[:, None], every)
+    ids = list(range(n))
+    best_total = _partition_total(tables, (), {})
+    best_av: tuple = ()
+    best_pairing: dict[int, int] = {}
+    for n_av in range(1, min(n // 2, tables.k_dsrc) + 1):
+        if starts is not None:
+            starts.append(best_total)
+        w = tables.benefit(every[:, None], every, n_av).tolist()
+        for av in itertools.combinations(ids, n_av):
+            av_set = set(av)
+            direct = tables.direct_sum(av_set)
+            rest = [i for i in ids if i not in av_set]
+            bound = direct + sum(max(w[r][a] for r in rest) for a in av)
+            if bound <= best_total:
+                continue
+            for rvs in itertools.combinations(rest, n_av):
+                for perm in itertools.permutations(rvs):
+                    relay = 0.0
+                    for r, a in zip(perm, av):
+                        relay += w[r][a]
+                    total = direct + relay
+                    if total > best_total:
+                        best_total = total
+                        best_av = av
+                        best_pairing = {a: r for r, a in zip(perm, av)}
+    return scheduler_module._schedule_from_parts(n, best_av, best_pairing, best_total)
+
+
+def assert_same_optimum(sc, cfg):
+    tables = build_service_tables(sc, cfg)
+    got = solve_optimal_bruteforce(sc, cfg, tables=tables)
+    want = enumerated_optimum(tables)
+    assert got == want
+    assert repr(got.total_service) == repr(want.total_service)
+    return got
+
+
+def parked(positions):
+    return scenario_with(
+        VehicleState(id=i, x=x, y=y, speed=0.0, heading=0.0) for i, (x, y) in enumerate(positions)
+    )
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_per_set_enumeration(self, cfg, n):
+        for seed in (1, 2, 3):
+            assert_same_optimum(generate(ScenarioSpec(n_vehicles=n, seed=seed)), cfg)
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_parked_mirror_symmetric_fleet(self, cfg, n):
+        # mirror images about the BS tie on every direct and relay amount
+        xs = [60.0 + 390.0 * k / (n // 2) for k in range(n // 2)]
+        positions = [(sign * x, 1.75) for x in xs for sign in (-1.0, 1.0)]
+        assert_same_optimum(parked(positions), cfg)
+
+    def test_shared_positions(self, cfg):
+        # pairs and a triple on one spot: their links all clamp to the same 1 m
+        spots = [-480.0, -480.0, -200.0, -200.0, 90.0, 350.0, 350.0, 350.0, 470.0, 470.0]
+        assert_same_optimum(parked((x, 5.25) for x in spots), cfg)
+        assert_same_optimum(parked([(400.0, 1.75)] * 9), cfg)
+
+    def test_no_direct_rbs(self):
+        # k_lte < N: every direct amount is 0, so every bound ties the incumbent 0
+        cfg = default_radio_config(k_lte=10)
+        sc = generate(ScenarioSpec(n_vehicles=12, seed=5))
+        assert not build_service_tables(sc, cfg).v2i.any()
+        opt = assert_same_optimum(sc, cfg)
+        assert opt.n_av == 0 and opt.total_service == 0.0
+
+    @pytest.mark.parametrize("k_dsrc", [1, 2, 5])
+    def test_aided_cap_binds(self, k_dsrc):
+        cfg = default_radio_config(k_dsrc=k_dsrc)
+        for seed in (6, 7):
+            opt = assert_same_optimum(generate(ScenarioSpec(n_vehicles=12, seed=seed)), cfg)
+            assert opt.n_av <= k_dsrc
+
+    def test_many_aided_vehicles(self):
+        # a wide V2V pool makes 4 aided vehicles optimal, so the incumbent
+        # rises across aided counts before the screen meets the larger ones
+        cfg = default_radio_config(k_dsrc=200)
+        for seed in (1, 2, 3, 4):
+            opt = assert_same_optimum(generate(ScenarioSpec(n_vehicles=10, seed=seed)), cfg)
+            assert opt.n_av == 4
+
+    @pytest.mark.parametrize(
+        "radio, n, seed",
+        [({}, 12, 1), ({"k_dsrc": 200}, 10, 1), ({"k_lte": 10}, 12, 5)],
+        ids=["default", "wide-v2v", "no-direct-rbs"],
+    )
+    def test_screen_leaves_only_sets_that_can_win(self, monkeypatch, radio, n, seed):
+        # only sets whose bound, plus the margin, beats the incumbent at the
+        # start of their aided count reach `direct_sum`.  With default radios
+        # that is 11 of the 2 509 aided sets where the per-set enumerator
+        # visits all of them; with no direct RBs every bound ties the
+        # incumbent 0, so the margin lets every set through
+        cfg = default_radio_config(**radio)
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
+        tables = build_service_tables(sc, cfg)
+        starts = []
+        enumerated_optimum(tables, starts)
+        every = np.arange(n)
+        screened = 0
+        for n_av, incumbent in enumerate(starts, start=1):
+            w = tables.benefit(every[:, None], every, n_av).tolist()
+            for av in itertools.combinations(range(n), n_av):
+                rest = [i for i in range(n) if i not in av]
+                bound = tables.direct_sum(set(av)) + sum(max(w[r][a] for r in rest) for a in av)
+                screened += bound + 1e-9 * (1.0 + abs(bound)) > incumbent
+        calls = []
+        real = ServiceTables.direct_sum
+
+        def counting(self, aided):
+            calls.append(len(aided))
+            return real(self, aided)
+
+        monkeypatch.setattr(ServiceTables, "direct_sum", counting)
+        solve_optimal_bruteforce(sc, cfg, tables=tables)
+        assert len(calls) == 1 + screened
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_dominance_and_relabelling(self, cfg, n, seed, data):
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
+        tables = build_service_tables(sc, cfg)
+        opt = solve_optimal_bruteforce(sc, cfg, tables=tables)
+        msrs = solve_msrs(sc, cfg, tables=tables)
+        noncoop = solve_noncooperative(sc, cfg, tables=tables)
+        assert opt.total_service >= msrs.total_service >= noncoop.total_service
+        # the optimum does not depend on which id each vehicle carries
+        order = data.draw(st.permutations(range(n)))
+        relabelled = scenario_with(
+            (dataclasses.replace(sc.vehicles[old], id=new) for new, old in enumerate(order)),
+            bs=sc.bs, duration=sc.period.duration,
+        )
+        again = solve_optimal_bruteforce(relabelled, cfg)
+        assert again.total_service == pytest.approx(opt.total_service, rel=1e-12)
 
 
 class TestScalingBenchmark:
