@@ -18,8 +18,6 @@ from .channel import (
     rate_two_hop,
     rate_v2i,
     rate_v2v,
-    snr_linear,
-    to_bits_per_second,
     unit_rate,
 )
 from .mobility import BasePosition, VehicleState, distance_between, distance_to_bs, predict_position

@@ -92,6 +92,8 @@ def default_radio_config(
     noise_v2v_per_rb_dbm: float = -112.0,
 ) -> RadioConfig:
     """Default radios: the BS total power is split evenly over its RBs."""
+    if k_lte < 1:  # before the logarithm below; RadioConfig checks both counts
+        raise ValueError("resource-block counts must be >= 1")
     return RadioConfig(
         k_lte=k_lte,
         k_dsrc=k_dsrc,
@@ -116,11 +118,6 @@ def path_loss(model: PathLossModel, d):
     return _loss_db(model, d)
 
 
-def snr_linear(p_tx_dbm: float, loss_db, noise_dbm: float):
-    """Linear received SNR for a transmit power, path loss and noise floor in dB units."""
-    return 10.0 ** ((p_tx_dbm - loss_db - noise_dbm) / 10.0)
-
-
 def unit_rate(model: PathLossModel, p_tx_dbm: float, noise_dbm: float, d):
     """Per-RB rate log2(1+SNR) at distance `d` (meters, scalar or array); no RB share applied.
 
@@ -128,18 +125,6 @@ def unit_rate(model: PathLossModel, p_tx_dbm: float, noise_dbm: float, d):
     are not checked: callers derive them from validated vehicle states.
     """
     return np.log2(1.0 + 10.0 ** ((p_tx_dbm - noise_dbm - _loss_db(model, d)) / 10.0))
-
-
-def spectral_efficiency_v2i(v: VehicleState, bs: BasePosition, cfg: RadioConfig, dt):
-    """Per-RB rate of the downlink to `v` at offset `dt`; no RB share applied."""
-    d = distance_to_bs(v, bs, dt)
-    return unit_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, d)
-
-
-def spectral_efficiency_v2v(tx: VehicleState, rx: VehicleState, cfg: RadioConfig, dt):
-    """Per-RB rate of the vehicle-to-vehicle link at offset `dt`; no RB share applied."""
-    d = distance_between(tx, rx, dt)
-    return unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, d)
 
 
 def rb_share(total_rbs: int, users: int) -> int:
@@ -154,7 +139,8 @@ def rate_v2i(v: VehicleState, bs: BasePosition, cfg: RadioConfig, n_total: int, 
     share = rb_share(cfg.k_lte, n_total)
     if share == 0:
         return np.zeros_like(np.asarray(dt, dtype=float))[()]
-    return share * spectral_efficiency_v2i(v, bs, cfg, dt)
+    d = distance_to_bs(v, bs, dt)
+    return share * unit_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, d)
 
 
 def rate_v2v(tx: VehicleState, rx: VehicleState, cfg: RadioConfig, n_av: int, dt):
@@ -162,20 +148,10 @@ def rate_v2v(tx: VehicleState, rx: VehicleState, cfg: RadioConfig, n_av: int, dt
     share = rb_share(cfg.k_dsrc, n_av)
     if share == 0:
         return np.zeros_like(np.asarray(dt, dtype=float))[()]
-    return share * spectral_efficiency_v2v(tx, rx, cfg, dt)
+    d = distance_between(tx, rx, dt)
+    return share * unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, d)
 
 
 def rate_two_hop(rate_relay_hop, rate_v2i_hop):
     """Decode-and-forward end-to-end rate: the weaker of the two hops."""
     return np.minimum(rate_relay_hop, rate_v2i_hop)[()]
-
-
-def to_bits_per_second(value, rb_bandwidth_hz: float):
-    """Convert normalized quantities to absolute ones.
-
-    Rates here are (bit/s/Hz) x (resource blocks) and service amounts are that
-    times seconds; multiplying by the per-RB bandwidth in Hz yields bit/s and
-    bits respectively.  Purely a display/export conversion: every scheduling
-    decision is scale-invariant, so it is never applied internally.
-    """
-    return value * rb_bandwidth_hz

@@ -24,9 +24,12 @@ import json
 import math
 import sys
 import time
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .mobility import BasePosition, VehicleState, motion_rows
 from .rng import Xoshiro256StarStar, split_seeds
 from .scenario import ScenarioSpec, generate
 from .scheduler import (
+    BRUTE_FORCE_VEHICLE_CAP,
     build_service_tables,
     solve_irrs,
     solve_msrs,
@@ -53,25 +57,34 @@ DEFAULT_SPEED_VALUES = tuple(float(s) for s in range(4, 45, 4))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; resolved from defaults, config file and CLI flags."""
+    """Everything a run needs; resolved from defaults, config file and CLI flags.
+
+    The scenario defaults are `ScenarioSpec`'s and the oracle cap is the
+    scheduler's.  Lists, as a config document holds them, become tuples.
+    """
 
     seed: int | None = None
     trials: int = 200
     policies: tuple[str, ...] = ("msrs", "irrs", "noncoop")
     n_vehicles: int = 100
-    coverage_radius: float = 500.0
-    bs_offset: float = 15.0
-    lane_offsets: tuple[float, float] = (1.75, 5.25)
-    speed_range: tuple[float, float] = (4.0, 35.0)
-    period_duration: float = 5.0
+    coverage_radius: float = ScenarioSpec.coverage_radius
+    bs_offset: float = ScenarioSpec.bs_offset
+    lane_offsets: tuple[float, float] = ScenarioSpec.lane_offsets
+    speed_range: tuple[float, float] | float = ScenarioSpec.speed_range  # a number pins the speed
+    period_duration: float = ScenarioSpec.period_duration
     radio: RadioConfig = field(default_factory=default_radio_config)
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    oracle_cap: int = 12
+    oracle_cap: int = BRUTE_FORCE_VEHICLE_CAP
     workers: int = 1
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     speed_values: tuple[float, ...] = DEFAULT_SPEED_VALUES
 
     def __post_init__(self):
+        if isinstance(self.speed_range, (int, float)):
+            object.__setattr__(self, "speed_range", (float(self.speed_range),) * 2)
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), list):
+                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         unknown = [p for p in self.policies if p not in POLICIES]
@@ -117,108 +130,91 @@ def load_config_file(path: str | Path) -> dict:
     return doc
 
 
-def _path_loss_from_doc(doc: dict, fallback: PathLossModel) -> PathLossModel:
-    return PathLossModel(
-        reference_loss=doc.get("reference_loss_db", fallback.reference_loss),
-        slope=doc.get("slope_db_per_decade", fallback.slope),
-        distance_divisor=doc.get("distance_divisor_m", fallback.distance_divisor),
-        min_distance=doc.get("min_distance_m", fallback.min_distance),
-    )
+# The JSON kind of each annotated type a config value can have: its name in
+# error messages and the decoded types it admits.  A bool is none of them.
+_KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
+          tuple: ("a list", list), type(None): ("null", type(None))}
 
 
-_PATH_LOSS_KEYS = dict.fromkeys(
-    ("reference_loss_db", "slope_db_per_decade", "distance_divisor_m", "min_distance_m")
-)
+def _json_kind(hint) -> tuple[str, tuple]:
+    parts = [_KINDS[get_origin(h) or h]
+             for h in (get_args(hint) if get_origin(hint) is UnionType else (hint,))]
+    return " or ".join(name for name, _ in parts), tuple(types for _, types in parts)
 
-# Every key a config document may hold: a section maps to its own keys, a value to None.
+
+def _leaves(target, names=None, owner=None) -> dict:
+    """Config keys read into `target`: JSON key -> (target, field, JSON kind).
+
+    `names` maps JSON keys to fields, or lists fields read under their own
+    names; by default every annotated field or parameter of `target`.  The
+    kind comes from the field's annotation on `owner` (default `target`).
+    """
+    hints = get_type_hints(owner or target)
+    hints.pop("return", None)
+    names = list(hints) if names is None else names
+    if not isinstance(names, dict):
+        names = {name: name for name in names}
+    return {key: (target, name, _json_kind(hints[name])) for key, name in names.items()}
+
+
+_PATH_LOSS_FIELDS = {"reference_loss_db": "reference_loss", "slope_db_per_decade": "slope",
+                     "distance_divisor_m": "distance_divisor", "min_distance_m": "min_distance"}
+
+# The config document format: a section maps to its own table, a leaf to the
+# (target, field, JSON kind) it is read into.  Radio leaves are the parameters
+# of `default_radio_config`, except the per-RB power, which replaces the split
+# of the total; path-loss leaves replace fields of the radio's two models.
 _CONFIG_KEYS = {
-    "scenario": dict.fromkeys(
-        ("n_vehicles", "coverage_radius_m", "bs_offset_m", "lane_offsets_m", "speed_range_mps")
-    ),
-    "period": dict.fromkeys(("duration_s",)),
+    "scenario": _leaves(ExperimentConfig, {
+        "n_vehicles": "n_vehicles", "coverage_radius_m": "coverage_radius",
+        "bs_offset_m": "bs_offset", "lane_offsets_m": "lane_offsets",
+        "speed_range_mps": "speed_range"}),
+    "period": _leaves(ExperimentConfig, {"duration_s": "period_duration"}),
     "radio": {
-        **dict.fromkeys(
-            ("k_lte", "k_dsrc", "p_bs_total_dbm", "p_bs_per_rb_dbm", "p_vn_per_rb_dbm",
-             "noise_v2i_per_rb_dbm", "noise_v2v_per_rb_dbm")
-        ),
-        "v2i_path_loss": _PATH_LOSS_KEYS,
-        "v2v_path_loss": _PATH_LOSS_KEYS,
+        **_leaves(default_radio_config),
+        **_leaves(RadioConfig, {"p_bs_per_rb_dbm": "p_bs_per_rb"}),
+        "v2i_path_loss": _leaves("v2i_model", _PATH_LOSS_FIELDS, PathLossModel),
+        "v2v_path_loss": _leaves("v2v_model", _PATH_LOSS_FIELDS, PathLossModel),
     },
-    "quadrature": dict.fromkeys(("initial_subintervals", "relative_tolerance", "max_refinements")),
-    "run": dict.fromkeys(("seed", "trials", "policies", "oracle_cap", "workers")),
-    "sweep": dict.fromkeys(("n_values", "speed_values")),
+    "quadrature": _leaves(QuadratureSpec),
+    "run": _leaves(ExperimentConfig, ("seed", "trials", "policies", "oracle_cap", "workers")),
+    "sweep": _leaves(ExperimentConfig, ("n_values", "speed_values")),
 }
 
 
-def _check_keys(doc: dict, known: dict, prefix: str = "") -> None:
-    """Raise ValueError naming the dotted path of the first key `known` does not list."""
+def _read(doc: dict, keys: dict, values: dict, prefix: str = "") -> None:
+    """Check `doc` against the table `keys`, and put each leaf in values[target][field]."""
     for key, value in doc.items():
         path = prefix + key
-        if key not in known:
-            raise ValueError(f"unknown config key {path!r}; expected one of {', '.join(known)}")
-        if known[key] is not None:
+        if key not in keys:
+            raise ValueError(f"unknown config key {path!r}; expected one of {', '.join(keys)}")
+        if isinstance(keys[key], dict):
             if not isinstance(value, dict):
                 raise ValueError(f"config key {path!r} must be an object")
-            _check_keys(value, known[key], path + ".")
+            _read(value, keys[key], values, path + ".")
+            continue
+        target, name, (kind, types) = keys[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"config key {path!r} must be {kind}, got {json.dumps(value)}")
+        values[target][name] = value
 
 
 def config_from_doc(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Build a config from a parsed JSON document; `overrides` wins over the file.
 
-    A key the document format does not define raises ValueError naming its
-    dotted path, so a misspelled or retired key cannot fall back to a default.
+    A key the document format does not define, or a value of the wrong JSON
+    kind, raises ValueError naming its dotted path, so a misspelled or
+    retired key cannot fall back to a default.
     """
-    _check_keys(doc, _CONFIG_KEYS)
-    scen = doc.get("scenario", {})
-    radio_doc = doc.get("radio", {})
-    quad_doc = doc.get("quadrature", {})
-    run = doc.get("run", {})
-    sweep = doc.get("sweep", {})
-
-    base_radio = default_radio_config()
-    if "p_bs_per_rb_dbm" in radio_doc:
-        p_bs = radio_doc["p_bs_per_rb_dbm"]
-    else:
-        k_lte = radio_doc.get("k_lte", base_radio.k_lte)
-        p_bs = radio_doc.get("p_bs_total_dbm", 52.0) - 10.0 * math.log10(k_lte)
-    radio = RadioConfig(
-        k_lte=radio_doc.get("k_lte", base_radio.k_lte),
-        k_dsrc=radio_doc.get("k_dsrc", base_radio.k_dsrc),
-        p_bs_per_rb=p_bs,
-        p_vn_per_rb=radio_doc.get("p_vn_per_rb_dbm", base_radio.p_vn_per_rb),
-        noise_v2i_per_rb=radio_doc.get("noise_v2i_per_rb_dbm", base_radio.noise_v2i_per_rb),
-        noise_v2v_per_rb=radio_doc.get("noise_v2v_per_rb_dbm", base_radio.noise_v2v_per_rb),
-        v2i_model=_path_loss_from_doc(radio_doc.get("v2i_path_loss", {}), base_radio.v2i_model),
-        v2v_model=_path_loss_from_doc(radio_doc.get("v2v_path_loss", {}), base_radio.v2v_model),
-    )
-    quad = QuadratureSpec(
-        initial_subintervals=quad_doc.get("initial_subintervals", 16),
-        relative_tolerance=quad_doc.get("relative_tolerance", 1e-6),
-        max_refinements=quad_doc.get("max_refinements", 12),
-    )
-    speed = scen.get("speed_range_mps", (4.0, 35.0))
-    if isinstance(speed, (int, float)):
-        speed = (float(speed), float(speed))
-    cfg = ExperimentConfig(
-        seed=run.get("seed"),
-        trials=run.get("trials", 200),
-        policies=tuple(run.get("policies", ("msrs", "irrs", "noncoop"))),
-        n_vehicles=scen.get("n_vehicles", 100),
-        coverage_radius=scen.get("coverage_radius_m", 500.0),
-        bs_offset=scen.get("bs_offset_m", 15.0),
-        lane_offsets=tuple(scen.get("lane_offsets_m", (1.75, 5.25))),
-        speed_range=tuple(speed),
-        period_duration=doc.get("period", {}).get("duration_s", 5.0),
-        radio=radio,
-        quad=quad,
-        oracle_cap=run.get("oracle_cap", 12),
-        workers=run.get("workers", 1),
-        n_values=tuple(sweep.get("n_values", DEFAULT_N_VALUES)),
-        speed_values=tuple(sweep.get("speed_values", DEFAULT_SPEED_VALUES)),
-    )
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    values = defaultdict(dict)
+    _read(doc, _CONFIG_KEYS, values)
+    radio = default_radio_config(**values[default_radio_config])
+    radio = replace(radio, **values[RadioConfig], **{
+        model: replace(getattr(radio, model), **values[model]) for model in ("v2i_model", "v2v_model")
+    })
+    cfg = ExperimentConfig(**values[ExperimentConfig], radio=radio,
+                           quad=QuadratureSpec(**values[QuadratureSpec]))
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _run_trial(args) -> list[MetricsRow]:

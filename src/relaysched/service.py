@@ -23,7 +23,7 @@ _ABS_FLOOR = 1e-30  # guards the relative convergence test for all-zero integran
 class Period:
     """One scheduling period: its length in seconds, from the vehicles' start states."""
 
-    duration: float = 5.0
+    duration: float
 
     def __post_init__(self):
         if not math.isfinite(self.duration):

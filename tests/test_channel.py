@@ -15,8 +15,6 @@ from relaysched.channel import (
     rate_two_hop,
     rate_v2i,
     rate_v2v,
-    snr_linear,
-    to_bits_per_second,
 )
 from relaysched.mobility import VehicleState
 
@@ -47,18 +45,6 @@ class TestPathLoss:
             PathLossModel(reference_loss=100.0, slope=-1.0)
         with pytest.raises(ValueError):
             PathLossModel(reference_loss=100.0, slope=20.0, min_distance=0.0)
-
-
-class TestSnr:
-    def test_zero_margin(self):
-        assert snr_linear(10.0, 7.0, 3.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_ten_db_is_factor_ten(self):
-        assert snr_linear(20.0, 7.0, 3.0) == pytest.approx(10.0, rel=1e-12)
-
-    def test_hand_arithmetic(self):
-        # 29 - 90.5 - (-112) = 50.5 dB
-        assert snr_linear(29.0, 90.5, -112.0) == pytest.approx(10.0**5.05, rel=1e-12)
 
 
 def snr_one_config(k_lte=200, k_dsrc=25):
@@ -145,10 +131,6 @@ class TestProperties:
         with pytest.raises(ValueError):
             RadioConfig(k_lte=222, k_dsrc=25, p_bs_per_rb=float("nan"), p_vn_per_rb=10,
                         noise_v2i_per_rb=-112, noise_v2v_per_rb=-112)
-
-    def test_bandwidth_conversion(self):
-        # 180 kHz per RB: 2 normalized rate units -> 360 kbit/s
-        assert to_bits_per_second(2.0, 180e3) == 360e3
 
     def test_default_config_power_split(self):
         cfg = default_radio_config()

@@ -64,6 +64,20 @@ class TestRunCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", [["run", "--seed", "1"], ["validate"]])
+    def test_wrong_typed_config_value_fails_cleanly(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"run": {"trials": "7"}}))
+        out = tmp_path / "res"
+        code = run_cli(command + ["--config", str(cfg_path)]
+                       + (["--out", str(out)] if command[0] == "run" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'run.trials' must be an integer")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSweepCommands:
     def test_sweep_n(self, tmp_path):
         out = tmp_path / "res"

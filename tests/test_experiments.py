@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from relaysched.experiments import (
     cmd_sweep_n,
     cmd_sweep_speed,
     cmd_validate,
+    config_echo,
     config_from_doc,
     rows_to_csv,
     summarize,
@@ -22,6 +25,35 @@ from relaysched.experiments import (
     _check_quadrature,
 )
 from relaysched.service import QuadratureSpec
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def readme_config_example() -> dict:
+    """The JSON block of the README's "Config file" section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config file\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+# every leaf key of the config format, each away from its default
+EVERY_KEY_DOC = {
+    "scenario": {"n_vehicles": 30, "coverage_radius_m": 400.0, "bs_offset_m": 20.0,
+                 "lane_offsets_m": [2.0, 6.0], "speed_range_mps": [10.0, 30.0]},
+    "period": {"duration_s": 4.0},
+    "radio": {"k_lte": 100, "k_dsrc": 20, "p_bs_total_dbm": 46.0, "p_bs_per_rb_dbm": 25.0,
+              "p_vn_per_rb_dbm": 23.0, "noise_v2i_per_rb_dbm": -100.0,
+              "noise_v2v_per_rb_dbm": -110.0,
+              "v2i_path_loss": {"reference_loss_db": 128.0, "slope_db_per_decade": 37.0,
+                                "distance_divisor_m": 900.0, "min_distance_m": 2.0},
+              "v2v_path_loss": {"reference_loss_db": 44.0, "slope_db_per_decade": 27.0,
+                                "distance_divisor_m": 3.0, "min_distance_m": 1.5}},
+    "quadrature": {"initial_subintervals": 8, "relative_tolerance": 1e-7, "max_refinements": 10},
+    "run": {"seed": 11, "trials": 3, "policies": ["noncoop", "msrs"], "oracle_cap": 10,
+            "workers": 2},
+    "sweep": {"n_values": [10, 30], "speed_values": [5.0, 15.0]},
+}
 
 
 def small_config(**kw):
@@ -69,29 +101,50 @@ class TestConfig:
 
     def test_every_documented_key_at_its_default(self):
         # the README's config example, plus the per-RB power, resolves to the defaults
-        doc = {
-            "scenario": {"n_vehicles": 100, "coverage_radius_m": 500.0, "bs_offset_m": 15.0,
-                         "lane_offsets_m": [1.75, 5.25], "speed_range_mps": [4.0, 35.0]},
-            "period": {"duration_s": 5.0},
-            "radio": {
-                "k_lte": 222, "k_dsrc": 25, "p_bs_total_dbm": 52.0, "p_vn_per_rb_dbm": 20.0,
-                "noise_v2i_per_rb_dbm": -96.0, "noise_v2v_per_rb_dbm": -112.0,
-                "v2i_path_loss": {"reference_loss_db": 128.1, "slope_db_per_decade": 37.6,
-                                  "distance_divisor_m": 1000.0, "min_distance_m": 1.0},
-                "v2v_path_loss": {"reference_loss_db": 43.9, "slope_db_per_decade": 27.5,
-                                  "distance_divisor_m": 1.0, "min_distance_m": 1.0},
-            },
-            "quadrature": {"initial_subintervals": 16, "relative_tolerance": 1e-6,
-                           "max_refinements": 12},
-            "run": {"seed": None, "trials": 200, "policies": ["msrs", "irrs", "noncoop"],
-                    "oracle_cap": 12, "workers": 1},
-            "sweep": {"n_values": [20, 40, 60, 80, 100, 120, 140, 160, 180, 200],
-                      "speed_values": [4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44]},
-        }
+        doc = readme_config_example()
         assert config_from_doc(doc) == config_from_doc({})
         default_per_rb = config_from_doc({}).radio.p_bs_per_rb
         doc["radio"]["p_bs_per_rb_dbm"] = default_per_rb
         assert config_from_doc(doc) == config_from_doc({})
+
+    @pytest.mark.parametrize("name, doc", [
+        ("config_echo_seed7.json", {"run": {"seed": 7}}),
+        ("config_echo_every_key.json", EVERY_KEY_DOC),
+    ], ids=["defaults", "every-key"])
+    def test_config_echo_matches_recorded_bytes(self, name, doc):
+        # pins every default and every key -> field mapping; the per-RB power
+        # hides p_bs_total_dbm in the second, which test_file_values_and_overrides reads
+        want = (GOLDEN / name).read_text(encoding="utf-8")
+        assert config_echo(config_from_doc(doc)) == want
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"run": {"trials": "7"}}, "'run.trials' must be an integer, got \"7\""),
+            ({"run": {"workers": "2"}}, "'run.workers' must be an integer"),
+            ({"quadrature": {"initial_subintervals": 16.0}},
+             "'quadrature.initial_subintervals' must be an integer, got 16.0"),
+            ({"sweep": {"n_values": 20}}, "'sweep.n_values' must be a list, got 20"),
+            ({"scenario": {"n_vehicles": 2.5}}, "'scenario.n_vehicles' must be an integer"),
+            ({"radio": {"k_dsrc": 2.5}}, "'radio.k_dsrc' must be an integer"),
+            ({"scenario": {"n_vehicles": True}}, "'scenario.n_vehicles' must be an integer, got true"),
+            ({"run": {"policies": "msrs"}}, "'run.policies' must be a list, got \"msrs\""),
+            ({"run": {"seed": 7.0}}, "'run.seed' must be an integer or null"),
+            ({"radio": {"v2i_path_loss": {"slope_db_per_decade": False}}},
+             "'radio.v2i_path_loss.slope_db_per_decade' must be a number"),
+            ({"scenario": {"speed_range_mps": "fast"}},
+             "'scenario.speed_range_mps' must be a list or a number"),
+        ],
+    )
+    def test_rejects_wrong_json_kind(self, doc, message):
+        with pytest.raises(ValueError, match=f"^config key {re.escape(message)}"):
+            config_from_doc(doc)
+
+    @pytest.mark.parametrize("k_lte", [0, -3])
+    def test_rejects_non_positive_k_lte(self, k_lte):
+        # the count is checked before the BS power is split over it
+        with pytest.raises(ValueError, match="^resource-block counts must be >= 1$"):
+            config_from_doc({"radio": {"k_lte": k_lte}})
 
     @pytest.mark.parametrize(
         "doc, path",
@@ -181,9 +234,6 @@ class TestCmdRun:
         # 6 direct links, then the oracle integrates all 15 pairs
         assert len(rows) == 8
         assert all(r.note == "quadrature not converged on 21 links" for r in rows)
-
-
-GOLDEN = Path(__file__).parent / "data"
 
 
 class TestGoldenMetrics:
