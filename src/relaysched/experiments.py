@@ -130,38 +130,56 @@ def load_config_file(path: str | Path) -> dict:
     return doc
 
 
-# The JSON kind of each annotated type a config value can have: its name in
-# error messages and the decoded types it admits.  A bool is none of them.
-_KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
+# The JSON kind of each annotated type a config value or list item can have:
+# its name in error messages and the decoded types it admits.  A bool is
+# none of them.
+_KINDS = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str),
           tuple: ("a list", list), type(None): ("null", type(None))}
 
 
-def _json_kind(hint) -> tuple[str, tuple]:
-    parts = [_KINDS[get_origin(h) or h]
-             for h in (get_args(hint) if get_origin(hint) is UnionType else (hint,))]
-    return " or ".join(name for name, _ in parts), tuple(types for _, types in parts)
+def _check_kind(path: str, value, hint) -> None:
+    """Raise ValueError naming `path` unless the decoded JSON `value` fits annotation `hint`.
+
+    A list must also have the tuple's length, if it is fixed, and items of
+    its item type; an item's path is its list's path plus `[index]`.
+    """
+    options = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+    for option in options:
+        origin = get_origin(option) or option
+        if isinstance(value, bool) or not isinstance(value, _KINDS[origin][1]):
+            continue
+        if origin is tuple:
+            items = get_args(option)
+            if items[-1] is not Ellipsis and len(value) != len(items):
+                raise ValueError(f"config key {path!r} must hold {len(items)} items, "
+                                 f"got {json.dumps(value)}")
+            for k, item in enumerate(value):
+                _check_kind(f"{path}[{k}]", item, items[0 if items[-1] is Ellipsis else k])
+        return
+    kind = " or ".join(_KINDS[get_origin(h) or h][0] for h in options)
+    raise ValueError(f"config key {path!r} must be {kind}, got {json.dumps(value)}")
 
 
 def _leaves(target, names=None, owner=None) -> dict:
-    """Config keys read into `target`: JSON key -> (target, field, JSON kind).
+    """Config keys read into `target`: JSON key -> (target, field, annotation).
 
     `names` maps JSON keys to fields, or lists fields read under their own
     names; by default every annotated field or parameter of `target`.  The
-    kind comes from the field's annotation on `owner` (default `target`).
+    annotation is the field's on `owner` (default `target`).
     """
     hints = get_type_hints(owner or target)
     hints.pop("return", None)
     names = list(hints) if names is None else names
     if not isinstance(names, dict):
         names = {name: name for name in names}
-    return {key: (target, name, _json_kind(hints[name])) for key, name in names.items()}
+    return {key: (target, name, hints[name]) for key, name in names.items()}
 
 
 _PATH_LOSS_FIELDS = {"reference_loss_db": "reference_loss", "slope_db_per_decade": "slope",
                      "distance_divisor_m": "distance_divisor", "min_distance_m": "min_distance"}
 
 # The config document format: a section maps to its own table, a leaf to the
-# (target, field, JSON kind) it is read into.  Radio leaves are the parameters
+# (target, field, annotation) it is read into.  Radio leaves are the parameters
 # of `default_radio_config`, except the per-RB power, which replaces the split
 # of the total; path-loss leaves replace fields of the radio's two models.
 _CONFIG_KEYS = {
@@ -193,9 +211,8 @@ def _read(doc: dict, keys: dict, values: dict, prefix: str = "") -> None:
                 raise ValueError(f"config key {path!r} must be an object")
             _read(value, keys[key], values, path + ".")
             continue
-        target, name, (kind, types) = keys[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"config key {path!r} must be {kind}, got {json.dumps(value)}")
+        target, name, hint = keys[key]
+        _check_kind(path, value, hint)
         values[target][name] = value
 
 

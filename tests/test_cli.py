@@ -78,6 +78,27 @@ class TestRunCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, text, message", [
+        (["run"], '{"quadrature": {"relative_tolerance": NaN}}',
+         "error: relative_tolerance must be positive and finite, got nan"),
+        (["sweep-n"], '{"sweep": {"n_values": [2.5]}}',
+         "error: config key 'sweep.n_values[0]' must be an integer, got 2.5"),
+        (["run"], '{"scenario": {"lane_offsets_m": ["a", 2]}}',
+         "error: config key 'scenario.lane_offsets_m[0]' must be a number, got \"a\""),
+    ], ids=["nan-tolerance", "float-fleet-size", "string-lane-offset"])
+    def test_bad_config_value_fails_cleanly(self, tmp_path, capsys, command, text, message):
+        # these used to run with no link converging, or die in a TypeError traceback
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "res"
+        code = run_cli(command + ["--seed", "1", "--n", "4", "--trials", "1",
+                                  "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [message]
+        assert not out.exists()
+
+
 class TestSweepCommands:
     def test_sweep_n(self, tmp_path):
         out = tmp_path / "res"

@@ -140,6 +140,38 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^config key {re.escape(message)}"):
             config_from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"sweep": {"n_values": [20, 2.5]}}, "'sweep.n_values[1]' must be an integer, got 2.5"),
+            ({"sweep": {"speed_values": [4, True]}}, "'sweep.speed_values[1]' must be a number, got true"),
+            ({"scenario": {"lane_offsets_m": ["a", 2]}},
+             "'scenario.lane_offsets_m[0]' must be a number, got \"a\""),
+            ({"scenario": {"lane_offsets_m": [1.75]}},
+             "'scenario.lane_offsets_m' must hold 2 items, got [1.75]"),
+            ({"scenario": {"speed_range_mps": [4, 20, 35]}},
+             "'scenario.speed_range_mps' must hold 2 items, got [4, 20, 35]"),
+            ({"run": {"policies": ["msrs", 3]}}, "'run.policies[1]' must be a string, got 3"),
+        ],
+    )
+    def test_rejects_wrong_list_items(self, doc, message):
+        # items are checked against the field's annotation (tuple[int, ...], tuple[float, float])
+        with pytest.raises(ValueError, match=f"^config key {re.escape(message)}$"):
+            config_from_doc(doc)
+
+    def test_accepts_integer_items_for_numbers(self):
+        cfg = config_from_doc({"scenario": {"lane_offsets_m": [2, 5.5], "speed_range_mps": [4, 35]},
+                               "sweep": {"n_values": [], "speed_values": [5, 20.5]}})
+        assert cfg.lane_offsets == (2, 5.5) and cfg.speed_range == (4, 35)
+        assert cfg.n_values == () and cfg.speed_values == (5, 20.5)
+
+    def test_rejects_non_finite_quadrature_tolerance(self):
+        # json.loads reads NaN and Infinity; with a NaN tolerance no link could converge
+        for text in ("NaN", "Infinity"):
+            doc = json.loads('{"quadrature": {"relative_tolerance": %s}}' % text)
+            with pytest.raises(ValueError, match="relative_tolerance must be positive and finite"):
+                config_from_doc(doc)
+
     @pytest.mark.parametrize("k_lte", [0, -3])
     def test_rejects_non_positive_k_lte(self, k_lte):
         # the count is checked before the BS power is split over it
