@@ -49,10 +49,12 @@ class PathLossModel:
     min_distance: float = 1.0  # meters
 
     def __post_init__(self):
-        if self.slope <= 0:
-            raise ValueError(f"path-loss slope must be positive, got {self.slope}")
-        if self.min_distance <= 0:
-            raise ValueError(f"min_distance must be positive, got {self.min_distance}")
+        for name in ("reference_loss", "slope", "distance_divisor", "min_distance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"path-loss {name} must be finite, got {value}")
+            if name != "reference_loss" and value <= 0:
+                raise ValueError(f"path-loss {name} must be positive, got {value}")
 
 
 #: Cellular downlink attenuation, distance referenced in kilometers.
@@ -104,10 +106,17 @@ def default_radio_config(
     )
 
 
-def _loss_db(model: PathLossModel, d):
-    return model.reference_loss + model.slope * np.log10(
-        np.maximum(d, model.min_distance) / model.distance_divisor
-    )
+def _loss_db(model: PathLossModel, d) -> np.ndarray:
+    """Attenuation in dB at `d`, computed in one new float array (0-d for a scalar `d`).
+
+    Each step writes into that array, in the order of
+    reference_loss + slope * log10(max(d, min_distance) / distance_divisor).
+    """
+    x = np.maximum(d, model.min_distance, out=np.empty(np.shape(d)))
+    np.divide(x, model.distance_divisor, out=x)
+    np.log10(x, out=x)
+    np.multiply(model.slope, x, out=x)
+    return np.add(model.reference_loss, x, out=x)
 
 
 def path_loss(model: PathLossModel, d):
@@ -115,16 +124,23 @@ def path_loss(model: PathLossModel, d):
     d = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(d)):
         raise ValueError("non-finite distance")
-    return _loss_db(model, d)
+    return _loss_db(model, d)[()]
 
 
 def unit_rate(model: PathLossModel, p_tx_dbm: float, noise_dbm: float, d):
     """Per-RB rate log2(1+SNR) at distance `d` (meters, scalar or array); no RB share applied.
 
-    Every rate and service amount in the package is computed here.  Distances
-    are not checked: callers derive them from validated vehicle states.
+    Every rate and service amount in the package is computed here, in place
+    in the array `_loss_db` returns, with the bits of
+    log2(1 + 10 ** ((p_tx_dbm - noise_dbm - loss) / 10)).  Distances are not
+    checked: callers derive them from validated vehicle states.
     """
-    return np.log2(1.0 + 10.0 ** ((p_tx_dbm - noise_dbm - _loss_db(model, d)) / 10.0))
+    x = _loss_db(model, d)
+    np.subtract(p_tx_dbm - noise_dbm, x, out=x)
+    np.divide(x, 10.0, out=x)
+    np.power(10.0, x, out=x)
+    np.add(1.0, x, out=x)
+    return np.log2(x, out=x)[()]
 
 
 def rb_share(total_rbs: int, users: int) -> int:

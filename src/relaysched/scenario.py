@@ -71,6 +71,11 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.n_vehicles < 0:
             raise ValueError(f"n_vehicles must be >= 0, got {self.n_vehicles}")
+        for name in ("coverage_radius", "bs_offset", "period_duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(y) for y in self.lane_offsets):
+            raise ValueError(f"lane_offsets must be finite, got {self.lane_offsets}")
         if self.coverage_radius <= 0:
             raise ValueError(f"coverage_radius must be positive, got {self.coverage_radius}")
         rng_range = self.speed_range

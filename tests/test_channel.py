@@ -15,6 +15,7 @@ from relaysched.channel import (
     rate_two_hop,
     rate_v2i,
     rate_v2v,
+    unit_rate,
 )
 from relaysched.mobility import VehicleState
 
@@ -45,6 +46,54 @@ class TestPathLoss:
             PathLossModel(reference_loss=100.0, slope=-1.0)
         with pytest.raises(ValueError):
             PathLossModel(reference_loss=100.0, slope=20.0, min_distance=0.0)
+
+    @pytest.mark.parametrize("name", ["reference_loss", "slope", "distance_divisor", "min_distance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, name, value):
+        fields = {"reference_loss": 100.0, "slope": 20.0, name: value}
+        with pytest.raises(ValueError, match=f"path-loss {name} must be finite"):
+            PathLossModel(**fields)
+
+    @pytest.mark.parametrize("divisor", [0.0, -1000.0])
+    def test_rejects_non_positive_divisor(self, divisor):
+        with pytest.raises(ValueError, match="path-loss distance_divisor must be positive"):
+            PathLossModel(reference_loss=100.0, slope=20.0, distance_divisor=divisor)
+
+
+def expression_rate(model, p_tx_dbm, noise_dbm, d):
+    """The rate formula written as one expression, each step in a new array."""
+    loss = model.reference_loss + model.slope * np.log10(
+        np.maximum(d, model.min_distance) / model.distance_divisor
+    )
+    return np.log2(1.0 + 10.0 ** ((p_tx_dbm - noise_dbm - loss) / 10.0))
+
+
+class TestUnitRate:
+    @pytest.mark.parametrize("model, p_tx, noise", [
+        (DSRC_PATH_LOSS, 20.0, -112.0),
+        (LTE_PATH_LOSS, default_radio_config().p_bs_per_rb, -96.0),
+    ], ids=["v2v", "v2i"])
+    def test_bits_of_the_expression(self, model, p_tx, noise):
+        # in place, step by step, it must give the expression's bits: on both
+        # sides of the clamp, at it, for a 2-d array and for a scalar
+        gen = np.random.default_rng(5)
+        d = np.concatenate([[0.0, 0.5, 1.0, 1.0 + 1e-12], gen.uniform(0.0, 2.0, 500),
+                            gen.uniform(2.0, 2000.0, 500)])
+        got = unit_rate(model, p_tx, noise, d)
+        assert got.shape == d.shape
+        assert got.tobytes() == expression_rate(model, p_tx, noise, d).tobytes()
+        grid = d[:1000].reshape(40, 25)
+        assert unit_rate(model, p_tx, noise, grid).tobytes() == got[:1000].tobytes()
+        for x in (0.25, 37.5, 1234.0):
+            scalar = unit_rate(model, p_tx, noise, x)
+            assert isinstance(scalar, np.float64) and np.ndim(scalar) == 0
+            assert scalar.tobytes() == expression_rate(model, p_tx, noise, x).tobytes()
+
+    def test_scalar_rates_stay_scalar(self, bs, cfg):
+        v = still_vehicle(300.0)
+        assert np.ndim(rate_v2i(v, bs, cfg, 10, 0.0)) == 0
+        assert np.ndim(rate_v2v(v, still_vehicle(310.0), cfg, 2, 0.0)) == 0
+        assert rate_v2v(v, still_vehicle(310.0), cfg, 2, np.array([0.0, 1.0])).shape == (2,)
 
 
 def snr_one_config(k_lte=200, k_dsrc=25):

@@ -85,9 +85,21 @@ class TestRunCommand:
          "error: config key 'sweep.n_values[0]' must be an integer, got 2.5"),
         (["run"], '{"scenario": {"lane_offsets_m": ["a", 2]}}',
          "error: config key 'scenario.lane_offsets_m[0]' must be a number, got \"a\""),
-    ], ids=["nan-tolerance", "float-fleet-size", "string-lane-offset"])
+        (["run"], '{"radio": {"v2v_path_loss": {"reference_loss_db": NaN}}}',
+         "error: path-loss reference_loss must be finite, got nan"),
+        (["run"], '{"radio": {"v2i_path_loss": {"distance_divisor_m": 0}}}',
+         "error: path-loss distance_divisor must be positive, got 0"),
+        (["run"], '{"scenario": {"coverage_radius_m": Infinity}}',
+         "error: coverage_radius must be finite, got inf"),
+        (["sweep-n"], '{"scenario": {"lane_offsets_m": [1.75, NaN]}}',
+         "error: lane_offsets must be finite, got (1.75, nan)"),
+        (["run"], '{"period": {"duration_s": Infinity}}',
+         "error: period_duration must be finite, got inf"),
+    ], ids=["nan-tolerance", "float-fleet-size", "string-lane-offset", "nan-path-loss",
+            "zero-distance-divisor", "infinite-coverage", "nan-lane-offset", "infinite-period"])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys, command, text, message):
-        # these used to run with no link converging, or die in a TypeError traceback
+        # these used to run with no link converging, die in a TypeError
+        # traceback, or fail later with a message that names no config key
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(text)
         out = tmp_path / "res"

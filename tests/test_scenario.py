@@ -66,6 +66,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             ScenarioSpec(n_vehicles=1, seed=0, speed_range=(0.0, 1000.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("coverage_radius", math.inf), ("coverage_radius", math.nan), ("bs_offset", math.nan),
+        ("bs_offset", -math.inf), ("period_duration", math.inf), ("period_duration", math.nan),
+        ("lane_offsets", (1.75, math.nan)), ("lane_offsets", (math.inf, 5.25)),
+    ])
+    def test_rejects_non_finite_geometry(self, field, value):
+        # an infinite radius used to reach the vehicles as x = nan
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ScenarioSpec(n_vehicles=1, seed=0, **{field: value})
+
 
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):

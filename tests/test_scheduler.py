@@ -304,8 +304,9 @@ class TestMsrs:
 
 class TestAssignmentSolves:
     def test_prune_keeps_msrs_solve_count(self, monkeypatch, cfg):
-        # N=100, seed 7: the column-maxima bound prunes n_av = 6..25 after
-        # n_av = 1..5 are solved
+        # N=100, seed 7: n_av = 5 has the largest column-maxima bound, and
+        # its total beats every other count's bound, so it is the only solve
+        # (the ascending search solved n_av = 1..5)
         real_solve = scheduler_module.solve_max_assignment
         cols = []
 
@@ -315,7 +316,7 @@ class TestAssignmentSolves:
 
         monkeypatch.setattr(scheduler_module, "solve_max_assignment", counting)
         solve_msrs(generate(ScenarioSpec(n_vehicles=100, seed=7)), cfg)
-        assert cols == [1, 2, 3, 4, 5]
+        assert cols == [5]
 
     def test_one_dual_solve_per_assignment(self, monkeypatch, cfg):
         # ties are decided on the dual's tight edges, with no re-solves
@@ -342,6 +343,85 @@ class TestAssignmentSolves:
         solve_irrs(sc, cfg, tables=tables)
         assert len(needing_solve) >= 2
         assert solves == needing_solve
+
+
+def ascending_partition(tables, solved):
+    """The aided-count search as an ascending loop; appends each solved n_av to `solved`.
+
+    Reference for the best-first search: every count is bounded in turn and
+    solved unless its bound cannot beat the best total so far, and only a
+    strictly larger total replaces the incumbent.
+    """
+    n = tables.v2i.shape[0]
+    order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
+    cap = min(n // 2, tables.k_dsrc)
+    rows = np.array(order, dtype=int)[:, None]
+    tables.require(rows, order[n - cap:])
+    kept = np.concatenate(([0.0], np.cumsum(tables.v2i[order])))
+    best = (_partition_total(tables, (), {}), (), {})
+    for n_av in range(1, cap + 1):
+        avs = order[n - n_av:]
+        w = tables.benefit(rows[: n - n_av], avs, n_av)
+        bound = kept[n - n_av] + w.max(axis=0).sum()
+        if bound + 1e-9 * (1.0 + abs(bound)) <= best[0]:
+            continue
+        solved.append(n_av)
+        match = assignment_module.solve_max_assignment(BenefitMatrix(w)).match
+        pairing = {avs[c]: order[r] for c, r in match.items()}
+        total = _partition_total(tables, avs, pairing)
+        if total > best[0]:
+            best = (total, tuple(avs), pairing)
+    return best
+
+
+def best_first_partition(tables):
+    """`_best_partition(tables)` and the n_av of each of its solves, in order."""
+    solved = []
+    real_solve = scheduler_module.solve_max_assignment
+
+    def counting(w):
+        solved.append(w.cols)
+        return real_solve(w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler_module, "solve_max_assignment", counting)
+        return scheduler_module._best_partition(tables), solved
+
+
+class TestBestFirstSearch:
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(0, 60), seed=st.integers(0, 2**32 - 1),
+           k_dsrc=st.sampled_from([1, 3, 25, 200]), data=st.data())
+    def test_same_schedule_as_ascending_search(self, n, seed, k_dsrc, data):
+        # k_lte = n - 1 leaves no direct RBs (every bound 0, nothing pruned);
+        # k_lte = n leaves one RB each
+        k_lte = data.draw(st.sampled_from([222, max(n, 1), max(n - 1, 1)]))
+        cfg = default_radio_config(k_lte=k_lte, k_dsrc=k_dsrc)
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
+        for tables in (build_service_tables(sc, cfg), build_rate_tables(sc, cfg)):
+            reference_solved = []
+            want = ascending_partition(tables, reference_solved)
+            got, solved = best_first_partition(tables)
+            assert got == want and repr(got[0]) == repr(want[0])
+            assert len(set(solved)) == len(solved)
+            assert set(solved) <= set(reference_solved)
+
+    def test_equal_totals_keep_the_smaller_count(self):
+        # k_dsrc = 2: one aided vehicle gets 2 V2V RBs, two get 1 each.
+        # n_av = 1 aids vehicle 3 through relay 0: 8 + 6 + 1 + min(2*2, 8) = 19.
+        # n_av = 2 aids 2 and 3: 8 + 6 + min(3, 6) + min(2, 8) = 19, but its
+        # column maxima (3.5 from relay 0 to vehicle 2, and 2) bound it at
+        # 19.5, so it is solved first and the equal n_av = 1 total must win
+        unit = np.zeros((4, 4))
+        for i, j, u in ((0, 3, 2.0), (1, 2, 3.0), (0, 2, 3.5)):
+            unit[i, j] = unit[j, i] = u
+        tables = ServiceTables(np.array([8.0, 6.0, 1.0, 0.0]), unit, k_dsrc=2)
+        got, solved = best_first_partition(tables)
+        assert solved == [2, 1]
+        assert got == (19.0, (3,), {3: 0})
+        reference_solved = []
+        assert ascending_partition(tables, reference_solved) == got
+        assert reference_solved == [1, 2]
 
 
 class TestIrrs:
