@@ -92,6 +92,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown policies {unknown}; choose from {POLICIES}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # the scenario fields fail here, where the config is read, not when a trial starts
+        self.scenario_spec(seed=0)
+        Period(self.period_duration)
 
     def scenario_spec(self, seed: int, n_vehicles: int | None = None,
                       speed_range: tuple[float, float] | None = None) -> ScenarioSpec:
@@ -118,6 +121,7 @@ class MetricsRow:
     loss_ratio: float | None = None
     wall_time_ms: float = 0.0
     note: str = ""
+    tables_ms: float = 0.0  # the trial's direct-link table build, before any policy runs
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -239,7 +243,9 @@ def _run_trial(args) -> list[MetricsRow]:
     config, seed, n_vehicles, speed_range = args
     spec = config.scenario_spec(seed, n_vehicles, speed_range)
     scenario = generate(spec)
+    t0 = time.perf_counter()
     tables = build_service_tables(scenario, config.radio, quad=config.quad)
+    tables_ms = 1000.0 * (time.perf_counter() - t0)
     schedules = {}
     timings = {}
     notes = {}
@@ -276,14 +282,14 @@ def _run_trial(args) -> list[MetricsRow]:
         note = "; ".join(part for part in (notes.get(policy, ""), starved, unconverged) if part)
         if sched is None:
             rows.append(MetricsRow(policy, seed, scenario.n, spec.speed_range, None,
-                                   None, timings[policy], note))
+                                   None, timings[policy], note, tables_ms))
             continue
         validate_schedule(sched, scenario.n)
         loss = None
         if opt is not None and opt.total_service > 0:
             loss = (opt.total_service - sched.total_service) / opt.total_service
         rows.append(MetricsRow(policy, seed, scenario.n, spec.speed_range,
-                               sched.total_service, loss, timings[policy], note))
+                               sched.total_service, loss, timings[policy], note, tables_ms))
     return rows
 
 
@@ -392,6 +398,10 @@ def write_outputs(rows: list[MetricsRow], config: ExperimentConfig, out_dir: str
     (out / "metrics.csv").write_text(rows_to_csv(rows), encoding="utf-8")
     (out / "summary.csv").write_text(summarize(rows), encoding="utf-8")
     (out / "config_echo.json").write_text(config_echo(config), encoding="utf-8")
+    tables = list({r.seed: r.tables_ms for r in rows}.values())  # one per trial
+    if tables:
+        print(f"[timing] tables: mean {sum(tables) / len(tables):.2f} ms over {len(tables)} trials",
+              file=sys.stderr)
     by_policy: dict[str, list[float]] = {}
     for r in rows:
         by_policy.setdefault(r.policy, []).append(r.wall_time_ms)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -110,6 +111,18 @@ class TestRunCommand:
         assert err.splitlines() == [message]
         assert not out.exists()
 
+    def test_timing_lines_include_the_table_build(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert run_cli(["run", "--seed", "3", "--trials", "3", "--n", "5",
+                        "--policies", "msrs,noncoop", "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "[timing] tables", "[timing] msrs", "[timing] noncoop"]
+        assert re.fullmatch(r"\[timing\] tables: mean \d+\.\d\d ms over 3 trials", lines[0])
+        # the table time stays out of the output files
+        for name in ("metrics.csv", "summary.csv", "config_echo.json"):
+            assert "tables" not in (out / name).read_text()
+
 
 class TestSweepCommands:
     def test_sweep_n(self, tmp_path):
@@ -140,3 +153,18 @@ class TestValidateCommand:
         assert out.count("PASS") >= 4
         report = json.loads(out.strip().split("\n")[-1])
         assert report["passed"] is True
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"period": {"duration_s": Infinity}}', "error: period_duration must be finite, got inf"),
+        ('{"scenario": {"coverage_radius_m": Infinity}}',
+         "error: coverage_radius must be finite, got inf"),
+        ('{"period": {"duration_s": 0}}', "error: period duration must be positive, got 0"),
+    ], ids=["infinite-period", "infinite-coverage", "zero-period"])
+    def test_bad_scenario_value_fails_validate_cleanly(self, tmp_path, capsys, text, message):
+        # `validate` used to die in a ValueError traceback on these
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        assert run_cli(["validate", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""

@@ -49,7 +49,7 @@ EVERY_KEY_DOC = {
                                 "distance_divisor_m": 900.0, "min_distance_m": 2.0},
               "v2v_path_loss": {"reference_loss_db": 44.0, "slope_db_per_decade": 27.0,
                                 "distance_divisor_m": 3.0, "min_distance_m": 1.5}},
-    "quadrature": {"initial_subintervals": 8, "relative_tolerance": 1e-7, "max_refinements": 10},
+    "quadrature": {"relative_tolerance": 1e-7, "max_refinements": 10},
     "run": {"seed": 11, "trials": 3, "policies": ["noncoop", "msrs"], "oracle_cap": 10,
             "workers": 2},
     "sweep": {"n_values": [10, 30], "speed_values": [5.0, 15.0]},
@@ -122,8 +122,8 @@ class TestConfig:
         [
             ({"run": {"trials": "7"}}, "'run.trials' must be an integer, got \"7\""),
             ({"run": {"workers": "2"}}, "'run.workers' must be an integer"),
-            ({"quadrature": {"initial_subintervals": 16.0}},
-             "'quadrature.initial_subintervals' must be an integer, got 16.0"),
+            ({"quadrature": {"max_refinements": 12.0}},
+             "'quadrature.max_refinements' must be an integer, got 12.0"),
             ({"sweep": {"n_values": 20}}, "'sweep.n_values' must be a list, got 20"),
             ({"scenario": {"n_vehicles": 2.5}}, "'scenario.n_vehicles' must be an integer"),
             ({"radio": {"k_dsrc": 2.5}}, "'radio.k_dsrc' must be an integer"),
@@ -191,6 +191,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown config key '{path}'"):
             config_from_doc(doc)
 
+    def test_rejects_retired_initial_subintervals(self):
+        # the Simpson rule's starting grid; each piece now starts as one Gauss-Kronrod panel
+        with pytest.raises(ValueError, match="^unknown config key 'quadrature.initial_subintervals'; "
+                                             "expected one of relative_tolerance, max_refinements$"):
+            config_from_doc({"quadrature": {"initial_subintervals": 16}})
+
     def test_rejects_section_that_is_not_an_object(self):
         with pytest.raises(ValueError, match="'scenario' must be an object"):
             config_from_doc({"scenario": 12})
@@ -255,17 +261,20 @@ class TestCmdRun:
         assert [(r.policy, r.seed) for r in rows] == sorted((r.policy, r.seed) for r in rows)
 
     def test_unconverged_quadrature_noted_on_every_row(self):
-        # no refinement budget: no link can pass the convergence test
+        # a tolerance near the rounding error and no bisection budget: the
+        # pieces whose K15 and G7 do not agree to 1e-15 stay unconverged
         cfg = config_from_doc({
             "scenario": {"n_vehicles": 6},
-            "quadrature": {"max_refinements": 0},
+            "quadrature": {"relative_tolerance": 1e-15, "max_refinements": 0},
             "run": {"seed": 3, "trials": 2,
                     "policies": ["msrs", "irrs", "noncoop", "optimal"]},
         })
         rows = cmd_run(cfg)
-        # 6 direct links, then the oracle integrates all 15 pairs
+        # of each trial's 6 direct links and 15 pairs (the oracle integrates all)
         assert len(rows) == 8
-        assert all(r.note == "quadrature not converged on 21 links" for r in rows)
+        notes = {seed: {r.note for r in rows if r.seed == seed} for seed in {r.seed for r in rows}}
+        assert sorted(note for trial in notes.values() for note in trial) == [
+            "quadrature not converged on 7 links", "quadrature not converged on 8 links"]
 
 
 class TestGoldenMetrics:
@@ -364,8 +373,8 @@ class TestValidateSuite:
         assert not check["detail"].startswith("0 of")
 
     def test_quadrature_check_fails_on_unconverged_links(self):
-        # accurate to 1e-9, but the tolerance cannot be met within the refinement budget
-        quad = QuadratureSpec(relative_tolerance=1e-15, max_refinements=3)
+        # accurate to 1e-9, but the tolerance cannot be met without bisection
+        quad = QuadratureSpec(relative_tolerance=1e-15, max_refinements=0)
         check = _check_quadrature(ExperimentConfig(seed=0, trials=1, quad=quad))
         assert not check["passed"]
-        assert "20 links not converged" in check["detail"]
+        assert "6 links not converged" in check["detail"]

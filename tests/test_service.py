@@ -23,13 +23,13 @@ from relaysched.service import (
     QuadratureSpec,
     unit_service_batch,
     _ABS_FLOOR,
+    _QK15,
     _pieces,
-    _simpson,
 )
 
 
 def trapezoid_oracle(rate_fn, period: Period, points: int = 10_000) -> float:
-    """Dense uniform trapezoid rule, independent of the Simpson implementation."""
+    """Dense uniform trapezoid rule, independent of the Gauss-Kronrod implementation."""
     t = np.linspace(0.0, period.duration, points)
     return float(np.trapezoid(rate_fn(t), t))
 
@@ -54,11 +54,13 @@ def v2v_services(links, cfg, n_av, period, quad=QuadratureSpec()):
     return rb_share(cfg.k_dsrc, n_av) * vals
 
 
-def reevaluating_service_batch(motions, model, p_tx_dbm, noise_dbm, period, quad):
-    """Refinement that re-evaluates every node of each doubled grid: the reference oracle.
+def recursive_service_batch(motions, model, p_tx_dbm, noise_dbm, period, quad):
+    """Recursive K15/G7 bisection, one panel at a time: the reference oracle.
 
-    Same pieces and the same rule as `unit_service_batch`: each piece of a
-    moving link is refined on its own, and a link sums its pieces in order.
+    Same pieces, nodes and acceptance test as `unit_service_batch`: a panel
+    whose Kronrod and Gauss estimates disagree is halved, down to the
+    refinement cap, and its value is its left half's plus its right half's.
+    A link sums its pieces in order.
     """
     static = ~motions[:, 2:].any(axis=1)
     values = np.zeros(len(motions))
@@ -67,32 +69,23 @@ def reevaluating_service_batch(motions, model, p_tx_dbm, noise_dbm, period, quad
         model, p_tx_dbm, noise_dbm, np.hypot(motions[static, 0], motions[static, 1]))
     link, pieces, scale = _pieces(motions[~static], model.min_distance, period.duration)
 
-    def eval_batch(rows, steps, m):
-        cosh = np.cosh(rows[:, 0:1] + rows[:, 1:2] * np.linspace(0.0, 1.0, m + 1))
-        sc = rows[:, 2:3] * cosh
-        d = np.sqrt(sc * sc - rows[:, 3:4])
-        return _simpson(unit_rate(model, p_tx_dbm, noise_dbm, d) * cosh, steps / m)
-
-    piece_values = np.zeros(len(pieces))
-    piece_ok = np.zeros(len(pieces), dtype=bool)
-    steps = pieces[:, 1] * scale
-    active = np.arange(len(pieces))
-    m = quad.initial_subintervals
-    est = eval_batch(pieces, steps, m)
-    for _ in range(quad.max_refinements):
-        m *= 2
-        new = eval_batch(pieces[active], steps[active], m)
-        ok = np.abs(new - est) <= quad.relative_tolerance * np.maximum(np.abs(new), _ABS_FLOOR)
-        piece_values[active[ok]] = new[ok]
-        piece_ok[active[ok]] = True
-        active = active[~ok]
-        est = new[~ok]
-        if active.size == 0:
-            break
-    piece_values[active] = est
+    def panel(lo, width, s, c, scale, level):
+        cosh = np.cosh(width * _QK15[0:1] + lo)
+        sc = s * cosh
+        f = unit_rate(model, p_tx_dbm, noise_dbm, np.sqrt(sc * sc - c)) * cosh
+        kronrod = (f * _QK15[1]).sum(axis=1)[0] * (width * scale)
+        gauss = (f * _QK15[2]).sum(axis=1)[0] * (width * scale)
+        if abs(kronrod - gauss) <= quad.relative_tolerance * max(abs(kronrod), _ABS_FLOOR):
+            return kronrod, True
+        if level == quad.max_refinements:
+            return kronrod, False
+        left, left_ok = panel(lo, width / 2, s, c, scale, level + 1)
+        right, right_ok = panel(lo + width / 2, width / 2, s, c, scale, level + 1)
+        return left + right, left_ok and right_ok
 
     moving = np.flatnonzero(~static)
-    for k, value, ok in zip(link, piece_values, piece_ok):
+    for k, (lo, width, s, c), h in zip(link, pieces, scale):
+        value, ok = panel(lo, width, s, c, h, 0)
         values[moving[k]] += value
         converged[moving[k]] &= ok
     return values, converged
@@ -132,7 +125,7 @@ def overtake():
 
 class TestIntegrateRate:
     def test_exact_on_constants(self, bs, cfg):
-        # a parked vehicle has a constant rate: Simpson is exact from the first estimate
+        # a parked vehicle has a constant rate, integrated in closed form
         parked = VehicleState(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
         period = Period(7.0)
         (s,) = v2i_services([parked], bs, cfg, 1, period)
@@ -159,8 +152,8 @@ class TestIntegrateRate:
         assert vals[0] > 0.0  # the last estimate is still returned
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(initial_subintervals=3)
+        with pytest.raises(ValueError, match="max_refinements"):
+            QuadratureSpec(max_refinements=-1)
         with pytest.raises(ValueError):
             QuadratureSpec(relative_tolerance=0.0)
         for bad in (math.nan, math.inf):
@@ -289,12 +282,13 @@ class TestBatchIntegrator:
             assert vals.shape == (0,) and converged.shape == (0,)
 
 
-class TestNodeReuse:
+class TestAdaptiveKronrod:
     @pytest.mark.parametrize("max_refinements", [0, 3, 12])
-    def test_matches_reevaluating_refinement(self, cfg, period, max_refinements):
+    def test_matches_recursive_oracle(self, cfg, period, max_refinements):
         # parked, passing, 3.5 m close-passing and overtaking links (one to
-        # three pieces) converge after different doublings; every one meets
-        # the default 1e-6 within three, so a tighter tolerance spreads them
+        # three pieces) stop bisecting at different depths; every one meets
+        # the default 1e-6 within one bisection, so a tighter tolerance
+        # spreads them
         gen = Xoshiro256StarStar(43)
         links = [(VehicleState(0, 120.0, 1.75, 0.0, 0.0), VehicleState(1, 180.0, 5.25, 0.0, 0.0))]
         for k in range(30):
@@ -304,19 +298,24 @@ class TestNodeReuse:
         for tx, rx in (close_pass(), overtake()):
             links += [(tx, rx), (rx, tx)]
         motions = motion_rows([a for a, _ in links]) - motion_rows([b for _, b in links])
-        quad = QuadratureSpec(relative_tolerance=1e-9, max_refinements=max_refinements)
+        quad = QuadratureSpec(relative_tolerance=1e-14, max_refinements=max_refinements)
         args = (motions, cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad)
         got, got_ok = unit_service_batch(*args)
-        want, want_ok = reevaluating_service_batch(*args)
+        want, want_ok = recursive_service_batch(*args)
         assert np.array_equal(got, want) and np.array_equal(got_ok, want_ok)
         if max_refinements == 12:
             assert got_ok.all()
-        if max_refinements == 3:
+        else:
             assert got_ok.any() and not got_ok.all()
 
-    def test_each_node_evaluated_once(self, cfg, period, monkeypatch):
-        # a piece that uses every refinement evaluates the m0 * 2**r + 1 nodes
-        # of its finest grid: one piece for the close pass, three for the overtake
+    @pytest.mark.parametrize("links, max_refinements", [
+        ([close_pass], 3), ([close_pass, overtake], 1),
+    ], ids=["close-pass", "close-pass+overtake"])
+    def test_node_count_at_the_cap(self, cfg, period, monkeypatch, links, max_refinements):
+        # a piece whose panels all fail down to the cap r evaluates the 15
+        # nodes of each of its 2**(r + 1) - 1 panels once: one piece for the
+        # close pass, three for the overtake.  A tolerance of 1e-300 is met
+        # only by estimates that agree to the bit, which these panels' do not
         real = service_module.unit_rate
         nodes = []
 
@@ -325,14 +324,14 @@ class TestNodeReuse:
             return real(model, p_tx_dbm, noise_dbm, d)
 
         monkeypatch.setattr(service_module, "unit_rate", counting)
-        links = [close_pass(), overtake()]
-        quad = QuadratureSpec(initial_subintervals=16, relative_tolerance=1e-15, max_refinements=4)
+        pairs = [link() for link in links]
+        quad = QuadratureSpec(relative_tolerance=1e-300, max_refinements=max_refinements)
         _, converged = unit_service_batch(
-            motion_rows([tx for tx, _ in links]) - motion_rows([rx for _, rx in links]),
-            cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad,
+            relative_rows(pairs), cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad,
         )
         assert not converged.any()
-        assert sum(nodes) == (1 + 3) * (16 * 2**4 + 1)
+        pieces = 1 + 3 * (overtake in links)
+        assert sum(nodes) == pieces * 15 * (2 ** (max_refinements + 1) - 1)
 
 
 def relative_rows(pairs):
