@@ -6,7 +6,9 @@ have more rows than columns (rows left unmatched receive no aided vehicle)
 but not more columns than rows.  The solver converts benefit maximization to
 cost minimization by subtracting every entry from the global maximum, then
 runs a potentials-based shortest-augmenting-path method for rectangular
-matrices (O(R*C^2), Kuhn-Munkres family; Crouse, IEEE TAES 2016).
+matrices (O(R*C^2), Kuhn-Munkres family; Crouse, IEEE TAES 2016).  Each
+Dijkstra step costs a few length-R numpy operations; the potentials of the
+rows a search has settled are brought up to date once, when it ends.
 
 Tie-breaking is deterministic: among equal-total matchings the solver returns
 the one that, scanning columns in ascending order, pairs each column with the
@@ -68,45 +70,58 @@ def _rect_min_assign(cost: np.ndarray):
 
     Returns (row_for_col, u, v): the matching and the dual potentials, with
     cost[j, c] - u[c] - v[j] >= 0 everywhere and == 0 on matched pairs.
+
+    Each column is added by one Dijkstra search over the rows.  A step only
+    reads the potentials of unsettled rows and of the column it expands, and
+    neither moves during the search, so each step's delta is recorded and
+    the settled rows' potentials take their deltas one by one when the
+    search ends: the same additions, in the same order, as updating them at
+    every step.
     """
     n_rows, n_cols = cost.shape
-    u = np.zeros(n_cols)
-    v = np.zeros(n_rows + 1)  # index n_rows is the virtual root row
-    owner = np.full(n_rows + 1, -1, dtype=int)  # column currently matched to each row
+    cost_t = np.ascontiguousarray(cost.T)  # column c0 as one contiguous row
+    u = [0.0] * n_cols
+    v = [0.0] * (n_rows + 1)  # index n_rows is the virtual root row
+    owner = [-1] * (n_rows + 1)  # column matched to each row
     for c in range(n_cols):
         owner[n_rows] = c
         j0 = n_rows
         minv = np.full(n_rows, np.inf)
-        way = np.full(n_rows, n_rows, dtype=int)
-        used = np.zeros(n_rows + 1, dtype=bool)
+        way = np.full(n_rows, n_rows)
+        free_v = np.array(v[:n_rows])  # -inf on settled rows: their reduced cost is inf
+        settled = [n_rows]
+        deltas = []
         while True:
-            used[j0] = True
             c0 = owner[j0]
-            cur = cost[:, c0] - u[c0] - v[:n_rows]
-            better = (~used[:n_rows]) & (cur < minv)
-            minv[better] = cur[better]
-            way[better] = j0
-            masked = np.where(used[:n_rows], np.inf, minv)
-            j1 = int(np.argmin(masked))
-            delta = masked[j1]
-            used_rows = used[:n_rows]
-            u[owner[:n_rows][used_rows]] += delta
-            if used[n_rows]:
-                u[owner[n_rows]] += delta
-            v[:n_rows][used_rows] -= delta
-            minv[~used_rows] -= delta
+            cur = cost_t[c0] - u[c0] - free_v
+            way[cur < minv] = j0
+            np.minimum(minv, cur, out=minv)
+            j1 = int(np.argmin(minv))
+            delta = float(minv[j1])
+            deltas.append(delta)
+            minv -= delta
+            minv[j1] = np.inf
             j0 = j1
             if owner[j0] == -1:
                 break
+            settled.append(j0)
+            free_v[j0] = -np.inf
+        # settled[k] joined before step k, so it and its column move by every delta from step k on
+        for k, j in enumerate(settled):
+            x, y = u[owner[j]], v[j]
+            for d in deltas[k:]:
+                x += d
+                y -= d
+            u[owner[j]], v[j] = x, y
         while j0 != n_rows:
-            j1 = way[j0]
+            j1 = int(way[j0])
             owner[j0] = owner[j1]
             j0 = j1
     row_for_col = np.empty(n_cols, dtype=int)
     for j in range(n_rows):
         if owner[j] >= 0:
             row_for_col[owner[j]] = j
-    return row_for_col, u, v[:n_rows]
+    return row_for_col, np.array(u), np.array(v[:n_rows])
 
 
 def _alternating_search(start, adj, mate, skip, is_end):

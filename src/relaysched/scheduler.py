@@ -6,7 +6,9 @@ Relays and common vehicles receive their direct downlink service; each aided
 vehicle receives the two-hop service of its relay pair (the weaker of the
 relay's downlink amount and the relay-to-vehicle amount).  That objective is
 written once, on `ServiceTables`: `direct_sum` for the vehicles that are not
-aided and `benefit` for the pairs.  Every policy searches or scores with it.
+aided and `two_hop` (read through `benefit`) for the pairs.  Every policy
+searches or scores with it.  Service and rate tables alike compute a V2V pair
+only when a policy first requires it.
 Four policies are provided, each called as `(scenario, cfg, tables=None)`:
 
 * `solve_msrs`            -- service-integral driven: sort by direct service,
@@ -28,7 +30,8 @@ Four policies are provided, each called as `(scenario, cfg, tables=None)`:
 
 The sort-select-pair pipeline costs O(N^3 log N) in the fleet size, but the
 bound order leaves about two assignment solves per search on fleets of
-20 to 200 vehicles.  The
+20 to 200 vehicles.  A search gathers one N x min(N/2, k_dsrc) block of V2V
+amounts, and every count's benefit matrix is a view of it.  The
 oracle screens sum over n_av of C(N, n_av) aided sets (2 509 at N=12), a
 count that about doubles with every vehicle (hence the hard cap).
 """
@@ -38,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -95,53 +99,65 @@ class ServiceTables:
     same structure holds instantaneous rates when built by
     `build_rate_tables`.
 
-    Tables from `build_service_tables` integrate V2V pairs on first use: an
-    entry nobody has asked for yet holds NaN (the diagonal holds 0).
-    `require(rows, cols)` integrates the missing entries among the given
-    pairs and stores them on both sides; a reader that skips it gets NaN,
-    which `BenefitMatrix` rejects.  `v2v_link` carries what that needs: the
-    (N, 4) start states (x, y, vx, vy) and the link arguments of
-    `unit_service_batch`.  Without it the table is dense and `require` does
-    nothing.  `unconverged` counts the integrated links whose quadrature hit
+    Both builders fill V2V pairs on first use: an entry nobody has asked for
+    yet holds NaN (the diagonal holds 0).  `require(rows, cols)` computes the
+    missing entries among the given pairs and stores them on both sides; a
+    reader that skips it gets NaN, which `BenefitMatrix` rejects.  `v2v_link`
+    computes them: a pair function `(i, j) -> (values, converged)` over index
+    arrays with i < j.  Without it the table is dense and `require` does
+    nothing.  `unconverged` counts the computed links whose quadrature hit
     its refinement cap.
     """
 
     v2i: np.ndarray
     v2v_unit: np.ndarray
     k_dsrc: int
-    v2v_link: tuple | None = field(default=None, repr=False, compare=False)
+    v2v_link: Callable | None = field(default=None, repr=False, compare=False)
     unconverged: int = 0
 
     def require(self, rows, cols) -> None:
-        """Integrate the unknown V2V entries among broadcastable index arrays `rows` x `cols`."""
+        """Compute the unknown V2V entries among broadcastable index arrays `rows` x `cols`."""
         if self.v2v_link is None:
             return
-        rows, cols = np.broadcast_arrays(np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))
-        n = self.v2v_unit.shape[0]
-        # one entry per unordered pair, lower id first as in the motion rows
-        keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
-        i, j = np.divmod(keys, n)
-        missing = np.isnan(self.v2v_unit[i, j])
+        missing = np.isnan(self.v2v_unit[rows, cols])
         if not missing.any():
             return
-        i, j = i[missing], j[missing]
-        state, link = self.v2v_link
-        vals, converged = unit_service_batch(state[i] - state[j], *link)
+        rows = np.broadcast_to(rows, missing.shape)[missing]
+        cols = np.broadcast_to(cols, missing.shape)[missing]
+        # one entry per unordered pair, lower id first as in the motion rows,
+        # in ascending (i, j) order
+        mark = np.zeros(self.v2v_unit.shape, dtype=bool)
+        mark[np.minimum(rows, cols), np.maximum(rows, cols)] = True
+        i, j = np.nonzero(mark)
+        vals, converged = self.v2v_link(i, j)
         self.v2v_unit[i, j] = vals
         self.v2v_unit[j, i] = vals
         self.unconverged += int(np.count_nonzero(~converged))
+
+    def two_hop(self, unit, direct, n_av: int) -> np.ndarray:
+        """Two-hop amounts of relays with direct amounts `direct` over per-RB V2V amounts `unit`.
+
+        n_av aided vehicles share the V2V RBs; the arrays broadcast.
+        """
+        return rate_two_hop(rb_share(self.k_dsrc, n_av) * unit, direct)
 
     def benefit(self, rows, cols, n_av: int) -> np.ndarray:
         """Two-hop amounts of relays `rows` serving aided `cols` when n_av share the V2V RBs.
 
         The index arrays broadcast; their V2V entries must have been required.
         """
-        share = rb_share(self.k_dsrc, n_av)
-        return rate_two_hop(share * self.v2v_unit[rows, cols], self.v2i[rows])
+        return self.two_hop(self.v2v_unit[rows, cols], self.v2i[rows], n_av)
 
     def direct_sum(self, aided: set) -> float:
         """Direct amounts of every vehicle not in the set `aided`, summed in ascending id order."""
         return sum(x for i, x in enumerate(self.v2i.tolist()) if i not in aided)
+
+
+def _unknown_pairs(n: int) -> np.ndarray:
+    """An n x n V2V table with every off-diagonal entry still to be required."""
+    v2v_unit = np.full((n, n), np.nan)
+    np.fill_diagonal(v2v_unit, 0.0)
+    return v2v_unit
 
 
 def build_service_tables(
@@ -157,16 +173,20 @@ def build_service_tables(
         cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, scenario.period, quad,
     )
     v2i = rb_share(cfg.k_lte, n) * unit_bs
-    v2v_unit = np.full((n, n), np.nan)
-    np.fill_diagonal(v2v_unit, 0.0)
     link = (cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, scenario.period, quad)
+
+    def v2v_link(i, j):
+        # the module global is looked up per call, so a wrapper installed on
+        # it sees every integrated pair
+        return unit_service_batch(state[i] - state[j], *link)
+
     return ServiceTables(
-        v2i, v2v_unit, cfg.k_dsrc, (state, link), int(np.count_nonzero(~converged))
+        v2i, _unknown_pairs(n), cfg.k_dsrc, v2v_link, int(np.count_nonzero(~converged))
     )
 
 
 def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
-    """Instantaneous-rate tables at the period start (dt = 0), same layout."""
+    """Instantaneous-rate tables at the period start (dt = 0), V2V rates on `require`."""
     n = scenario.n
     if n == 0:
         return ServiceTables(np.zeros(0), np.zeros((0, 0)), cfg.k_dsrc)
@@ -175,12 +195,15 @@ def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
     v2i = rb_share(cfg.k_lte, n) * unit_rate(
         cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, np.hypot(to_bs[:, 0], to_bs[:, 1])
     )
-    gap = state[:, None, :2] - state[None, :, :2]
-    v2v_unit = unit_rate(
-        cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, np.hypot(gap[..., 0], gap[..., 1])
-    )
-    np.fill_diagonal(v2v_unit, 0.0)
-    return ServiceTables(v2i, v2v_unit, cfg.k_dsrc)
+
+    def v2v_link(i, j):
+        gap = state[i, :2] - state[j, :2]
+        rates = unit_rate(
+            cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, np.hypot(gap[:, 0], gap[:, 1])
+        )
+        return rates, np.ones(len(rates), dtype=bool)
+
+    return ServiceTables(v2i, _unknown_pairs(n), cfg.k_dsrc, v2v_link)
 
 
 def _partition_total(tables: ServiceTables, av_ids, pairing: dict[int, int]) -> float:
@@ -240,13 +263,16 @@ def _best_partition(tables: ServiceTables):
     order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
     cap = _aided_cap(n, tables.k_dsrc)
     rows = np.array(order, dtype=int)[:, None]
-    # every candidate count pairs all vehicles against the `cap` weakest at most
+    # every candidate count pairs all vehicles against the `cap` weakest at most;
+    # count n_av reads the block's first n - n_av rows and last n_av columns
     tables.require(rows, order[n - cap:])
+    block = tables.v2v_unit[rows, order[n - cap:]]
+    direct = tables.v2i[rows]
     # kept[k]: the summed direct amounts of the k strongest vehicles
     kept = np.concatenate(([0.0], np.cumsum(tables.v2i[order])))
     counts = []
     for n_av in range(1, cap + 1):
-        w = tables.benefit(rows[: n - n_av], order[n - n_av:], n_av)
+        w = tables.two_hop(block[: n - n_av, cap - n_av:], direct[: n - n_av], n_av)
         # column maxima bound the matching
         counts.append((kept[n - n_av] + w.max(axis=0).sum(), n_av, w))
     counts.sort(key=lambda c: (-c[0], c[1]))

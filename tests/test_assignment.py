@@ -16,6 +16,7 @@ from relaysched.assignment import (
     solve_max_assignment,
 )
 from relaysched.channel import default_radio_config
+from relaysched.experiments import ExperimentConfig, cmd_sweep_n
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import build_service_tables, solve_irrs, solve_msrs
@@ -287,6 +288,112 @@ class TestTieBreakAgainstResolving:
         assert len(scheduler_matrices) >= 2
         for w in scheduler_matrices:
             assert np.array_equal(_canonical_match(w), resolving_canonical_match(w))
+
+
+# --- reference solver: the same shortest-augmenting-path arithmetic with boolean masks ---
+
+def masked_rect_min_assign(cost: np.ndarray):
+    """`_rect_min_assign` as first written: length-R masks and copies at every step."""
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_cols)
+    v = np.zeros(n_rows + 1)  # index n_rows is the virtual root row
+    owner = np.full(n_rows + 1, -1, dtype=int)  # column currently matched to each row
+    for c in range(n_cols):
+        owner[n_rows] = c
+        j0 = n_rows
+        minv = np.full(n_rows, np.inf)
+        way = np.full(n_rows, n_rows, dtype=int)
+        used = np.zeros(n_rows + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            c0 = owner[j0]
+            cur = cost[:, c0] - u[c0] - v[:n_rows]
+            better = (~used[:n_rows]) & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            masked = np.where(used[:n_rows], np.inf, minv)
+            j1 = int(np.argmin(masked))
+            delta = masked[j1]
+            used_rows = used[:n_rows]
+            u[owner[:n_rows][used_rows]] += delta
+            if used[n_rows]:
+                u[owner[n_rows]] += delta
+            v[:n_rows][used_rows] -= delta
+            minv[~used_rows] -= delta
+            j0 = j1
+            if owner[j0] == -1:
+                break
+        while j0 != n_rows:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    row_for_col = np.empty(n_cols, dtype=int)
+    for j in range(n_rows):
+        if owner[j] >= 0:
+            row_for_col[owner[j]] = j
+    return row_for_col, u, v[:n_rows]
+
+
+def assert_same_dual_solve(w: np.ndarray):
+    cost = float(w.max()) - w
+    got, want = _rect_min_assign(cost), masked_rect_min_assign(cost)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b), w
+
+
+@pytest.fixture(scope="module")
+def sweep_matrices():
+    """Every benefit matrix msrs and irrs solve on a seed-7 sweep over N = 20, 40, ..., 200."""
+    captured = []
+    real_solve = scheduler_module.solve_max_assignment
+
+    def capturing(w):
+        captured.append(w.values.copy())
+        return real_solve(w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler_module, "solve_max_assignment", capturing)
+        cmd_sweep_n(ExperimentConfig(seed=7, trials=3, policies=("msrs", "irrs")))
+    return captured
+
+
+@st.composite
+def tie_heavy_rectangles(draw):
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, rows))
+    kind = draw(st.sampled_from(["integer", "clamped integer", "float"]))
+    if kind == "float":
+        cell = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+    else:
+        cell = st.integers(0, 6).map(float)
+    vals = np.array(draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols)))
+    vals = vals.reshape(rows, cols)
+    if kind == "clamped integer":
+        caps = draw(st.lists(st.integers(0, 6), min_size=rows, max_size=rows))
+        vals = np.minimum(vals, np.array(caps, dtype=float)[:, None])
+    return vals
+
+
+class TestDualSolveAgainstMasked:
+    def test_sweep_matrices(self, sweep_matrices):
+        solved = [w for w in sweep_matrices if not np.all(w == w.flat[0])]
+        assert len(solved) >= 100
+        for w in solved:
+            assert_same_dual_solve(w)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(tie_heavy_rectangles())
+    def test_small_rectangles(self, w):
+        assert_same_dual_solve(w)
+
+    def test_wide_magnitude_floats(self):
+        # entries over many binades make the potentials round, so a change in
+        # the order of their additions shows on a few of these
+        rng = np.random.default_rng(59)
+        for _ in range(1000):
+            rows = int(rng.integers(2, 10))
+            cols = int(rng.integers(2, rows + 1))
+            assert_same_dual_solve(np.exp(rng.normal(0.0, 3.0, (rows, cols))))
 
 
 @st.composite

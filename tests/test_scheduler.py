@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import relaysched.assignment as assignment_module
 import relaysched.scheduler as scheduler_module
 from relaysched.assignment import BenefitMatrix
-from relaysched.channel import default_radio_config, rate_v2i, rate_v2v, rb_share
+from relaysched.channel import default_radio_config, rate_v2i, rate_v2v, rb_share, unit_rate
 from relaysched.mobility import BasePosition, VehicleState, motion_rows
 from relaysched.scenario import Scenario, ScenarioSpec, generate
 from relaysched.scheduler import (
@@ -157,6 +157,7 @@ class TestServiceTables:
     def test_rate_tables_match_channel(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=6, seed=23))
         rt = build_rate_tables(sc, cfg)
+        rt.require(np.arange(6)[:, None], np.arange(6))
         for i, v in enumerate(sc.vehicles):
             assert rt.v2i[i] == pytest.approx(float(rate_v2i(v, sc.bs, cfg, 6, 0.0)), rel=1e-12)
         for i in range(6):
@@ -223,11 +224,22 @@ class TestDemandDrivenTables:
         assert np.array_equal(tables.v2v_unit[relays, aided], full.v2v_unit[relays, aided])
         assert np.isnan(tables.v2v_unit[np.ix_(relays, aided)]).sum() == 6
 
-    def test_rate_tables_are_dense(self, cfg, links):
-        rt = build_rate_tables(generate(ScenarioSpec(n_vehicles=6, seed=10)), cfg)
-        before = rt.v2v_unit.copy()
-        rt.require(np.arange(6)[:, None], np.arange(6))
-        assert not links and np.array_equal(rt.v2v_unit, before)
+    def test_rate_tables_fill_on_demand(self, cfg, links):
+        n = 6
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=10))
+        rt = build_rate_tables(sc, cfg)
+        assert np.isnan(rt.v2v_unit[~np.eye(n, dtype=bool)]).all()
+        assert (np.diag(rt.v2v_unit) == 0.0).all()
+        rt.require(np.arange(n)[:, None], np.arange(n))
+        # the dense table at the period start, every pair at once
+        state = motion_rows(sc.vehicles)
+        gap = state[:, None, :2] - state[None, :, :2]
+        dense = unit_rate(
+            cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, np.hypot(gap[..., 0], gap[..., 1])
+        )
+        np.fill_diagonal(dense, 0.0)
+        assert np.array_equal(rt.v2v_unit, dense)
+        assert not links and rt.unconverged == 0
 
 
 class TestMsrs:
@@ -374,13 +386,49 @@ def ascending_partition(tables, solved):
     return best
 
 
-def best_first_partition(tables):
-    """`_best_partition(tables)` and the n_av of each of its solves, in order."""
+def per_count_partition(tables, solved):
+    """The best-first search with each count's matrix gathered from the tables on its own.
+
+    Reference for the one-block search: the same bounds, solve order and
+    schedule; appends each solved benefit matrix to `solved`.
+    """
+    n = tables.v2i.shape[0]
+    order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
+    cap = min(n // 2, tables.k_dsrc)
+    rows = np.array(order, dtype=int)[:, None]
+    tables.require(rows, order[n - cap:])
+    kept = np.concatenate(([0.0], np.cumsum(tables.v2i[order])))
+    counts = []
+    for n_av in range(1, cap + 1):
+        w = tables.benefit(rows[: n - n_av], order[n - n_av:], n_av)
+        counts.append((kept[n - n_av] + w.max(axis=0).sum(), n_av, w))
+    counts.sort(key=lambda c: (-c[0], c[1]))
+    best = (_partition_total(tables, (), {}), (), {})
+    for bound, n_av, w in counts:
+        if bound + 1e-9 * (1.0 + abs(bound)) <= best[0]:
+            break
+        solved.append(w)
+        avs = order[n - n_av:]
+        match = assignment_module.solve_max_assignment(BenefitMatrix(w)).match
+        pairing = {avs[c]: order[r] for c, r in match.items()}
+        total = _partition_total(tables, avs, pairing)
+        if total > best[0] or (total == best[0] and n_av < len(best[1])):
+            best = (total, tuple(avs), pairing)
+    return best
+
+
+def best_first_partition(tables, matrices=None):
+    """`_best_partition(tables)` and the n_av of each of its solves, in order.
+
+    Appends each solved benefit matrix to `matrices` when it is given.
+    """
     solved = []
     real_solve = scheduler_module.solve_max_assignment
 
     def counting(w):
         solved.append(w.cols)
+        if matrices is not None:
+            matrices.append(w.values)
         return real_solve(w)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -401,10 +449,18 @@ class TestBestFirstSearch:
         for tables in (build_service_tables(sc, cfg), build_rate_tables(sc, cfg)):
             reference_solved = []
             want = ascending_partition(tables, reference_solved)
-            got, solved = best_first_partition(tables)
+            matrices = []
+            got, solved = best_first_partition(tables, matrices)
             assert got == want and repr(got[0]) == repr(want[0])
             assert len(set(solved)) == len(solved)
             assert set(solved) <= set(reference_solved)
+            # the one-block matrices carry the per-count gathers' bits, so
+            # the bounds and the solve order are the same too
+            per_count = []
+            assert per_count_partition(tables, per_count) == got
+            assert len(matrices) == len(per_count)
+            for a, b in zip(matrices, per_count):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_equal_totals_keep_the_smaller_count(self):
         # k_dsrc = 2: one aided vehicle gets 2 V2V RBs, two get 1 each.
