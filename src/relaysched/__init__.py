@@ -7,7 +7,7 @@ relay/aided/common roles plus relay pairings under several policies, with a
 batch experiment CLI on top (`relaysched --help`).
 """
 
-from .assignment import Assignment, BenefitMatrix, brute_force_assignment, solve_max_assignment
+from .assignment import Assignment, BenefitMatrix, solve_max_assignment
 from .channel import (
     DSRC_PATH_LOSS,
     LTE_PATH_LOSS,
@@ -16,11 +16,9 @@ from .channel import (
     default_radio_config,
     path_loss,
     rate_two_hop,
-    rate_v2i,
-    rate_v2v,
     unit_rate,
 )
-from .mobility import BasePosition, VehicleState, distance_between, distance_to_bs, predict_position
+from .mobility import BasePosition, VehicleState
 from .scenario import Scenario, ScenarioFormatError, ScenarioSpec, generate, load_scenario, save_scenario
 from .scheduler import (
     InvalidScheduleError,

@@ -19,12 +19,9 @@ further assignment solve.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_BRUTE_FORCE_CAP = 8  # factorial enumeration beyond this is pointless
 
 
 @dataclass(frozen=True)
@@ -246,21 +243,3 @@ def solve_max_assignment(w: BenefitMatrix) -> Assignment:
         out[c] = int(match[c])
         total += w.values[match[c], c]
     return Assignment(out, float(total))
-
-
-def brute_force_assignment(w: BenefitMatrix, cap: int = _BRUTE_FORCE_CAP) -> Assignment:
-    """Exact maximum by enumerating row arrangements; test oracle for the solver."""
-    _check_tall(w)
-    if w.rows > cap:
-        raise ValueError(f"refusing brute-force enumeration over {w.rows} rows (cap {cap})")
-    values = w.values.tolist()
-    best = -1.0
-    best_perm = None
-    for perm in itertools.permutations(range(w.rows), w.cols):
-        s = 0.0
-        for c, r in enumerate(perm):
-            s += values[r][c]
-        if s > best:
-            best = s
-            best_perm = perm
-    return Assignment(dict(enumerate(best_perm)), best)

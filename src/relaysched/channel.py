@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mobility import BasePosition, VehicleState, distance_between, distance_to_bs
-
 
 @dataclass(frozen=True)
 class PathLossModel:
@@ -150,24 +148,6 @@ def rb_share(total_rbs: int, users: int) -> int:
     return total_rbs // users
 
 
-def rate_v2i(v: VehicleState, bs: BasePosition, cfg: RadioConfig, n_total: int, dt):
-    """Downlink rate of vehicle `v` when `n_total` vehicles share the cellular RBs."""
-    share = rb_share(cfg.k_lte, n_total)
-    if share == 0:
-        return np.zeros_like(np.asarray(dt, dtype=float))[()]
-    d = distance_to_bs(v, bs, dt)
-    return share * unit_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, d)
-
-
-def rate_v2v(tx: VehicleState, rx: VehicleState, cfg: RadioConfig, n_av: int, dt):
-    """Relay-to-vehicle rate when `n_av` aided vehicles share the short-range RBs."""
-    share = rb_share(cfg.k_dsrc, n_av)
-    if share == 0:
-        return np.zeros_like(np.asarray(dt, dtype=float))[()]
-    d = distance_between(tx, rx, dt)
-    return share * unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, d)
-
-
-def rate_two_hop(rate_relay_hop, rate_v2i_hop):
+def rate_two_hop(rate_relay_hop, rate_direct_hop):
     """Decode-and-forward end-to-end rate: the weaker of the two hops."""
-    return np.minimum(rate_relay_hop, rate_v2i_hop)[()]
+    return np.minimum(rate_relay_hop, rate_direct_hop)[()]

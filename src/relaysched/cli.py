@@ -3,17 +3,15 @@
     relaysched run         --seed 7 --trials 20 --n 100 --out results/
     relaysched sweep-n     --seed 7 --out results/ [--n-values 20,40,60]
     relaysched sweep-speed --seed 7 --out results/ [--speed-values 4,8,12]
-    relaysched validate
 
 Defaults come from the built-in config; a JSON config file (--config) overrides
-them and explicit flags override the file.  Exit code 0 on success, 1 when the
-validate suite fails or a run cannot be configured.
+them and explicit flags override the file.  Exit code 0 on success, 1 when a
+run cannot be configured.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .experiments import (
@@ -21,7 +19,6 @@ from .experiments import (
     cmd_run,
     cmd_sweep_n,
     cmd_sweep_speed,
-    cmd_validate,
     config_from_doc,
     load_config_file,
     write_outputs,
@@ -82,25 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep_s.add_argument("--speed-values", dest="speed_values",
                            help="comma-separated speeds in m/s")
 
-    p_val = sub.add_parser("validate", help="run the built-in correctness suite")
-    p_val.add_argument("--config", help="JSON config file")
-
     args = parser.parse_args(argv)
-
-    if args.command == "validate":
-        try:
-            doc = load_config_file(args.config) if args.config else {}
-            config = config_from_doc(doc, {"seed": 0, "trials": 1})
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        report = cmd_validate(config)
-        for check in report["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            print(f"{status} {check['name']}: {check['detail']}")
-        print(json.dumps(report))
-        return 0 if report["passed"] else 1
-
     try:
         config = _build_config(args)
         rows = {"run": cmd_run, "sweep-n": cmd_sweep_n, "sweep-speed": cmd_sweep_speed}[

@@ -19,9 +19,7 @@ identical bytes.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import sys
 import time
 from collections import defaultdict
@@ -31,12 +29,8 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from .assignment import BenefitMatrix, brute_force_assignment, solve_max_assignment
-from .channel import PathLossModel, RadioConfig, default_radio_config, rate_v2i, rb_share
-from .mobility import BasePosition, VehicleState, motion_rows
-from .rng import Xoshiro256StarStar, split_seeds
+from .channel import PathLossModel, RadioConfig, default_radio_config, rb_share
+from .rng import split_seeds
 from .scenario import ScenarioSpec, generate
 from .scheduler import (
     BRUTE_FORCE_VEHICLE_CAP,
@@ -47,7 +41,7 @@ from .scheduler import (
     solve_optimal_bruteforce,
     validate_schedule,
 )
-from .service import Period, QuadratureSpec, unit_service_batch
+from .service import Period, QuadratureSpec
 
 POLICIES = ("msrs", "irrs", "noncoop", "optimal")
 
@@ -410,127 +404,3 @@ def write_outputs(rows: list[MetricsRow], config: ExperimentConfig, out_dir: str
             f"[timing] {policy}: mean {sum(times) / len(times):.2f} ms over {len(times)} trials",
             file=sys.stderr,
         )
-
-
-# --- self-check suite (the `validate` subcommand) ---------------------------
-
-_REFERENCE_BENEFITS = [
-    [2, 3, 0, 1],
-    [3, 2, 3, 6],
-    [4, 0, 3, 0],
-    [5, 2, 4, 6],
-    [1, 0, 0, 2],
-]
-_REFERENCE_TOTAL = 17.0
-_REFERENCE_MATCH = {0: 3, 1: 0, 2: 2, 3: 1}
-
-
-def _check_reference_assignment() -> dict:
-    got = solve_max_assignment(BenefitMatrix(_REFERENCE_BENEFITS))
-    ok = got.total == _REFERENCE_TOTAL and got.match == _REFERENCE_MATCH
-    return {"name": "reference_assignment", "passed": bool(ok),
-            "detail": f"total={got.total} match={got.match}"}
-
-
-def _check_assignment_oracle(trials_per_size: int = 200) -> dict:
-    gen = Xoshiro256StarStar(101)
-    worst = 0.0
-    for size in range(1, 8):
-        for _ in range(trials_per_size):
-            if gen.random() < 0.5:
-                vals = [[float(int(gen.random() * 10)) for _ in range(size)] for _ in range(size)]
-            else:
-                vals = [[gen.random() * 10 for _ in range(size)] for _ in range(size)]
-            w = BenefitMatrix(vals)
-            fast = solve_max_assignment(w)
-            slow = brute_force_assignment(w)
-            worst = max(worst, abs(fast.total - slow.total) / max(1.0, slow.total))
-    return {"name": "assignment_oracle", "passed": bool(worst <= 1e-9),
-            "detail": f"worst relative total gap {worst:.3e}"}
-
-
-def _check_canonical_tie_break(trials: int = 300) -> dict:
-    """Tie rule against enumeration on tie-heavy clamped integer rectangles.
-
-    Among the optimal row tuples (one row per column, in column order) the
-    solver must return the lexicographically largest.
-    """
-    gen = Xoshiro256StarStar(103)
-    wrong = 0
-    for _ in range(trials):
-        cols = 1 + int(gen.random() * 4)
-        rows = cols + int(gen.random() * 3)
-        cap = [int(gen.random() * 4) for _ in range(rows)]
-        vals = [[float(min(int(gen.random() * 6), cap[r])) for _ in range(cols)]
-                for r in range(rows)]
-        got = solve_max_assignment(BenefitMatrix(vals))
-        totals = {perm: sum(vals[r][c] for c, r in enumerate(perm))
-                  for perm in itertools.permutations(range(rows), cols)}
-        best = max(totals.values())
-        canonical = max(perm for perm, t in totals.items() if t == best)
-        wrong += got.total != best or tuple(got.match[c] for c in range(cols)) != canonical
-    return {"name": "canonical_tie_break", "passed": wrong == 0,
-            "detail": f"{wrong} of {trials} clamped integer matrices off the canonical optimum"}
-
-
-def _check_scheduler_oracle(config: ExperimentConfig) -> dict:
-    losses = []
-    dominated = True
-    for n in (6, 8):
-        for seed in range(25):
-            scenario = generate(config.scenario_spec(seed=seed, n_vehicles=n))
-            tables = build_service_tables(scenario, config.radio, quad=config.quad)
-            msrs = solve_msrs(scenario, config.radio, tables=tables)
-            noncoop = solve_noncooperative(scenario, config.radio, tables=tables)
-            opt = solve_optimal_bruteforce(scenario, config.radio, tables=tables)
-            dominated &= opt.total_service >= msrs.total_service >= noncoop.total_service
-            losses.append((opt.total_service - msrs.total_service) / opt.total_service)
-    frac_ok = float(np.mean([loss <= 0.05 for loss in losses]))
-    passed = dominated and frac_ok >= 0.95
-    return {"name": "scheduler_vs_oracle", "passed": bool(passed),
-            "detail": f"loss<=5% on {frac_ok:.0%} of instances; dominance={'ok' if dominated else 'VIOLATED'}"}
-
-
-def _check_quadrature(config: ExperimentConfig) -> dict:
-    bs = BasePosition(0.0, -15.0)
-    period = Period(config.period_duration)
-    radio = config.radio
-    parked = VehicleState(0, 120.0, 1.75, 0.0, 0.0)
-    gen = Xoshiro256StarStar(77)
-    moving = [
-        VehicleState(0, gen.uniform(-400, 400), 1.75, gen.uniform(4, 35),
-                     0.0 if gen.random() < 0.5 else math.pi)
-        for _ in range(20)
-    ]
-    motions = motion_rows([parked, *moving]) - motion_rows([bs])
-    units, converged = unit_service_batch(
-        motions, radio.v2i_model, radio.p_bs_per_rb, radio.noise_v2i_per_rb, period, config.quad
-    )
-    services = rb_share(radio.k_lte, 10) * units
-
-    expected = period.duration * float(rate_v2i(parked, bs, radio, 10, 0.0))
-    worst_static = abs(services[0] - expected) / expected
-    t = np.linspace(0.0, period.duration, 10_000)
-    worst_moving = 0.0
-    for v, s in zip(moving, services[1:]):
-        dense = np.trapezoid(rate_v2i(v, bs, radio, 10, t), t)
-        worst_moving = max(worst_moving, abs(s - dense) / dense)
-    nonconverged = int(np.count_nonzero(~converged))
-    passed = worst_static <= 1e-9 and worst_moving <= 1e-5 and nonconverged == 0
-    return {"name": "quadrature", "passed": bool(passed),
-            "detail": f"static rel err {worst_static:.2e}, moving vs trapezoid {worst_moving:.2e}, "
-                      f"{nonconverged} links not converged"}
-
-
-def cmd_validate(config: ExperimentConfig | None = None) -> dict:
-    """Run the built-in correctness suite; returns a machine-readable report."""
-    config = config or ExperimentConfig(seed=0, trials=1)
-    checks = [
-        _check_reference_assignment(),
-        _check_assignment_oracle(),
-        _check_canonical_tie_break(),
-        _check_scheduler_oracle(config),
-        _check_quadrature(config),
-    ]
-    report = {"passed": all(c["passed"] for c in checks), "checks": checks}
-    return report

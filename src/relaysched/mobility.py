@@ -1,10 +1,10 @@
-"""Vehicle kinematics: straight-line trajectories and time-dependent distances.
+"""Vehicle kinematics: node states at the period start and their motion rows.
 
 Vehicles are modelled with a constant speed and heading over one scheduling
 period; positions at an offset ``dt`` from the period start follow
-``(x + v*dt*cos(heading), y + v*dt*sin(heading))``.  All distance helpers
-accept either a scalar offset or a numpy array of offsets and broadcast
-accordingly, which is what the quadrature layer relies on.
+``(x + v*dt*cos(heading), y + v*dt*sin(heading))``.  `motion_rows` packs each
+node's position and velocity into one (x, y, vx, vy) row, from which the
+quadrature layer derives every link's distance over the period.
 """
 
 from __future__ import annotations
@@ -63,32 +63,3 @@ def motion_rows(nodes) -> np.ndarray:
     A link's relative motion (`service.unit_service_batch`) is the difference of its ends' rows.
     """
     return np.array([(v.x, v.y, *v.velocity) for v in nodes], dtype=float).reshape(-1, 4)
-
-
-def _check_dt(dt):
-    arr = np.asarray(dt, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite time offset")
-    if np.any(arr < 0):
-        raise ValueError("negative time offset")
-    return arr
-
-
-def predict_position(v: VehicleState, dt):
-    """Position of `v` after `dt` seconds of straight constant-speed motion."""
-    t = _check_dt(dt)
-    vx, vy = v.velocity
-    return v.x + vx * t, v.y + vy * t
-
-
-def distance_to_bs(v: VehicleState, bs: BasePosition, dt):
-    """Euclidean distance between the vehicle at offset `dt` and the BS."""
-    x, y = predict_position(v, dt)
-    return np.hypot(x - bs.x, y - bs.y)
-
-
-def distance_between(a: VehicleState, b: VehicleState, dt):
-    """Euclidean distance between two vehicles at offset `dt`."""
-    xa, ya = predict_position(a, dt)
-    xb, yb = predict_position(b, dt)
-    return np.hypot(xa - xb, ya - yb)

@@ -24,9 +24,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-from .mobility import BasePosition, VehicleState
+import numpy as np
+
+from .mobility import BasePosition, VehicleState, motion_rows
 from .rng import Xoshiro256StarStar
 from .service import Period
 
@@ -54,6 +57,13 @@ class Scenario:
     @property
     def n(self) -> int:
         return len(self.vehicles)
+
+    @cached_property
+    def motion(self) -> np.ndarray:
+        """The vehicles' (N, 4) `motion_rows`, built once per scenario and read-only."""
+        rows = motion_rows(self.vehicles)
+        rows.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ count that about doubles with every vehicle (hence the hard cap).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -167,7 +166,7 @@ def build_service_tables(
     n = scenario.n
     if n == 0:
         return ServiceTables(np.zeros(0), np.zeros((0, 0)), cfg.k_dsrc)
-    state = motion_rows(scenario.vehicles)
+    state = scenario.motion
     unit_bs, converged = unit_service_batch(
         state - motion_rows([scenario.bs]),
         cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, scenario.period, quad,
@@ -190,7 +189,7 @@ def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
     n = scenario.n
     if n == 0:
         return ServiceTables(np.zeros(0), np.zeros((0, 0)), cfg.k_dsrc)
-    state = motion_rows(scenario.vehicles)
+    state = scenario.motion
     to_bs = state - motion_rows([scenario.bs])
     v2i = rb_share(cfg.k_lte, n) * unit_rate(
         cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, np.hypot(to_bs[:, 0], to_bs[:, 1])
@@ -371,14 +370,7 @@ def solve_optimal_bruteforce(
     """
     n = scenario.n
     if n > cap:
-        counts = sum(
-            math.factorial(n) // (math.factorial(k) * math.factorial(n - 2 * k))
-            for k in range(_aided_cap(n, cfg.k_dsrc) + 1)
-        )
-        raise ValueError(
-            f"refusing exhaustive search for {n} vehicles ({counts} candidate "
-            f"schedules); cap is {cap}"
-        )
+        raise ValueError(f"refusing exhaustive search for {n} vehicles; cap is {cap}")
     if tables is None:
         tables = build_service_tables(scenario, cfg)
     every = np.arange(n)
@@ -415,27 +407,3 @@ def solve_optimal_bruteforce(
                         best_av = av
                         best_pairing = {a: r for r, a in zip(perm, av)}
     return _schedule_from_parts(n, best_av, best_pairing, best_total)
-
-
-def pairs_respect_direct_order(schedule: Schedule, per_vehicle, tol: float = 1e-9) -> bool:
-    """True when no aided vehicle has a larger direct amount than its own relay."""
-    return all(
-        per_vehicle[j] <= per_vehicle[i] + tol * max(1.0, abs(per_vehicle[i]))
-        for j, i in schedule.pairing.items()
-    )
-
-
-def aided_are_weakest(schedule: Schedule, per_vehicle, tol: float = 1e-9) -> bool:
-    """True when every aided vehicle's direct amount is below everyone else's.
-
-    This is the structural mark of the sort-then-select pipeline: the aided
-    set is exactly the tail of the direct-amount ordering (up to ties).
-    """
-    if not schedule.av_set:
-        return True
-    others = schedule.rv_set | schedule.cv_set
-    if not others:
-        return True
-    worst_kept = min(per_vehicle[i] for i in others)
-    best_aided = max(per_vehicle[j] for j in schedule.av_set)
-    return best_aided <= worst_kept + tol * max(1.0, abs(worst_kept))

@@ -1,0 +1,125 @@
+"""Reference implementations the tests compare the package against.
+
+None of these run in a trial: each is the plain, slow or scalar form of
+something the package computes faster, kept here as an oracle.
+
+* Trajectories and distances of single vehicles at a time offset, and the
+  scalar per-link rates built on them (the dense-trapezoid quadrature
+  references); the rates use the package's own `unit_rate` and `rb_share`.
+* `brute_force_assignment`: the assignment optimum by enumeration.
+* `pairs_respect_direct_order` and `aided_are_weakest`: structural
+  predicates on schedules.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from relaysched.assignment import Assignment, BenefitMatrix, _check_tall
+from relaysched.channel import RadioConfig, rb_share, unit_rate
+from relaysched.mobility import BasePosition, VehicleState
+from relaysched.scheduler import Schedule
+
+# --- trajectories and distances ---------------------------------------------
+
+
+def _check_dt(dt):
+    arr = np.asarray(dt, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite time offset")
+    if np.any(arr < 0):
+        raise ValueError("negative time offset")
+    return arr
+
+
+def predict_position(v: VehicleState, dt):
+    """Position of `v` after `dt` seconds of straight constant-speed motion."""
+    t = _check_dt(dt)
+    vx, vy = v.velocity
+    return v.x + vx * t, v.y + vy * t
+
+
+def distance_to_bs(v: VehicleState, bs: BasePosition, dt):
+    """Euclidean distance between the vehicle at offset `dt` and the BS."""
+    x, y = predict_position(v, dt)
+    return np.hypot(x - bs.x, y - bs.y)
+
+
+def distance_between(a: VehicleState, b: VehicleState, dt):
+    """Euclidean distance between two vehicles at offset `dt`."""
+    xa, ya = predict_position(a, dt)
+    xb, yb = predict_position(b, dt)
+    return np.hypot(xa - xb, ya - yb)
+
+
+# --- scalar per-link rates ----------------------------------------------------
+
+
+def rate_v2i(v: VehicleState, bs: BasePosition, cfg: RadioConfig, n_total: int, dt):
+    """Downlink rate of vehicle `v` when `n_total` vehicles share the cellular RBs."""
+    share = rb_share(cfg.k_lte, n_total)
+    if share == 0:
+        return np.zeros_like(np.asarray(dt, dtype=float))[()]
+    d = distance_to_bs(v, bs, dt)
+    return share * unit_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, d)
+
+
+def rate_v2v(tx: VehicleState, rx: VehicleState, cfg: RadioConfig, n_av: int, dt):
+    """Relay-to-vehicle rate when `n_av` aided vehicles share the short-range RBs."""
+    share = rb_share(cfg.k_dsrc, n_av)
+    if share == 0:
+        return np.zeros_like(np.asarray(dt, dtype=float))[()]
+    d = distance_between(tx, rx, dt)
+    return share * unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, d)
+
+
+# --- assignment by enumeration ----------------------------------------------
+
+_BRUTE_FORCE_CAP = 8  # factorial enumeration beyond this is pointless
+
+
+def brute_force_assignment(w: BenefitMatrix, cap: int = _BRUTE_FORCE_CAP) -> Assignment:
+    """Exact maximum by enumerating row arrangements; test oracle for the solver."""
+    _check_tall(w)
+    if w.rows > cap:
+        raise ValueError(f"refusing brute-force enumeration over {w.rows} rows (cap {cap})")
+    values = w.values.tolist()
+    best = -1.0
+    best_perm = None
+    for perm in itertools.permutations(range(w.rows), w.cols):
+        s = 0.0
+        for c, r in enumerate(perm):
+            s += values[r][c]
+        if s > best:
+            best = s
+            best_perm = perm
+    return Assignment(dict(enumerate(best_perm)), best)
+
+
+# --- schedule predicates ------------------------------------------------------
+
+
+def pairs_respect_direct_order(schedule: Schedule, per_vehicle, tol: float = 1e-9) -> bool:
+    """True when no aided vehicle has a larger direct amount than its own relay."""
+    return all(
+        per_vehicle[j] <= per_vehicle[i] + tol * max(1.0, abs(per_vehicle[i]))
+        for j, i in schedule.pairing.items()
+    )
+
+
+def aided_are_weakest(schedule: Schedule, per_vehicle, tol: float = 1e-9) -> bool:
+    """True when every aided vehicle's direct amount is below everyone else's.
+
+    This is the structural mark of the sort-then-select pipeline: the aided
+    set is exactly the tail of the direct-amount ordering (up to ties).
+    """
+    if not schedule.av_set:
+        return True
+    others = schedule.rv_set | schedule.cv_set
+    if not others:
+        return True
+    worst_kept = min(per_vehicle[i] for i in others)
+    best_aided = max(per_vehicle[j] for j in schedule.av_set)
+    return best_aided <= worst_kept + tol * max(1.0, abs(worst_kept))

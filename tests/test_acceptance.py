@@ -7,23 +7,30 @@ carry the same detail so a plain run reports failures fully.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 import time
-
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import (
+    aided_are_weakest,
+    brute_force_assignment,
+    pairs_respect_direct_order,
+    rate_v2i,
+    rate_v2v,
+)
 
-from relaysched.assignment import BenefitMatrix, brute_force_assignment, solve_max_assignment
-from relaysched.channel import rate_v2i, rate_v2v, rb_share
+import relaysched
+from relaysched.assignment import BenefitMatrix, solve_max_assignment
+from relaysched.channel import rb_share
 from relaysched.mobility import VehicleState, motion_rows
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import (
-    aided_are_weakest,
     build_service_tables,
-    pairs_respect_direct_order,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,
@@ -268,10 +275,14 @@ class TestCriterion8Determinism:
         args = [sys.executable, "-m", "relaysched.cli", "sweep-speed",
                 "--seed", "20", "--trials", "3", "--n", "10",
                 "--policies", "msrs,irrs,noncoop", "--speed-values", "5,20,35"]
+        # the child imports the package from where this process found it
+        src = str(Path(relaysched.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        ra = subprocess.run(args + ["--out", str(out_a)], capture_output=True, text=True)
+        ra = subprocess.run(args + ["--out", str(out_a)], capture_output=True, text=True, env=env)
         rb = subprocess.run(args + ["--workers", "2", "--out", str(out_b)],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
         assert ra.returncode == 0, ra.stderr
         assert rb.returncode == 0, rb.stderr
         same_metrics = (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()

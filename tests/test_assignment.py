@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_force_assignment
 
 import relaysched.scheduler as scheduler_module
 from relaysched.assignment import (
     BenefitMatrix,
     _canonical_match,
     _rect_min_assign,
-    brute_force_assignment,
     solve_max_assignment,
 )
 from relaysched.channel import default_radio_config

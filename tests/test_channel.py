@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import rate_v2i, rate_v2v
 
 from relaysched.channel import (
     DSRC_PATH_LOSS,
@@ -13,8 +14,6 @@ from relaysched.channel import (
     default_radio_config,
     path_loss,
     rate_two_hop,
-    rate_v2i,
-    rate_v2v,
     unit_rate,
 )
 from relaysched.mobility import VehicleState

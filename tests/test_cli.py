@@ -53,25 +53,23 @@ class TestRunCommand:
         assert echo["n_vehicles"] == 4  # file beats default
 
 
-    @pytest.mark.parametrize("command", [["run", "--seed", "1"], ["validate"]])
+    @pytest.mark.parametrize("command", [["run", "--seed", "1"]])
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys, command):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"period": {"duration_s": 5.0, "t_start_s": 2.0}}))
         out = tmp_path / "res"
-        code = run_cli(command + ["--config", str(cfg_path)]
-                       + (["--out", str(out)] if command[0] == "run" else []))
+        code = run_cli(command + ["--config", str(cfg_path), "--out", str(out)])
         assert code == 1
         assert "unknown config key 'period.t_start_s'" in capsys.readouterr().err
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("command", [["run", "--seed", "1"], ["validate"]])
+    @pytest.mark.parametrize("command", [["run", "--seed", "1"]])
     def test_wrong_typed_config_value_fails_cleanly(self, tmp_path, capsys, command):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"run": {"trials": "7"}}))
         out = tmp_path / "res"
-        code = run_cli(command + ["--config", str(cfg_path)]
-                       + (["--out", str(out)] if command[0] == "run" else []))
+        code = run_cli(command + ["--config", str(cfg_path), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config key 'run.trials' must be an integer")
@@ -96,8 +94,10 @@ class TestRunCommand:
          "error: lane_offsets must be finite, got (1.75, nan)"),
         (["run"], '{"period": {"duration_s": Infinity}}',
          "error: period_duration must be finite, got inf"),
+        (["run"], '{"period": {"duration_s": 0}}', "error: period duration must be positive, got 0"),
     ], ids=["nan-tolerance", "float-fleet-size", "string-lane-offset", "nan-path-loss",
-            "zero-distance-divisor", "infinite-coverage", "nan-lane-offset", "infinite-period"])
+            "zero-distance-divisor", "infinite-coverage", "nan-lane-offset", "infinite-period",
+            "zero-period"])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys, command, text, message):
         # these used to run with no link converging, die in a TypeError
         # traceback, or fail later with a message that names no config key
@@ -145,26 +145,3 @@ class TestSweepCommands:
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
-
-class TestValidateCommand:
-    def test_validate_passes_and_prints_lines(self, capsys):
-        assert run_cli(["validate"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") >= 4
-        report = json.loads(out.strip().split("\n")[-1])
-        assert report["passed"] is True
-
-    @pytest.mark.parametrize("text, message", [
-        ('{"period": {"duration_s": Infinity}}', "error: period_duration must be finite, got inf"),
-        ('{"scenario": {"coverage_radius_m": Infinity}}',
-         "error: coverage_radius must be finite, got inf"),
-        ('{"period": {"duration_s": 0}}', "error: period duration must be positive, got 0"),
-    ], ids=["infinite-period", "infinite-coverage", "zero-period"])
-    def test_bad_scenario_value_fails_validate_cleanly(self, tmp_path, capsys, text, message):
-        # `validate` used to die in a ValueError traceback on these
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(text)
-        assert run_cli(["validate", "--config", str(cfg_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [message]
-        assert captured.out == ""

