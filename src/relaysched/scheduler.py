@@ -23,17 +23,21 @@ Four policies are provided, each called as `(scenario, cfg, tables=None)`:
                              is still scored by service integrals.
 * `solve_noncooperative`  -- everyone talks to the BS directly.
 * `solve_optimal_bruteforce` -- exact maximizer over all partitions and
-                             pairings: a vectorised bound screens every
-                             aided set, and only the sets that can beat the
-                             incumbent have their pairings enumerated; only
-                             viable at small fleet sizes, used as the oracle.
+                             pairings: a bound per aided count skips the
+                             counts that cannot beat the incumbent, a
+                             vectorised bound screens every aided set of the
+                             rest, and only the sets that can beat it have
+                             their pairings enumerated; only viable at small
+                             fleet sizes, used as the oracle.
 
 The sort-select-pair pipeline costs O(N^3 log N) in the fleet size, but the
 bound order leaves about two assignment solves per search on fleets of
 20 to 200 vehicles.  A search gathers one N x min(N/2, k_dsrc) block of V2V
 amounts, and every count's benefit matrix is a view of it.  The
-oracle screens sum over n_av of C(N, n_av) aided sets (2 509 at N=12), a
-count that about doubles with every vehicle (hence the hard cap).
+oracle screens up to sum over n_av of C(N, n_av) aided sets (2 509 at
+N=12), a count that about doubles with every vehicle (hence the hard cap);
+with default radios the count bound usually leaves only the 12 sets of
+n_av = 1 at N=12.
 """
 
 from __future__ import annotations
@@ -248,6 +252,15 @@ def _aided_cap(n: int, k_dsrc: int) -> int:
     return min(n // 2, k_dsrc)
 
 
+def _can_beat(bound, incumbent):
+    """Whether an upper bound, scalar or array, leaves room to beat the incumbent total.
+
+    The margin covers the roundoff between a bound and the totals it bounds,
+    which are summed in other orders; a NaN bound is never pruned.
+    """
+    return ~np.asarray(bound + 1e-9 * (1.0 + abs(bound)) <= incumbent)
+
+
 def _best_partition(tables: ServiceTables):
     """Search the aided-vehicle count; returns (total, av_ids, pairing).
 
@@ -278,9 +291,8 @@ def _best_partition(tables: ServiceTables):
     best = (_partition_total(tables, (), {}), (), {})
     for bound, n_av, w in counts:
         # the incumbent only rises and the bounds only fall, so no later count
-        # can win either; the margin keeps the prune sound across
-        # summation-order roundoff
-        if bound + 1e-9 * (1.0 + abs(bound)) <= best[0]:
+        # can win either
+        if not _can_beat(bound, best[0]):
             break
         avs = order[n - n_av:]
         solved = solve_max_assignment(BenefitMatrix(w))
@@ -360,13 +372,17 @@ def solve_optimal_bruteforce(
 ) -> Schedule:
     """Exact optimum over every partition and pairing.
 
-    All C(N, n_av) aided sets of each aided count are screened at once by
-    `_aided_set_bounds`.  Only the sets whose bound can beat the incumbent go
-    on, in lexicographic order, to the exact per-set bound and the
-    enumeration of their pairings.  So at N=12 the cost is one screen of
-    2 509 aided sets plus the pairings of a handful of them, not ~3.6 million
-    candidate schedules.  The cap bounds the screen, whose set count about
-    doubles with every vehicle.
+    The aided counts are visited in ascending order.  A count is skipped
+    when the direct total plus its n_av largest gains cannot beat the
+    incumbent, a vehicle's gain being its largest benefit as an aided vehicle
+    minus its direct amount: every aided set of the count totals at most
+    that.  The C(N, n_av) aided sets of every other count are screened at
+    once by `_aided_set_bounds`.  Only the sets whose bound can beat the
+    incumbent go on, in lexicographic order, to the exact per-set bound and
+    the enumeration of their pairings.  So at N=12 the cost is a screen of
+    at most 2 509 aided sets (usually only the 12 of n_av = 1) plus the
+    pairings of a handful of them, not ~3.6 million candidate schedules.  The
+    cap bounds the screen, whose set count about doubles with every vehicle.
     """
     n = scenario.n
     if n > cap:
@@ -377,18 +393,23 @@ def solve_optimal_bruteforce(
     tables.require(every[:, None], every)
     ids = list(range(n))
 
-    best_total = _partition_total(tables, (), {})
+    total_direct = _partition_total(tables, (), {})
+    best_total = total_direct
     best_av: tuple = ()
     best_pairing: dict[int, int] = {}
     for n_av in range(1, _aided_cap(n, tables.k_dsrc) + 1):
         w_arr = tables.benefit(every[:, None], every, n_av)
+        # an aided vehicle gains at most its column maximum over its direct
+        # amount, so the n_av largest gains bound every set of this count
+        gain = np.sort(w_arr.max(axis=0) - tables.v2i)
+        if not _can_beat(total_direct + gain[n - n_av:].sum(), best_total):
+            continue
         w = w_arr.tolist()
         av_sets = list(itertools.combinations(ids, n_av))
         screen = _aided_set_bounds(tables.v2i, w_arr, av_sets)
-        # the incumbent only rises, and the margin covers summation-order
-        # roundoff, so every set dropped here fails the exact test below too
-        passing = screen + 1e-9 * (1.0 + np.abs(screen)) > best_total
-        for k in np.flatnonzero(passing).tolist():
+        # the incumbent only rises, so every set dropped here, or with its
+        # count above, fails the exact test below too
+        for k in np.flatnonzero(_can_beat(screen, best_total)).tolist():
             av = av_sets[k]
             av_set = set(av)
             direct = tables.direct_sum(av_set)

@@ -634,7 +634,8 @@ class TestBruteForceOracle:
         # only sets whose bound, plus the margin, beats the incumbent at the
         # start of their aided count reach `direct_sum`.  With default radios
         # that is 11 of the 2 509 aided sets where the per-set enumerator
-        # visits all of them; with no direct RBs every bound ties the
+        # visits all of them, and the count bound leaves only the 12 sets of
+        # n_av = 1 to screen; with no direct RBs every bound ties the
         # incumbent 0, so the margin lets every set through
         cfg = default_radio_config(**radio)
         sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
@@ -659,6 +660,59 @@ class TestBruteForceOracle:
         monkeypatch.setattr(ServiceTables, "direct_sum", counting)
         solve_optimal_bruteforce(sc, cfg, tables=tables)
         assert len(calls) == 1 + screened
+
+    @pytest.mark.parametrize(
+        "radio, n, seed, every_count",
+        [({}, 12, 1, False), ({"k_dsrc": 200}, 10, 1, True), ({"k_lte": 10}, 12, 5, True)],
+        ids=["default", "wide-v2v", "no-direct-rbs"],
+    )
+    def test_count_bound_skips_only_counts_that_cannot_win(
+        self, monkeypatch, radio, n, seed, every_count
+    ):
+        # a count is screened exactly when the direct total plus its n_av
+        # largest gains (a column's largest benefit over its direct amount),
+        # plus the margin, beats the incumbent at the start of the count.
+        # With default radios the top counts are skipped; with a wide V2V
+        # pool every count can win; with no direct RBs every bound ties the
+        # incumbent 0, so the margin lets every count through
+        cfg = default_radio_config(**radio)
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
+        tables = build_service_tables(sc, cfg)
+        starts = []
+        enumerated_optimum(tables, starts)
+        every = np.arange(n)
+        v2i = tables.v2i.tolist()
+        can_win = []
+        for n_av, incumbent in enumerate(starts, start=1):
+            w = tables.benefit(every[:, None], every, n_av).tolist()
+            gains = sorted(max(w[r][a] for r in range(n)) - v2i[a] for a in range(n))
+            bound = tables.direct_sum(set()) + sum(gains[n - n_av:])
+            if bound + 1e-9 * (1.0 + abs(bound)) > incumbent:
+                can_win.append(n_av)
+        screened = []
+        real = scheduler_module._aided_set_bounds
+
+        def counting(direct, benefit, av_sets):
+            screened.append(len(av_sets[0]))
+            return real(direct, benefit, av_sets)
+
+        monkeypatch.setattr(scheduler_module, "_aided_set_bounds", counting)
+        solve_optimal_bruteforce(sc, cfg, tables=tables)
+        assert screened == can_win
+        if every_count:
+            assert screened == list(range(1, len(starts) + 1))
+        else:
+            assert screened[-1] < len(starts)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        n=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+        k_dsrc=st.sampled_from([1, 3, 25, 200]),
+    )
+    def test_matches_unpruned_enumerator(self, n, seed, k_dsrc):
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
+        assert_same_optimum(sc, default_radio_config(k_dsrc=k_dsrc))
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1), data=st.data())
