@@ -43,7 +43,7 @@ def _parse_values(text: str, kind):
     try:
         return tuple(kind(part) for part in text.split(",") if part)
     except ValueError:
-        raise SystemExit(f"could not parse value list {text!r}")
+        raise ValueError(f"could not parse value list {text!r}") from None
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -86,8 +86,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown policies {unknown}; choose from {POLICIES}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # the scenario fields fail here, where the config is read, not when a trial starts
+        # the scenario fields and sweep points fail where the config is read, not in a trial
         self.scenario_spec(seed=0)
+        for n in self.n_values:
+            self.scenario_spec(seed=0, n_vehicles=n)
+        for s in self.speed_values:
+            self.scenario_spec(seed=0, speed_range=(s, s))
         Period(self.period_duration)
 
     def scenario_spec(self, seed: int, n_vehicles: int | None = None,

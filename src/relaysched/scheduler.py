@@ -24,20 +24,18 @@ Four policies are provided, each called as `(scenario, cfg, tables=None)`:
 * `solve_noncooperative`  -- everyone talks to the BS directly.
 * `solve_optimal_bruteforce` -- exact maximizer over all partitions and
                              pairings: a bound per aided count skips the
-                             counts that cannot beat the incumbent, a
-                             vectorised bound screens every aided set of the
-                             rest, and only the sets that can beat it have
-                             their pairings enumerated; only viable at small
-                             fleet sizes, used as the oracle.
+                             counts that cannot beat the incumbent, a bound
+                             per aided set skips the sets that cannot, and
+                             the rest have their pairings enumerated; only
+                             viable at small fleet sizes, used as the oracle.
 
 The sort-select-pair pipeline costs O(N^3 log N) in the fleet size, but the
 bound order leaves about two assignment solves per search on fleets of
 20 to 200 vehicles.  A search gathers one N x min(N/2, k_dsrc) block of V2V
 amounts, and every count's benefit matrix is a view of it.  The
-oracle screens up to sum over n_av of C(N, n_av) aided sets (2 509 at
-N=12), a count that about doubles with every vehicle (hence the hard cap);
-with default radios the count bound usually leaves only the 12 sets of
-n_av = 1 at N=12.
+oracle visits every aided set of each count its count bound keeps: with
+default radios usually only the 12 sets of n_av = 1 at N=12, but up to
+2 509 sets, a number that about doubles with every vehicle (hence the cap).
 """
 
 from __future__ import annotations
@@ -252,13 +250,13 @@ def _aided_cap(n: int, k_dsrc: int) -> int:
     return min(n // 2, k_dsrc)
 
 
-def _can_beat(bound, incumbent):
-    """Whether an upper bound, scalar or array, leaves room to beat the incumbent total.
+def _can_beat(bound: float, incumbent: float) -> bool:
+    """Whether an upper bound leaves room to beat the incumbent total.
 
     The margin covers the roundoff between a bound and the totals it bounds,
     which are summed in other orders; a NaN bound is never pruned.
     """
-    return ~np.asarray(bound + 1e-9 * (1.0 + abs(bound)) <= incumbent)
+    return not bound + 1e-9 * (1.0 + abs(bound)) <= incumbent
 
 
 def _best_partition(tables: ServiceTables):
@@ -340,30 +338,6 @@ def solve_noncooperative(
     return _schedule_from_parts(scenario.n, (), {}, total)
 
 
-def _aided_set_bounds(v2i: np.ndarray, w: np.ndarray, av_sets: list[tuple]) -> np.ndarray:
-    """Upper bound on the total of each aided set in `av_sets`, all of one size.
-
-    Each set holds ascending ids.  Its bound is the direct amounts of the
-    vehicles outside the set, summed in ascending id order, plus each aided
-    column's largest benefit `w[r, a]` over the rows r outside the set,
-    summed in ascending aided order: the per-set bound of the enumeration,
-    added in the same order.
-    """
-    count, n_av, n = len(av_sets), len(av_sets[0]), v2i.shape[0]
-    sets = np.fromiter(itertools.chain.from_iterable(av_sets), np.intp, count * n_av)
-    sets = sets.reshape(count, n_av)
-    rows = np.arange(count)[:, None]
-    aided = np.zeros((count, n), dtype=bool)
-    aided[rows, sets] = True
-    direct = np.cumsum(v2i * ~aided, axis=1)[:, -1]
-    # n_av rows are aided, so a column's largest entry outside the set is
-    # among its n_av + 1 largest: the first of them that is not aided
-    top = np.argsort(-w, axis=0, kind="stable")[: n_av + 1][:, sets]
-    first = np.argmax(~aided.ravel()[rows * n + top], axis=0)
-    relay_rows = np.take_along_axis(top, first[None], axis=0)[0]
-    return direct + np.cumsum(w[relay_rows, sets], axis=1)[:, -1]
-
-
 def solve_optimal_bruteforce(
     scenario: Scenario,
     cfg: RadioConfig,
@@ -376,13 +350,14 @@ def solve_optimal_bruteforce(
     when the direct total plus its n_av largest gains cannot beat the
     incumbent, a vehicle's gain being its largest benefit as an aided vehicle
     minus its direct amount: every aided set of the count totals at most
-    that.  The C(N, n_av) aided sets of every other count are screened at
-    once by `_aided_set_bounds`.  Only the sets whose bound can beat the
-    incumbent go on, in lexicographic order, to the exact per-set bound and
-    the enumeration of their pairings.  So at N=12 the cost is a screen of
-    at most 2 509 aided sets (usually only the 12 of n_av = 1) plus the
-    pairings of a handful of them, not ~3.6 million candidate schedules.  The
-    cap bounds the screen, whose set count about doubles with every vehicle.
+    that.  Each of the C(N, n_av) aided sets of every other count, in
+    lexicographic order, is bounded by its direct amounts plus each aided
+    vehicle's largest benefit from a relay outside the set, and only a set
+    whose bound beats the incumbent has its pairings enumerated.  With
+    default radios the count bound usually leaves the 12 sets of n_av = 1
+    at N=12, about 0.3 ms per fleet on a 2-vCPU Xeon once its V2V amounts
+    are integrated, not ~3.6 million candidate schedules.  The cap bounds
+    the sets a kept count visits, whose number about doubles per vehicle.
     """
     n = scenario.n
     if n > cap:
@@ -405,12 +380,7 @@ def solve_optimal_bruteforce(
         if not _can_beat(total_direct + gain[n - n_av:].sum(), best_total):
             continue
         w = w_arr.tolist()
-        av_sets = list(itertools.combinations(ids, n_av))
-        screen = _aided_set_bounds(tables.v2i, w_arr, av_sets)
-        # the incumbent only rises, so every set dropped here, or with its
-        # count above, fails the exact test below too
-        for k in np.flatnonzero(_can_beat(screen, best_total)).tolist():
-            av = av_sets[k]
+        for av in itertools.combinations(ids, n_av):
             av_set = set(av)
             direct = tables.direct_sum(av_set)
             rest = [i for i in ids if i not in av_set]

@@ -136,6 +136,15 @@ class TestSweepCommands:
         sizes = sorted(int(line.split(",")[2]) for line in lines[1:])
         assert sizes == [3, 5]
 
+    def test_unparsable_sweep_values_fail_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        code = run_cli(["sweep-n", "--seed", "1", "--trials", "1", "--policies", "noncoop",
+                        "--n-values", "20,x", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: could not parse value list '20,x'"]
+        assert not out.exists()
+
     def test_sweep_speed_deterministic_bytes(self, tmp_path):
         args = ["sweep-speed", "--seed", "8", "--trials", "2", "--n", "6",
                 "--policies", "msrs,irrs", "--speed-values", "5,20"]

@@ -203,6 +203,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(seed=1, trials=0)
 
+    def test_rejects_bad_sweep_points(self):
+        # a bad point fails when the config is built, before any trial runs
+        with pytest.raises(ValueError, match="^n_vehicles must be >= 0, got -1$"):
+            ExperimentConfig(seed=1, n_values=(20, -1))
+        with pytest.raises(ValueError, match=r"^speed range must satisfy .* got \(70.0, 70.0\)$"):
+            ExperimentConfig(seed=1, speed_values=(10.0, 70.0))
+
 
 class TestCmdRun:
     def test_requires_seed(self):

@@ -619,47 +619,11 @@ class TestBruteForceOracle:
 
     def test_many_aided_vehicles(self):
         # a wide V2V pool makes 4 aided vehicles optimal, so the incumbent
-        # rises across aided counts before the screen meets the larger ones
+        # rises across aided counts before the per-set bound meets the larger ones
         cfg = default_radio_config(k_dsrc=200)
         for seed in (1, 2, 3, 4):
             opt = assert_same_optimum(generate(ScenarioSpec(n_vehicles=10, seed=seed)), cfg)
             assert opt.n_av == 4
-
-    @pytest.mark.parametrize(
-        "radio, n, seed",
-        [({}, 12, 1), ({"k_dsrc": 200}, 10, 1), ({"k_lte": 10}, 12, 5)],
-        ids=["default", "wide-v2v", "no-direct-rbs"],
-    )
-    def test_screen_leaves_only_sets_that_can_win(self, monkeypatch, radio, n, seed):
-        # only sets whose bound, plus the margin, beats the incumbent at the
-        # start of their aided count reach `direct_sum`.  With default radios
-        # that is 11 of the 2 509 aided sets where the per-set enumerator
-        # visits all of them, and the count bound leaves only the 12 sets of
-        # n_av = 1 to screen; with no direct RBs every bound ties the
-        # incumbent 0, so the margin lets every set through
-        cfg = default_radio_config(**radio)
-        sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
-        tables = build_service_tables(sc, cfg)
-        starts = []
-        enumerated_optimum(tables, starts)
-        every = np.arange(n)
-        screened = 0
-        for n_av, incumbent in enumerate(starts, start=1):
-            w = tables.benefit(every[:, None], every, n_av).tolist()
-            for av in itertools.combinations(range(n), n_av):
-                rest = [i for i in range(n) if i not in av]
-                bound = tables.direct_sum(set(av)) + sum(max(w[r][a] for r in rest) for a in av)
-                screened += bound + 1e-9 * (1.0 + abs(bound)) > incumbent
-        calls = []
-        real = ServiceTables.direct_sum
-
-        def counting(self, aided):
-            calls.append(len(aided))
-            return real(self, aided)
-
-        monkeypatch.setattr(ServiceTables, "direct_sum", counting)
-        solve_optimal_bruteforce(sc, cfg, tables=tables)
-        assert len(calls) == 1 + screened
 
     @pytest.mark.parametrize(
         "radio, n, seed, every_count",
@@ -669,9 +633,11 @@ class TestBruteForceOracle:
     def test_count_bound_skips_only_counts_that_cannot_win(
         self, monkeypatch, radio, n, seed, every_count
     ):
-        # a count is screened exactly when the direct total plus its n_av
-        # largest gains (a column's largest benefit over its direct amount),
-        # plus the margin, beats the incumbent at the start of the count.
+        # a count is kept exactly when the direct total plus its n_av largest
+        # gains (a column's largest benefit over its direct amount), plus the
+        # margin, beats the incumbent at the start of the count; every aided
+        # set of a kept count, and none of a skipped one, then reaches
+        # `direct_sum` in lexicographic order, after the one all-direct call.
         # With default radios the top counts are skipped; with a wide V2V
         # pool every count can win; with no direct RBs every bound ties the
         # incumbent 0, so the margin lets every count through
@@ -689,20 +655,22 @@ class TestBruteForceOracle:
             bound = tables.direct_sum(set()) + sum(gains[n - n_av:])
             if bound + 1e-9 * (1.0 + abs(bound)) > incumbent:
                 can_win.append(n_av)
-        screened = []
-        real = scheduler_module._aided_set_bounds
+        calls = []
+        real = ServiceTables.direct_sum
 
-        def counting(direct, benefit, av_sets):
-            screened.append(len(av_sets[0]))
-            return real(direct, benefit, av_sets)
+        def counting(self, aided):
+            calls.append(tuple(sorted(aided)))
+            return real(self, aided)
 
-        monkeypatch.setattr(scheduler_module, "_aided_set_bounds", counting)
+        monkeypatch.setattr(ServiceTables, "direct_sum", counting)
         solve_optimal_bruteforce(sc, cfg, tables=tables)
-        assert screened == can_win
+        assert calls == [()] + [
+            av for n_av in can_win for av in itertools.combinations(range(n), n_av)
+        ]
         if every_count:
-            assert screened == list(range(1, len(starts) + 1))
+            assert can_win == list(range(1, len(starts) + 1))
         else:
-            assert screened[-1] < len(starts)
+            assert can_win[-1] < len(starts)
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(
