@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -530,12 +531,13 @@ class TestBruteForce:
         assert opt.n_av == 0
 
 
-def enumerated_optimum(tables, starts=None):
+def enumerated_optimum(tables, starts=None, passed=None):
     """Exact optimum with every aided set through the per-set bound, one set at a time.
 
     The oracle for `solve_optimal_bruteforce`'s screened search: the same
     bound, pairing loops and summation order.  `starts`, when given, receives
-    the incumbent total at the start of each aided count.
+    the incumbent total at the start of each aided count, and `passed` each
+    aided set whose bound beats the incumbent, in the order they are met.
     """
     n = tables.v2i.shape[0]
     every = np.arange(n)
@@ -555,6 +557,8 @@ def enumerated_optimum(tables, starts=None):
             bound = direct + sum(max(w[r][a] for r in rest) for a in av)
             if bound <= best_total:
                 continue
+            if passed is not None:
+                passed.append(av)
             for rvs in itertools.combinations(rest, n_av):
                 for perm in itertools.permutations(rvs):
                     relay = 0.0
@@ -624,6 +628,44 @@ class TestBruteForceOracle:
         for seed in (1, 2, 3, 4):
             opt = assert_same_optimum(generate(ScenarioSpec(n_vehicles=10, seed=seed)), cfg)
             assert opt.n_av == 4
+
+    @pytest.mark.parametrize(
+        "radio, n, seed",
+        [({}, 12, 1), ({"k_dsrc": 200}, 10, 1), ({"k_lte": 10}, 12, 5)],
+        ids=["default", "wide-v2v", "no-direct-rbs"],
+    )
+    def test_screen_leaves_only_sets_that_can_win(self, monkeypatch, radio, n, seed):
+        # only aided sets whose per-set bound beats the running incumbent have
+        # their pairings enumerated, the same sets in the same order as when
+        # every count is visited: a count the count bound skips holds no set
+        # that passes.  With default radios that is 2 of the 2 509 aided sets,
+        # with a wide V2V pool 137 of 637; with no direct RBs every bound ties
+        # the incumbent 0, so no set is enumerated
+        cfg = default_radio_config(**radio)
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
+        tables = build_service_tables(sc, cfg)
+        want = []
+        enumerated_optimum(tables, passed=want)
+        got = []
+
+        def combinations(pool, r):
+            # the relay pools are the only pools smaller than the fleet
+            if len(pool) < n:
+                got.append(tuple(i for i in range(n) if i not in pool))
+            return itertools.combinations(pool, r)
+
+        monkeypatch.setattr(
+            scheduler_module,
+            "itertools",
+            types.SimpleNamespace(combinations=combinations, permutations=itertools.permutations),
+        )
+        solve_optimal_bruteforce(sc, cfg, tables=tables)
+        assert got == want
+        if radio.get("k_lte") == 10:
+            assert got == []
+        else:
+            every_set = sum(math.comb(n, n_av) for n_av in range(1, n // 2 + 1))
+            assert 0 < len(got) < every_set
 
     @pytest.mark.parametrize(
         "radio, n, seed, every_count",
