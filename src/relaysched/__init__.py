@@ -18,15 +18,13 @@ from .channel import (
     rate_two_hop,
     unit_rate,
 )
-from .mobility import BasePosition, VehicleState
-from .scenario import Scenario, ScenarioFormatError, ScenarioSpec, generate, load_scenario, save_scenario
+from .scenario import Scenario, ScenarioSpec, generate
 from .scheduler import (
     InvalidScheduleError,
     Schedule,
     ServiceTables,
     build_rate_tables,
     build_service_tables,
-    evaluate_schedule,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,

@@ -48,7 +48,6 @@ import numpy as np
 
 from .assignment import BenefitMatrix, solve_max_assignment
 from .channel import RadioConfig, rate_two_hop, rb_share, unit_rate
-from .mobility import motion_rows
 from .scenario import Scenario
 from .service import QuadratureSpec, unit_service_batch
 
@@ -170,7 +169,7 @@ def build_service_tables(
         return ServiceTables(np.zeros(0), np.zeros((0, 0)), cfg.k_dsrc)
     state = scenario.motion
     unit_bs, converged = unit_service_batch(
-        state - motion_rows([scenario.bs]),
+        state - scenario.bs,
         cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, scenario.period, quad,
     )
     v2i = rb_share(cfg.k_lte, n) * unit_bs
@@ -192,7 +191,7 @@ def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
     if n == 0:
         return ServiceTables(np.zeros(0), np.zeros((0, 0)), cfg.k_dsrc)
     state = scenario.motion
-    to_bs = state - motion_rows([scenario.bs])
+    to_bs = state - scenario.bs
     v2i = rb_share(cfg.k_lte, n) * unit_rate(
         cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, np.hypot(to_bs[:, 0], to_bs[:, 1])
     )
@@ -221,16 +220,6 @@ def _partition_total(tables: ServiceTables, av_ids, pairing: dict[int, int]) -> 
     relays = [pairing[j] for j in aided]
     tables.require(relays, aided)
     return direct + sum(tables.benefit(relays, aided, len(aided)).tolist())
-
-
-def evaluate_schedule(
-    schedule: Schedule, scenario: Scenario, cfg: RadioConfig, tables: ServiceTables | None = None
-) -> float:
-    """Total service amount of a structurally valid schedule."""
-    validate_schedule(schedule, scenario.n)
-    if tables is None:
-        tables = build_service_tables(scenario, cfg)
-    return _partition_total(tables, schedule.av_set, schedule.pairing)
 
 
 def _schedule_from_parts(n: int, av_ids, pairing: dict[int, int], total: float) -> Schedule:

@@ -148,12 +148,13 @@ def unit_service_batch(
 
     `motions` is (P, 4): rows of (ax, ay, bx, by) relative-motion coefficients,
     so that d(t) = |(ax + bx*t, ay + by*t)|, one per link: the difference of
-    the link's two `mobility.motion_rows`.  Returns (values, converged) arrays
-    of length P.  A link with b = 0 has a constant rate: its value is the
-    period times that rate, and it counts as converged.  A moving link is cut
-    into one to three smooth pieces in its closest-approach variable (see the
-    module docstring).  Each piece starts as one panel, which gets the
-    15-node Kronrod estimate K15 and the embedded 7-node Gauss estimate G7.
+    its two ends' rows in `Scenario.motion` (or `Scenario.bs`).  Returns
+    (values, converged) arrays of length P.  A link with b = 0 has a constant
+    rate: its value is the period times that rate, and it counts as
+    converged.  A moving link is cut into one to three smooth pieces in its
+    closest-approach variable (see the module docstring).  Each piece starts
+    as one panel, which gets the 15-node Kronrod estimate K15 and the
+    embedded 7-node Gauss estimate G7.
     A panel is accepted when |K15 - G7| is within `quad.relative_tolerance`
     of |K15|; otherwise it is bisected in u and both halves are integrated
     again, at most `quad.max_refinements` levels deep.  A panel that fails

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from oracles import base_station
 
 from relaysched.channel import default_radio_config
-from relaysched.mobility import BasePosition
 from relaysched.service import Period, QuadratureSpec
 
 
@@ -14,7 +14,7 @@ def cfg():
 
 @pytest.fixture(scope="session")
 def bs():
-    return BasePosition(0.0, -15.0)
+    return base_station(0.0, -15.0)
 
 
 @pytest.fixture(scope="session")

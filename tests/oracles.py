@@ -3,6 +3,9 @@
 None of these run in a trial: each is the plain, slow or scalar form of
 something the package computes faster, kept here as an oracle.
 
+* `Vehicle` records, their motion rows and `scenario_of`, which builds a
+  `Scenario` from hand-placed vehicles; `generated_vehicles` replays
+  `generate`'s draws into records.
 * Trajectories and distances of single vehicles at a time offset, and the
   scalar per-link rates built on them (the dense-trapezoid quadrature
   references); the rates use the package's own `unit_rate` and `rb_share`.
@@ -14,13 +17,63 @@ something the package computes faster, kept here as an oracle.
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from relaysched.assignment import Assignment, BenefitMatrix, _check_tall
 from relaysched.channel import RadioConfig, rb_share, unit_rate
-from relaysched.mobility import BasePosition, VehicleState
+from relaysched.rng import Xoshiro256StarStar
+from relaysched.scenario import Scenario, ScenarioSpec
 from relaysched.scheduler import Schedule
+from relaysched.service import Period
+
+# --- vehicles and scenarios ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Vehicle:
+    """One node at the period start: position (m), speed (m/s), heading (rad from +x)."""
+
+    id: int
+    x: float
+    y: float
+    speed: float
+    heading: float
+
+    @property
+    def velocity(self) -> tuple[float, float]:
+        return self.speed * math.cos(self.heading), self.speed * math.sin(self.heading)
+
+
+def base_station(x: float, y: float) -> Vehicle:
+    """A base station: a node that never moves (its id is not read)."""
+    return Vehicle(-1, x, y, 0.0, 0.0)
+
+
+def motion_rows(nodes) -> np.ndarray:
+    """(N, 4) rows of (x, y, vx, vy) at the period start, one per node."""
+    return np.array([(v.x, v.y, *v.velocity) for v in nodes], dtype=float).reshape(-1, 4)
+
+
+def scenario_of(vehicles, bs=base_station(0.0, -15.0), duration=5.0) -> Scenario:
+    """The scenario of hand-placed vehicles, listed in id order."""
+    return Scenario(motion_rows([bs])[0], motion_rows(vehicles), Period(duration))
+
+
+def generated_vehicles(spec: ScenarioSpec) -> list[Vehicle]:
+    """`generate(spec)`'s fleet as records, drawn in the same pinned order (direction, x, speed)."""
+    gen = Xoshiro256StarStar(spec.seed)
+    fleet = []
+    for i in range(spec.n_vehicles):
+        forward = gen.random() < 0.5
+        x = gen.uniform(-spec.coverage_radius, spec.coverage_radius)
+        speed = gen.uniform(*spec.speed_range)
+        y = spec.lane_offsets[0] if forward else spec.lane_offsets[1]
+        fleet.append(Vehicle(i, x, y, speed, 0.0 if forward else math.pi))
+    return fleet
+
 
 # --- trajectories and distances ---------------------------------------------
 
@@ -34,20 +87,20 @@ def _check_dt(dt):
     return arr
 
 
-def predict_position(v: VehicleState, dt):
+def predict_position(v: Vehicle, dt):
     """Position of `v` after `dt` seconds of straight constant-speed motion."""
     t = _check_dt(dt)
     vx, vy = v.velocity
     return v.x + vx * t, v.y + vy * t
 
 
-def distance_to_bs(v: VehicleState, bs: BasePosition, dt):
+def distance_to_bs(v: Vehicle, bs: Vehicle, dt):
     """Euclidean distance between the vehicle at offset `dt` and the BS."""
     x, y = predict_position(v, dt)
     return np.hypot(x - bs.x, y - bs.y)
 
 
-def distance_between(a: VehicleState, b: VehicleState, dt):
+def distance_between(a: Vehicle, b: Vehicle, dt):
     """Euclidean distance between two vehicles at offset `dt`."""
     xa, ya = predict_position(a, dt)
     xb, yb = predict_position(b, dt)
@@ -57,7 +110,7 @@ def distance_between(a: VehicleState, b: VehicleState, dt):
 # --- scalar per-link rates ----------------------------------------------------
 
 
-def rate_v2i(v: VehicleState, bs: BasePosition, cfg: RadioConfig, n_total: int, dt):
+def rate_v2i(v: Vehicle, bs: Vehicle, cfg: RadioConfig, n_total: int, dt):
     """Downlink rate of vehicle `v` when `n_total` vehicles share the cellular RBs."""
     share = rb_share(cfg.k_lte, n_total)
     if share == 0:
@@ -66,7 +119,7 @@ def rate_v2i(v: VehicleState, bs: BasePosition, cfg: RadioConfig, n_total: int, 
     return share * unit_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, d)
 
 
-def rate_v2v(tx: VehicleState, rx: VehicleState, cfg: RadioConfig, n_av: int, dt):
+def rate_v2v(tx: Vehicle, rx: Vehicle, cfg: RadioConfig, n_av: int, dt):
     """Relay-to-vehicle rate when `n_av` aided vehicles share the short-range RBs."""
     share = rb_share(cfg.k_dsrc, n_av)
     if share == 0:

@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (
+    Vehicle,
     aided_are_weakest,
     brute_force_assignment,
+    motion_rows,
     pairs_respect_direct_order,
     rate_v2i,
     rate_v2v,
@@ -26,7 +28,6 @@ from oracles import (
 import relaysched
 from relaysched.assignment import BenefitMatrix, solve_max_assignment
 from relaysched.channel import rb_share
-from relaysched.mobility import VehicleState, motion_rows
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import (
@@ -231,7 +232,7 @@ class TestCriterion7Quadrature:
             return services([(v, bs) for v in vehicles], cfg.v2i_model, cfg.p_bs_per_rb,
                             cfg.noise_v2i_per_rb, rb_share(cfg.k_lte, 20))
 
-        parked = VehicleState(id=0, x=200.0, y=1.75, speed=0.0, heading=0.0)
+        parked = Vehicle(id=0, x=200.0, y=1.75, speed=0.0, heading=0.0)
         (s,) = v2i([parked])
         expected = period.duration * float(rate_v2i(parked, bs, cfg, 20, 0.0))
         static_err = abs(s - expected) / expected
@@ -239,15 +240,15 @@ class TestCriterion7Quadrature:
         gen = Xoshiro256StarStar(555)
         direct, relay = [], []
         for k in range(100):
-            v = VehicleState(id=0, x=gen.uniform(-450, 450), y=1.75,
-                             speed=gen.uniform(4, 35),
-                             heading=0.0 if gen.random() < 0.5 else math.pi)
+            v = Vehicle(id=0, x=gen.uniform(-450, 450), y=1.75,
+                        speed=gen.uniform(4, 35),
+                        heading=0.0 if gen.random() < 0.5 else math.pi)
             if k % 2 == 0:
                 direct.append(v)
             else:
-                rx = VehicleState(id=1, x=gen.uniform(-450, 450), y=5.25,
-                                  speed=gen.uniform(4, 35),
-                                  heading=0.0 if gen.random() < 0.5 else math.pi)
+                rx = Vehicle(id=1, x=gen.uniform(-450, 450), y=5.25,
+                             speed=gen.uniform(4, 35),
+                             heading=0.0 if gen.random() < 0.5 else math.pi)
                 relay.append((v, rx))
         t = np.linspace(0.0, period.duration, 10_000)
         worst = 0.0

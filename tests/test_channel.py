@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import rate_v2i, rate_v2v
+from oracles import Vehicle, rate_v2i, rate_v2v
 
 from relaysched.channel import (
     DSRC_PATH_LOSS,
@@ -16,11 +16,10 @@ from relaysched.channel import (
     rate_two_hop,
     unit_rate,
 )
-from relaysched.mobility import VehicleState
 
 
 def still_vehicle(x, y=0.0):
-    return VehicleState(id=0, x=x, y=y, speed=0.0, heading=0.0)
+    return Vehicle(id=0, x=x, y=y, speed=0.0, heading=0.0)
 
 
 class TestPathLoss:
@@ -111,7 +110,7 @@ class TestRates:
     def test_v2i_unit_snr(self, bs):
         cfg = snr_one_config(k_lte=200)
         # place the vehicle exactly 1 km from the BS
-        v = VehicleState(id=0, x=math.sqrt(1000.0**2 - 15.0**2), y=0.0, speed=0.0, heading=0.0)
+        v = Vehicle(id=0, x=math.sqrt(1000.0**2 - 15.0**2), y=0.0, speed=0.0, heading=0.0)
         d = math.hypot(v.x - bs.x, v.y - bs.y)
         assert d == pytest.approx(1000.0, abs=1e-9)
         assert rate_v2i(v, bs, cfg, 100, 0.0) == pytest.approx(2.0 * math.log2(2.0), rel=1e-9)
@@ -123,26 +122,26 @@ class TestRates:
     def test_v2i_hand_arithmetic(self, bs):
         cfg = RadioConfig(k_lte=222, k_dsrc=25, p_bs_per_rb=29.0, p_vn_per_rb=20.0,
                           noise_v2i_per_rb=-112.0, noise_v2v_per_rb=-112.0)
-        v = VehicleState(id=0, x=math.sqrt(1000.0**2 - 15.0**2), y=0.0, speed=0.0, heading=0.0)
+        v = Vehicle(id=0, x=math.sqrt(1000.0**2 - 15.0**2), y=0.0, speed=0.0, heading=0.0)
         expected = 11 * math.log2(1 + 10 ** ((29 - 128.1 + 112) / 10))  # = 47.93186900678895
         assert rate_v2i(v, bs, cfg, 20, 0.0) == pytest.approx(expected, rel=1e-9)
 
     def test_v2v_unit_snr(self):
         cfg = snr_one_config()
         tx = still_vehicle(0.0)
-        rx = VehicleState(id=1, x=1.0, y=0.0, speed=0.0, heading=0.0)
+        rx = Vehicle(id=1, x=1.0, y=0.0, speed=0.0, heading=0.0)
         assert rate_v2v(tx, rx, cfg, 5, 0.0) == pytest.approx(5.0 * math.log2(2.0), rel=1e-9)
 
     def test_v2v_zero_share(self):
         cfg = snr_one_config(k_dsrc=25)
-        rx = VehicleState(id=1, x=10.0, y=0.0, speed=0.0, heading=0.0)
+        rx = Vehicle(id=1, x=10.0, y=0.0, speed=0.0, heading=0.0)
         assert rate_v2v(still_vehicle(0.0), rx, cfg, 26, 0.0) == 0.0
 
     def test_v2v_hand_arithmetic(self):
         cfg = RadioConfig(k_lte=222, k_dsrc=25, p_bs_per_rb=29.0, p_vn_per_rb=20.0,
                           noise_v2i_per_rb=-112.0, noise_v2v_per_rb=-112.0)
         tx = still_vehicle(0.0)
-        rx = VehicleState(id=1, x=10.0, y=0.0, speed=0.0, heading=0.0)
+        rx = Vehicle(id=1, x=10.0, y=0.0, speed=0.0, heading=0.0)
         expected = 5 * math.log2(1 + 10 ** ((20 - (43.9 + 27.5) + 112) / 10))  # = 100.65442755775861
         assert rate_v2v(tx, rx, cfg, 5, 0.0) == pytest.approx(expected, rel=1e-9)
 
@@ -168,7 +167,7 @@ class TestProperties:
         assert all(r > 0 for r in rates)
 
     def test_rates_nonnegative_over_time(self, bs, cfg):
-        v = VehicleState(id=0, x=-400.0, y=1.75, speed=35.0, heading=0.0)
+        v = Vehicle(id=0, x=-400.0, y=1.75, speed=35.0, heading=0.0)
         t = np.linspace(0.0, 30.0, 301)
         assert np.all(rate_v2i(v, bs, cfg, 100, t) >= 0)
 

@@ -18,6 +18,7 @@ from relaysched.experiments import (
     config_from_doc,
     rows_to_csv,
     summarize,
+    write_outputs,
 )
 
 
@@ -302,6 +303,15 @@ class TestGoldenMetrics:
                     assert float(a) == pytest.approx(float(b), rel=1e-9), want_row
                 else:
                     assert a == b, want_row
+
+    def test_default_point_bytes(self, tmp_path):
+        # `run --seed 7 --trials 20 --n 100`, the paper's default point: both
+        # files to the byte, so any drift in a total shows
+        cfg = config_from_doc({"scenario": {"n_vehicles": 100}, "run": {"seed": 7, "trials": 20}})
+        write_outputs(cmd_run(cfg), cfg, tmp_path)
+        for name in ("metrics", "summary"):
+            got = (tmp_path / f"{name}.csv").read_bytes()
+            assert got == (GOLDEN / f"{name}_seed7_n100.csv").read_bytes(), name
 
 
 class TestSweeps:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import time
@@ -10,13 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import aided_are_weakest, pairs_respect_direct_order, rate_v2i, rate_v2v
+from oracles import (
+    Vehicle,
+    aided_are_weakest,
+    generated_vehicles,
+    motion_rows,
+    pairs_respect_direct_order,
+    rate_v2i,
+    rate_v2v,
+    scenario_of,
+)
 
 import relaysched.assignment as assignment_module
 import relaysched.scheduler as scheduler_module
 from relaysched.assignment import BenefitMatrix
 from relaysched.channel import default_radio_config, rb_share, unit_rate
-from relaysched.mobility import BasePosition, VehicleState, motion_rows
 from relaysched.scenario import Scenario, ScenarioSpec, generate
 from relaysched.scheduler import (
     InvalidScheduleError,
@@ -24,7 +31,6 @@ from relaysched.scheduler import (
     ServiceTables,
     build_rate_tables,
     build_service_tables,
-    evaluate_schedule,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,
@@ -32,11 +38,7 @@ from relaysched.scheduler import (
     validate_schedule,
     _partition_total,
 )
-from relaysched.service import Period, unit_service_batch
-
-
-def scenario_with(vehicles, bs=BasePosition(0.0, -15.0), duration=5.0):
-    return Scenario(bs=bs, vehicles=tuple(vehicles), period=Period(duration))
+from relaysched.service import unit_service_batch
 
 
 def unit_service(a, b, model, p_tx_dbm, noise_dbm, period):
@@ -52,10 +54,10 @@ def edge_relay_pair(speed=0.0):
     # vehicle 0 is poorly served at the cell edge; vehicle 1 sits a little
     # closer to the BS and close enough to 0 for a strong V2V link, so the
     # two-hop path beats 0's direct service
-    return scenario_with(
+    return scenario_of(
         [
-            VehicleState(id=0, x=495.0, y=1.75, speed=speed, heading=math.pi),
-            VehicleState(id=1, x=460.0, y=1.75, speed=speed, heading=math.pi),
+            Vehicle(id=0, x=495.0, y=1.75, speed=speed, heading=math.pi),
+            Vehicle(id=1, x=460.0, y=1.75, speed=speed, heading=math.pi),
         ]
     )
 
@@ -91,25 +93,26 @@ class TestEvaluateSchedule:
         sc = generate(ScenarioSpec(n_vehicles=5, seed=9))
         tables = build_service_tables(sc, cfg)
         s = Schedule(frozenset(), frozenset(), frozenset(range(5)), {}, 0, 0.0)
-        got = evaluate_schedule(s, sc, cfg, tables=tables)
+        validate_schedule(s, sc.n)
+        got = _partition_total(tables, s.av_set, s.pairing)
         assert got == sum(float(x) for x in tables.v2i)
 
     def test_hand_built_sum(self, cfg):
         # relay 0 (direct 6) serves vehicle 1; CVs 2 and 3 contribute 4 + 6;
         # the pair's relay-link amount is 4, so the total is 10 + 6 + 4 = 20
-        sc = generate(ScenarioSpec(n_vehicles=4, seed=1))
         share = cfg.k_dsrc  # one aided vehicle -> full V2V pool
         unit = np.zeros((4, 4))
         unit[0, 1] = unit[1, 0] = 4.0 / share
         tables = ServiceTables(np.array([6.0, 1.0, 4.0, 6.0]), unit, cfg.k_dsrc)
         s = Schedule(frozenset({1}), frozenset({0}), frozenset({2, 3}), {1: 0}, 1, 0.0)
-        assert evaluate_schedule(s, sc, cfg, tables=tables) == pytest.approx(20.0, rel=1e-12)
+        validate_schedule(s, 4)
+        assert _partition_total(tables, s.av_set, s.pairing) == pytest.approx(20.0, rel=1e-12)
 
-    def test_invalid_schedule_rejected(self, cfg):
-        sc = generate(ScenarioSpec(n_vehicles=3, seed=2))
+    def test_invalid_schedule_rejected(self):
+        # every id is covered, but vehicle 0 is both aided and its own relay
         bad = Schedule(frozenset({0}), frozenset({0}), frozenset({1, 2}), {0: 0}, 1, 0.0)
         with pytest.raises(InvalidScheduleError):
-            evaluate_schedule(bad, sc, cfg)
+            validate_schedule(bad, 3)
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_reevaluation_is_bitwise(self, cfg, seed):
@@ -117,53 +120,57 @@ class TestEvaluateSchedule:
         tables = build_service_tables(sc, cfg)
         for solver in (solve_msrs, solve_irrs, solve_noncooperative, solve_optimal_bruteforce):
             sched = solver(sc, cfg, tables=tables)
-            again = evaluate_schedule(sched, sc, cfg, tables=tables)
+            validate_schedule(sched, sc.n)
+            again = _partition_total(tables, sched.av_set, sched.pairing)
             assert again == sched.total_service
-            fresh = evaluate_schedule(sched, sc, cfg)  # tables rebuilt from scratch
-            assert fresh == sched.total_service
+            fresh = build_service_tables(sc, cfg)  # tables rebuilt from scratch
+            assert _partition_total(fresh, sched.av_set, sched.pairing) == sched.total_service
 
 
 class TestServiceTables:
-    def test_two_hop_matches_scalar_services(self, cfg):
+    def test_two_hop_matches_scalar_services(self, cfg, bs):
         # each link integrated on its own, then the RB shares and the min rule applied
-        sc = generate(ScenarioSpec(n_vehicles=6, seed=21))
+        spec = ScenarioSpec(n_vehicles=6, seed=21)
+        sc, fleet = generate(spec), generated_vehicles(spec)
         tables = build_service_tables(sc, cfg)
         for n_av in (1, 2, 3):
             for i in range(6):
                 direct = rb_share(cfg.k_lte, 6) * unit_service(
-                    sc.vehicles[i], sc.bs, cfg.v2i_model, cfg.p_bs_per_rb,
+                    fleet[i], bs, cfg.v2i_model, cfg.p_bs_per_rb,
                     cfg.noise_v2i_per_rb, sc.period,
                 )
                 for j in range(6):
                     if i == j:
                         continue
                     relay = rb_share(cfg.k_dsrc, n_av) * unit_service(
-                        sc.vehicles[i], sc.vehicles[j], cfg.v2v_model, cfg.p_vn_per_rb,
+                        fleet[i], fleet[j], cfg.v2v_model, cfg.p_vn_per_rb,
                         cfg.noise_v2v_per_rb, sc.period,
                     )
                     want = min(relay, direct)
                     tables.require(i, j)
                     assert tables.benefit(i, j, n_av) == pytest.approx(want, rel=1e-9)
 
-    def test_v2i_column_matches_scalar(self, cfg):
-        sc = generate(ScenarioSpec(n_vehicles=7, seed=22))
+    def test_v2i_column_matches_scalar(self, cfg, bs):
+        spec = ScenarioSpec(n_vehicles=7, seed=22)
+        sc = generate(spec)
         tables = build_service_tables(sc, cfg)
-        for i, v in enumerate(sc.vehicles):
+        for i, v in enumerate(generated_vehicles(spec)):
             want = rb_share(cfg.k_lte, 7) * unit_service(
-                v, sc.bs, cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, sc.period
+                v, bs, cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, sc.period
             )
             assert tables.v2i[i] == pytest.approx(want, rel=1e-9)
 
-    def test_rate_tables_match_channel(self, cfg):
-        sc = generate(ScenarioSpec(n_vehicles=6, seed=23))
-        rt = build_rate_tables(sc, cfg)
+    def test_rate_tables_match_channel(self, cfg, bs):
+        spec = ScenarioSpec(n_vehicles=6, seed=23)
+        fleet = generated_vehicles(spec)
+        rt = build_rate_tables(generate(spec), cfg)
         rt.require(np.arange(6)[:, None], np.arange(6))
-        for i, v in enumerate(sc.vehicles):
-            assert rt.v2i[i] == pytest.approx(float(rate_v2i(v, sc.bs, cfg, 6, 0.0)), rel=1e-12)
+        for i, v in enumerate(fleet):
+            assert rt.v2i[i] == pytest.approx(float(rate_v2i(v, bs, cfg, 6, 0.0)), rel=1e-12)
         for i in range(6):
             for j in range(i + 1, 6):
                 got = cfg.k_dsrc * rt.v2v_unit[i, j]
-                want = float(rate_v2v(sc.vehicles[i], sc.vehicles[j], cfg, 1, 0.0))
+                want = float(rate_v2v(fleet[i], fleet[j], cfg, 1, 0.0))
                 assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -218,7 +225,8 @@ class TestDemandDrivenTables:
         full = build_service_tables(sc, cfg)
         full.require(np.arange(n)[:, None], np.arange(n))
         assert not np.isnan(full.v2v_unit).any()
-        got = evaluate_schedule(sched, sc, cfg, tables=tables)
+        validate_schedule(sched, n)
+        got = _partition_total(tables, sched.av_set, sched.pairing)
         assert got == _partition_total(full, aided, pairing)
         # scoring integrated the pairing's own pairs and nothing else
         assert np.array_equal(tables.v2v_unit[relays, aided], full.v2v_unit[relays, aided])
@@ -232,7 +240,7 @@ class TestDemandDrivenTables:
         assert (np.diag(rt.v2v_unit) == 0.0).all()
         rt.require(np.arange(n)[:, None], np.arange(n))
         # the dense table at the period start, every pair at once
-        state = motion_rows(sc.vehicles)
+        state = sc.motion
         gap = state[:, None, :2] - state[None, :, :2]
         dense = unit_rate(
             cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, np.hypot(gap[..., 0], gap[..., 1])
@@ -501,7 +509,8 @@ class TestNoncooperative:
         tables = build_service_tables(sc, cfg)
         sched = solve_noncooperative(sc, cfg, tables=tables)
         manual = Schedule(frozenset(), frozenset(), frozenset(range(6)), {}, 0, 0.0)
-        assert sched.total_service == evaluate_schedule(manual, sc, cfg, tables=tables)
+        validate_schedule(manual, sc.n)
+        assert sched.total_service == _partition_total(tables, manual.av_set, manual.pairing)
 
     def test_single_vehicle_equals_msrs(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=1, seed=5))
@@ -521,10 +530,10 @@ class TestBruteForce:
 
     def test_symmetric_pair_stays_direct(self, cfg):
         # equidistant, equally served: relaying can only forfeit one direct share
-        sc = scenario_with(
+        sc = scenario_of(
             [
-                VehicleState(id=0, x=-100.0, y=1.75, speed=0.0, heading=0.0),
-                VehicleState(id=1, x=100.0, y=1.75, speed=0.0, heading=0.0),
+                Vehicle(id=0, x=-100.0, y=1.75, speed=0.0, heading=0.0),
+                Vehicle(id=1, x=100.0, y=1.75, speed=0.0, heading=0.0),
             ]
         )
         opt = solve_optimal_bruteforce(sc, cfg)
@@ -582,8 +591,8 @@ def assert_same_optimum(sc, cfg):
 
 
 def parked(positions):
-    return scenario_with(
-        VehicleState(id=i, x=x, y=y, speed=0.0, heading=0.0) for i, (x, y) in enumerate(positions)
+    return scenario_of(
+        Vehicle(id=i, x=x, y=y, speed=0.0, heading=0.0) for i, (x, y) in enumerate(positions)
     )
 
 
@@ -735,10 +744,7 @@ class TestBruteForceOracle:
         assert opt.total_service >= msrs.total_service >= noncoop.total_service
         # the optimum does not depend on which id each vehicle carries
         order = data.draw(st.permutations(range(n)))
-        relabelled = scenario_with(
-            (dataclasses.replace(sc.vehicles[old], id=new) for new, old in enumerate(order)),
-            bs=sc.bs, duration=sc.period.duration,
-        )
+        relabelled = Scenario(sc.bs, sc.motion[list(order)], sc.period)
         again = solve_optimal_bruteforce(relabelled, cfg)
         assert again.total_service == pytest.approx(opt.total_service, rel=1e-12)
 

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import rate_v2i, rate_v2v
+from oracles import Vehicle, motion_rows, rate_v2i, rate_v2v
 
 import relaysched.service as service_module
 from relaysched.channel import RadioConfig, default_radio_config, rb_share, unit_rate
-from relaysched.mobility import VehicleState, motion_rows
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import ServiceTables, build_service_tables
@@ -105,29 +104,29 @@ def reference_service(row, model, p_tx_dbm, noise_dbm, duration):
 
 def close_pass():
     """Fast opposing vehicles passing 3.5 m apart: a rate peak 0.05 s wide at t* = 1.43 s."""
-    tx = VehicleState(id=0, x=-50.0, y=1.75, speed=35.0, heading=0.0)
-    rx = VehicleState(id=1, x=50.0, y=5.25, speed=35.0, heading=math.pi)
+    tx = Vehicle(id=0, x=-50.0, y=1.75, speed=35.0, heading=0.0)
+    rx = Vehicle(id=1, x=50.0, y=5.25, speed=35.0, heading=math.pi)
     return tx, rx
 
 
 def overtake():
     """A same-lane overtake at t* = 2.5 s: distance passes through 0 and is clamped to 1 m."""
-    tx = VehicleState(id=0, x=-30.0, y=1.75, speed=20.0, heading=0.0)
-    rx = VehicleState(id=1, x=0.0, y=1.75, speed=8.0, heading=0.0)
+    tx = Vehicle(id=0, x=-30.0, y=1.75, speed=20.0, heading=0.0)
+    rx = Vehicle(id=1, x=0.0, y=1.75, speed=8.0, heading=0.0)
     return tx, rx
 
 
 class TestIntegrateRate:
     def test_exact_on_constants(self, bs, cfg):
         # a parked vehicle has a constant rate, integrated in closed form
-        parked = VehicleState(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
+        parked = Vehicle(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
         period = Period(7.0)
         (s,) = v2i_services([parked], bs, cfg, 1, period)
         assert s == pytest.approx(7.0 * float(rate_v2i(parked, bs, cfg, 1, 0.0)), rel=1e-12)
 
     def test_zero_rate(self, bs, cfg, period, quad):
         # the SNR underflows 1 + snr == 1, so the integrand is exactly zero
-        parked = VehicleState(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
+        parked = Vehicle(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
         vals, converged = unit_service_batch(
             motion_rows([parked]) - motion_rows([bs]), cfg.v2i_model, -400.0,
             cfg.noise_v2i_per_rb, period, quad,
@@ -159,7 +158,7 @@ class TestIntegrateRate:
 
 class TestServiceV2I:
     def test_stationary_is_duration_times_rate(self, bs, cfg, period, quad):
-        v = VehicleState(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
+        v = Vehicle(id=0, x=150.0, y=1.75, speed=0.0, heading=0.0)
         (s,) = v2i_services([v], bs, cfg, 10, period, quad)
         assert s == pytest.approx(period.duration * float(rate_v2i(v, bs, cfg, 10, 0.0)), rel=1e-9)
 
@@ -172,7 +171,7 @@ class TestServiceV2I:
     def test_symmetric_crossing_doubles_half_period(self, bs, cfg, quad):
         # closest approach exactly at mid-period: the full integral is twice the half one
         duration, speed = 8.0, 20.0
-        v = VehicleState(id=0, x=-speed * duration / 2.0, y=1.75, speed=speed, heading=0.0)
+        v = Vehicle(id=0, x=-speed * duration / 2.0, y=1.75, speed=speed, heading=0.0)
         (full,) = v2i_services([v], bs, cfg, 10, Period(duration), quad)
         (half,) = v2i_services([v], bs, cfg, 10, Period(duration / 2.0), quad)
         assert full == pytest.approx(2.0 * half, rel=1e-5)
@@ -180,8 +179,8 @@ class TestServiceV2I:
 
 class TestServiceV2V:
     def test_constant_gap(self, cfg, period, quad):
-        tx = VehicleState(id=0, x=0.0, y=1.75, speed=20.0, heading=0.0)
-        rx = VehicleState(id=1, x=30.0, y=1.75, speed=20.0, heading=0.0)
+        tx = Vehicle(id=0, x=0.0, y=1.75, speed=20.0, heading=0.0)
+        rx = Vehicle(id=1, x=30.0, y=1.75, speed=20.0, heading=0.0)
         (s,) = v2v_services([(tx, rx)], cfg, 5, period, quad)
         assert s == pytest.approx(period.duration * float(rate_v2v(tx, rx, cfg, 5, 0.0)), rel=1e-9)
 
@@ -194,8 +193,8 @@ class TestServiceV2V:
     def test_opposing_vehicles_vs_trapezoid(self, period, quad):
         cfg = RadioConfig(k_lte=222, k_dsrc=25, p_bs_per_rb=29.0, p_vn_per_rb=20.0,
                           noise_v2i_per_rb=-112.0, noise_v2v_per_rb=-112.0)
-        tx = VehicleState(id=0, x=-20.0, y=1.75, speed=15.0, heading=0.0)
-        rx = VehicleState(id=1, x=40.0, y=5.25, speed=15.0, heading=math.pi)
+        tx = Vehicle(id=0, x=-20.0, y=1.75, speed=15.0, heading=0.0)
+        rx = Vehicle(id=1, x=40.0, y=5.25, speed=15.0, heading=math.pi)
         (s,) = v2v_services([(tx, rx)], cfg, 5, period, quad)
         dense = trapezoid_oracle(lambda t: rate_v2v(tx, rx, cfg, 5, t), period)
         assert s == pytest.approx(dense, rel=1e-5)
@@ -217,13 +216,13 @@ class TestOracleProperties:
             x = gen.uniform(-450, 450)
             speed = gen.uniform(4, 35)
             heading = 0.0 if gen.random() < 0.5 else math.pi
-            v = VehicleState(id=0, x=x, y=1.75, speed=speed, heading=heading)
+            v = Vehicle(id=0, x=x, y=1.75, speed=speed, heading=heading)
             if k % 2 == 0:
                 direct.append(v)
             else:
-                rx = VehicleState(id=1, x=gen.uniform(-450, 450), y=5.25,
-                                  speed=gen.uniform(4, 35),
-                                  heading=0.0 if gen.random() < 0.5 else math.pi)
+                rx = Vehicle(id=1, x=gen.uniform(-450, 450), y=5.25,
+                             speed=gen.uniform(4, 35),
+                             heading=0.0 if gen.random() < 0.5 else math.pi)
                 relay.append((v, rx))
         for v, s in zip(direct, v2i_services(direct, bs, cfg, 20, period, quad)):
             dense = trapezoid_oracle(lambda t: rate_v2i(v, bs, cfg, 20, t), period)
@@ -233,20 +232,20 @@ class TestOracleProperties:
             assert s == pytest.approx(dense, rel=1e-5)
 
     def test_period_additivity(self, bs, cfg, quad):
-        v = VehicleState(id=0, x=-100.0, y=1.75, speed=25.0, heading=0.0)
+        v = Vehicle(id=0, x=-100.0, y=1.75, speed=25.0, heading=0.0)
         (s_full,) = v2i_services([v], bs, cfg, 10, Period(6.0), quad)
         (s_a,) = v2i_services([v], bs, cfg, 10, Period(3.0), quad)
         # second half: same trajectory advanced 3 s
         x3, y3 = v.x + 3.0 * v.speed, v.y
-        v3 = VehicleState(id=0, x=x3, y=y3, speed=v.speed, heading=v.heading)
+        v3 = Vehicle(id=0, x=x3, y=y3, speed=v.speed, heading=v.heading)
         (s_b,) = v2i_services([v3], bs, cfg, 10, Period(3.0), quad)
         assert s_full == pytest.approx(s_a + s_b, rel=2e-6)
 
     def test_nonnegative(self, bs, cfg, period, quad):
         gen = Xoshiro256StarStar(23)
         vehicles = [
-            VehicleState(id=0, x=gen.uniform(-500, 500), y=1.75,
-                         speed=gen.uniform(0, 35), heading=0.0)
+            Vehicle(id=0, x=gen.uniform(-500, 500), y=1.75,
+                    speed=gen.uniform(0, 35), heading=0.0)
             for _ in range(20)
         ]
         assert np.all(v2i_services(vehicles, bs, cfg, 50, period, quad) >= 0.0)
@@ -258,9 +257,9 @@ class TestBatchIntegrator:
         # the bit: demand-driven service tables integrate pairs in varying batches
         gen = Xoshiro256StarStar(31)
         vehicles = [
-            VehicleState(id=i, x=gen.uniform(-450, 450), y=1.75,
-                         speed=gen.uniform(4, 35),
-                         heading=0.0 if gen.random() < 0.5 else math.pi)
+            Vehicle(id=i, x=gen.uniform(-450, 450), y=1.75,
+                    speed=gen.uniform(4, 35),
+                    heading=0.0 if gen.random() < 0.5 else math.pi)
             for i in range(12)
         ]
         together = v2i_services(vehicles, bs, cfg, 1, period, quad)
@@ -284,10 +283,10 @@ class TestAdaptiveKronrod:
         # the default 1e-6 within one bisection, so a tighter tolerance
         # spreads them
         gen = Xoshiro256StarStar(43)
-        links = [(VehicleState(0, 120.0, 1.75, 0.0, 0.0), VehicleState(1, 180.0, 5.25, 0.0, 0.0))]
+        links = [(Vehicle(0, 120.0, 1.75, 0.0, 0.0), Vehicle(1, 180.0, 5.25, 0.0, 0.0))]
         for k in range(30):
-            tx = VehicleState(0, gen.uniform(-450, 450), 1.75, gen.uniform(4, 35), 0.0)
-            rx = VehicleState(1, gen.uniform(-450, 450), 5.25, gen.uniform(4, 35), math.pi)
+            tx = Vehicle(0, gen.uniform(-450, 450), 1.75, gen.uniform(4, 35), 0.0)
+            rx = Vehicle(1, gen.uniform(-450, 450), 5.25, gen.uniform(4, 35), math.pi)
             links.append((tx, rx))
         for tx, rx in (close_pass(), overtake()):
             links += [(tx, rx), (rx, tx)]
@@ -372,24 +371,24 @@ class TestTightReference:
         # 3.5 m apart at closing speeds from 39 to 70 m/s, both link directions
         pairs = []
         for speed, t_star in ((35.0, 1.43), (20.0, 2.5), (4.0, 4.0)):
-            tx = VehicleState(0, -50.0, 1.75, 35.0, 0.0)
-            rx = VehicleState(1, -50.0 + (35.0 + speed) * t_star, 5.25, speed, math.pi)
+            tx = Vehicle(0, -50.0, 1.75, 35.0, 0.0)
+            rx = Vehicle(1, -50.0 + (35.0 + speed) * t_star, 5.25, speed, math.pi)
             pairs += [(tx, rx), (rx, tx)]
         self.check(relative_rows(pairs), cfg.v2v_model, cfg.p_vn_per_rb,
                    cfg.noise_v2v_per_rb, period)
 
     def test_v2i_passes(self, bs, cfg, period):
         # past the base station at the period's middle, start and end, and far out
-        vehicles = [VehicleState(0, -87.5, 1.75, 35.0, 0.0), VehicleState(0, -10.0, 1.75, 4.0, 0.0),
-                    VehicleState(0, 0.0, 5.25, 20.0, math.pi), VehicleState(0, 100.0, 5.25, 20.0, math.pi),
-                    VehicleState(0, -480.0, 5.25, 35.0, 0.0)]
+        vehicles = [Vehicle(0, -87.5, 1.75, 35.0, 0.0), Vehicle(0, -10.0, 1.75, 4.0, 0.0),
+                    Vehicle(0, 0.0, 5.25, 20.0, math.pi), Vehicle(0, 100.0, 5.25, 20.0, math.pi),
+                    Vehicle(0, -480.0, 5.25, 35.0, 0.0)]
         self.check(motion_rows(vehicles) - motion_rows([bs]), cfg.v2i_model, cfg.p_bs_per_rb,
                    cfg.noise_v2i_per_rb, period)
 
     def test_close_passes_of_a_seed7_fleet(self, cfg):
         # every pair of the N=100 seed-7 scenario that comes within 5 m during the period
         scenario = generate(ScenarioSpec(n_vehicles=100, seed=7))
-        state = motion_rows(scenario.vehicles)
+        state = scenario.motion
         i, j = np.triu_indices(scenario.n, 1)
         motions = state[i] - state[j]
         a, b = motions[:, :2], motions[:, 2:]
@@ -413,7 +412,7 @@ class TestPeriodAdditivity:
 
         def advanced(v):
             vx, vy = v.velocity
-            return VehicleState(v.id, v.x + vx * t_star, v.y + vy * t_star, v.speed, v.heading)
+            return Vehicle(v.id, v.x + vx * t_star, v.y + vy * t_star, v.speed, v.heading)
 
         (full,) = v2v_services([(tx, rx)], cfg, 5, Period(5.0), quad)
         (first,) = v2v_services([(tx, rx)], cfg, 5, Period(t_star), quad)
