@@ -84,6 +84,9 @@ class ExperimentConfig:
         unknown = [p for p in self.policies if p not in POLICIES]
         if unknown:
             raise ValueError(f"unknown policies {unknown}; choose from {POLICIES}")
+        repeated = sorted({p for p in self.policies if self.policies.count(p) > 1})
+        if repeated:
+            raise ValueError(f"policies listed more than once: {repeated}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         # the scenario fields and sweep points fail where the config is read, not in a trial
@@ -237,7 +240,15 @@ def config_from_doc(doc: dict, overrides: dict | None = None) -> ExperimentConfi
 
 
 def _run_trial(args) -> list[MetricsRow]:
-    """One seed, all requested policies.  Module-level so worker pools can pickle it."""
+    """One seed, all requested policies.  Module-level so worker pools can pickle it.
+
+    The policies share one set of service tables.  `optimal` runs first: the
+    oracle requires every V2V pair, so they are integrated in one
+    `unit_service_batch` call, and msrs and irrs then find theirs in the
+    table (a link's value does not depend on its batch).  So with the oracle
+    the optimal timing includes every V2V integral.  A refused oracle
+    integrates nothing.  The rows keep the config's policy order.
+    """
     config, seed, n_vehicles, speed_range = args
     spec = config.scenario_spec(seed, n_vehicles, speed_range)
     scenario = generate(spec)
@@ -247,7 +258,7 @@ def _run_trial(args) -> list[MetricsRow]:
     schedules = {}
     timings = {}
     notes = {}
-    for policy in config.policies:
+    for policy in sorted(config.policies, key=lambda p: p != "optimal"):
         t0 = time.perf_counter()
         if policy == "msrs":
             schedules[policy] = solve_msrs(scenario, config.radio, tables=tables)

@@ -88,6 +88,7 @@ _WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276
 _QK15 = 0.5 * np.stack([1.0 + np.concatenate([-_XGK, _XGK[-2::-1]]),
                         np.concatenate([_WGK, _WGK[-2::-1]]),
                         np.concatenate([_WG, _WG[-2::-1]])])
+_NODES, _KRONROD, _GAUSS = _QK15  # contiguous rows, indexed once
 
 
 def _asinh_step(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -111,29 +112,37 @@ def _pieces(motions: np.ndarray, min_distance: float, duration: float):
     `motions` are (ax, ay, bx, by) rows with |b| > 0.  Returns `link`, the row
     of `motions` each piece belongs to (a link's pieces come in ascending u),
     (P, 4) rows of (u_lo, u_width, s, s**2 - d_min**2), and `scale` = s/|b|,
-    so that dt = scale*cosh(u) du.
+    so that dt = scale*cosh(u) du.  A link that never comes within
+    `min_distance` is one piece, and `link` is then None: piece k is link k.
     """
     ax, ay, bx, by = motions.T
     speed = np.hypot(bx, by)
     d_min = np.abs(ax * by - ay * bx) / speed
     s = np.maximum(d_min, min_distance)
     x0 = (ax * bx + ay * by) / (speed * s)  # sinh(u) at t = 0
-    u0 = np.arcsinh(x0)
-    width = _asinh_step(x0, duration * speed / s)
-    # d crosses L at u = -uc and +uc; a link that never falls below L gets
-    # both crossings at -inf, so that its two first pieces are empty
-    clamped = d_min < min_distance
-    uc = np.arcsinh(np.sqrt(np.maximum(min_distance**2 - d_min**2, 0.0)) / min_distance)
-    cut1 = np.clip(np.where(clamped, -uc, -np.inf) - u0, 0.0, width)
-    cut2 = np.clip(np.where(clamped, uc, -np.inf) - u0, 0.0, width)
-    widths = np.concatenate([cut1, cut2 - cut1, width - cut2])
-    keep = np.flatnonzero(widths > 0)
-    link = keep % len(motions)
-    lo = np.concatenate([u0, u0 + cut1, u0 + cut2])[keep]
+    lo = np.arcsinh(x0)
+    widths = _asinh_step(x0, duration * speed / s)
+    link = None
+    clamped = np.flatnonzero(d_min < min_distance)
+    if len(clamped):
+        # d crosses L at u = -uc and +uc, which cut a clamped link into up to
+        # three pieces: before, between and after; empty ones are dropped
+        u0, width = lo[clamped], widths[clamped]
+        uc = np.arcsinh(np.sqrt(min_distance**2 - d_min[clamped] ** 2) / min_distance)
+        cut1 = np.clip(-uc - u0, 0.0, width)
+        cut2 = np.clip(uc - u0, 0.0, width)
+        lo, widths = lo.copy(), widths.copy()
+        lo[clamped] += cut2
+        widths[clamped] -= cut2
+        widths = np.concatenate([cut1, cut2 - cut1, widths])
+        keep = np.flatnonzero(widths > 0)
+        link = np.concatenate([clamped, clamped, np.arange(len(motions))])[keep]
+        lo = np.concatenate([u0, u0 + cut1, lo])[keep]
+        widths = widths[keep]
+        s, d_min, speed = s[link], d_min[link], speed[link]
     # s*s - d_min*d_min rounds to at most fl(s*s) <= fl((s*cosh)**2), so d**2 >= 0
-    s, d_min = s[link], d_min[link]
-    rows = np.stack([lo, widths[keep], s, s * s - d_min * d_min], axis=1)
-    return link, rows, s / speed[link]
+    rows = np.stack([lo, widths, s, s * s - d_min * d_min], axis=1)
+    return link, rows, s / speed
 
 
 def unit_service_batch(
@@ -162,16 +171,27 @@ def unit_service_batch(
     `converged`.  A bisected panel's value is its left half's plus its
     right half's, so each piece is summed along its own bisection tree, and
     a link's value does not depend on the other links of its batch.
+
+    A call costs about 80 us on 12 links (2-vCPU Xeon, numpy 2.4), mostly
+    numpy's fixed cost per array operation, so the bookkeeping that a batch
+    does not need is skipped: the static-link rate when no link is static,
+    the clamp cuts when no link comes within `min_distance` (every V2I
+    batch), and the failed-panel flags when every panel converged.  Every
+    value still takes the same arithmetic in the same order, so the results
+    are the same bits either way.  Callers should batch what they can.
     """
     motions = np.asarray(motions, dtype=float).reshape(-1, 4)
     duration = period.duration
+    moving = None  # every link moves
     static = (motions[:, 2] == 0) & (motions[:, 3] == 0)
-    moving = ~static
-    values = np.zeros(len(motions))
-    values[static] = duration * unit_rate(
-        model, p_tx_dbm, noise_dbm, np.hypot(motions[static, 0], motions[static, 1])
-    )
-    link, pieces, scale = _pieces(motions[moving], model.min_distance, duration)
+    if static.any():
+        moving = np.flatnonzero(~static)
+        values = np.zeros(len(motions))
+        values[static] = duration * unit_rate(
+            model, p_tx_dbm, noise_dbm, np.hypot(motions[static, 0], motions[static, 1])
+        )
+        motions = motions[moving]
+    link, pieces, scale = _pieces(motions, model.min_distance, duration)
 
     def integrand(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         # rate * cosh(u) at fractions x of each panel's u-range, where
@@ -188,39 +208,47 @@ def unit_service_batch(
         return rate
 
     # Level by level: `rows` holds this level's panels, laid out as the
-    # pieces are, and `owner` their pieces.  A split panel's halves come next
-    # level as two adjacent rows, left then right.  The weighted sums are
-    # taken per row, not as a matrix product, whose blocking could depend on
-    # the batch.
-    rows, owner = pieces, np.arange(len(pieces))
+    # pieces are, and `owner` their pieces (None at level 0, where panel k
+    # is piece k).  A split panel's halves come next level as two adjacent
+    # rows, left then right.  The weighted sums are taken per row, not as a
+    # matrix product, whose blocking could depend on the batch.
+    rows, owner = pieces, None
     levels = []
     for level in range(quad.max_refinements + 1):
-        f = integrand(rows, _QK15[0])
-        h = rows[:, 1] * scale[owner]  # dt/du's constant factor included
-        kronrod = (f * _QK15[1]).sum(axis=1) * h
-        gauss = (f * _QK15[2]).sum(axis=1) * h
+        f = integrand(rows, _NODES)
+        h = rows[:, 1] * (scale if owner is None else scale[owner])  # dt/du's constant factor
+        kronrod = (f * _KRONROD).sum(axis=1) * h
+        gauss = (f * _GAUSS).sum(axis=1) * h
         tol = quad.relative_tolerance * np.maximum(np.abs(kronrod), _ABS_FLOOR)
         split = ~(np.abs(kronrod - gauss) <= tol)
         levels.append((kronrod, split))
         if level == quad.max_refinements or not split.any():
             break
-        rows, owner = np.repeat(rows[split], 2, axis=0), np.repeat(owner[split], 2)
+        owner = np.flatnonzero(split) if owner is None else owner[split]
+        rows, owner = np.repeat(rows[split], 2, axis=0), np.repeat(owner, 2)
         rows[:, 1] *= 0.5
         rows[1::2, 0] += rows[1::2, 1]
 
     # what still fails at the last level keeps its K15; then fold the halves
     # back into their panels, deepest level first
-    piece_ok = np.ones(len(pieces), dtype=bool)
-    piece_ok[owner[split]] = False
     piece_values = levels[-1][0]
-    for kronrod, split in reversed(levels[:-1]):
-        kronrod[split] = piece_values[0::2] + piece_values[1::2]
+    for kronrod, parent_split in reversed(levels[:-1]):
+        kronrod[parent_split] = piece_values[0::2] + piece_values[1::2]
         piece_values = kronrod
 
     # bincount adds each link's pieces in order of u, from 0.0, so a link's
-    # value does not depend on its batch
-    n_moving = int(np.count_nonzero(moving))
-    converged = np.ones(len(motions), dtype=bool)
-    values[moving] = np.bincount(link, piece_values, minlength=n_moving)
-    converged[moving] = np.bincount(link, ~piece_ok, minlength=n_moving) == 0
+    # value does not depend on its batch; a link of one piece is that piece's
+    # value, which is never -0.0
+    if link is not None:
+        piece_values = np.bincount(link, piece_values, minlength=len(motions))
+    if moving is None:
+        values = piece_values
+    else:
+        values[moving] = piece_values
+    converged = np.ones(len(values), dtype=bool)
+    if split.any():  # the panels that still fail at the last level flag their links
+        failed = np.flatnonzero(split) if owner is None else owner[split]
+        if link is not None:
+            failed = link[failed]
+        converged[failed if moving is None else moving[failed]] = False
     return values, converged

@@ -38,6 +38,15 @@ class TestRunCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_duplicate_policy_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        code = run_cli(["run", "--seed", "7", "--trials", "2", "--n", "10",
+                        "--policies", "msrs,msrs,noncoop", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: policies listed more than once: ['msrs']"]
+        assert captured.out == "" and not out.exists()
+
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({

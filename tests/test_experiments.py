@@ -200,6 +200,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="polic"):
             ExperimentConfig(seed=1, policies=("msrs", "magic"))
 
+    def test_rejects_duplicate_policies(self):
+        # a repeated policy used to write each of its rows twice and count
+        # them twice in summary.csv's `trials`
+        with pytest.raises(ValueError, match=r"^policies listed more than once: \['msrs'\]$"):
+            ExperimentConfig(seed=1, policies=("msrs", "msrs", "noncoop"))
+        with pytest.raises(ValueError, match=r"more than once: \['irrs', 'noncoop'\]$"):
+            config_from_doc({"run": {"policies": ["noncoop", "irrs", "noncoop", "irrs"]}})
+
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             ExperimentConfig(seed=1, trials=0)
@@ -303,6 +311,26 @@ class TestGoldenMetrics:
                     assert float(a) == pytest.approx(float(b), rel=1e-9), want_row
                 else:
                     assert a == b, want_row
+
+    @pytest.mark.parametrize("name,n_vehicles,trials,policies", [
+        ("totals_seed7_n100.csv", 100, 20, ["msrs", "irrs", "noncoop"]),
+        ("totals_seed7_n12_optimal.csv", 12, 40, ["msrs", "irrs", "noncoop", "optimal"]),
+    ], ids=["n100", "n12-optimal"])
+    def test_exact_totals(self, name, n_vehicles, trials, policies):
+        # `run --seed 7 --trials <T> --n <N>`: every total and loss ratio to
+        # the bit, as float.hex, which the 12 significant digits of the CSVs
+        # cannot show
+        cfg = config_from_doc({"scenario": {"n_vehicles": n_vehicles},
+                               "run": {"seed": 7, "trials": trials, "policies": policies}})
+
+        def hexed(x):
+            return "" if x is None else float.hex(x)
+
+        got = [f"{r.policy},{r.seed},{hexed(r.total_service)},{hexed(r.loss_ratio)}"
+               for r in cmd_run(cfg)]
+        want = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+        assert want[0] == "policy,seed,total_service_hex,loss_ratio_hex"
+        assert got == want[1:]
 
     def test_default_point_bytes(self, tmp_path):
         # `run --seed 7 --trials 20 --n 100`, the paper's default point: both

@@ -24,6 +24,7 @@ import relaysched.assignment as assignment_module
 import relaysched.scheduler as scheduler_module
 from relaysched.assignment import BenefitMatrix
 from relaysched.channel import default_radio_config, rb_share, unit_rate
+from relaysched.experiments import ExperimentConfig, _run_trial
 from relaysched.scenario import Scenario, ScenarioSpec, generate
 from relaysched.scheduler import (
     InvalidScheduleError,
@@ -205,6 +206,25 @@ class TestDemandDrivenTables:
     def test_bruteforce_integrates_every_pair(self, cfg, links):
         solve_optimal_bruteforce(generate(ScenarioSpec(n_vehicles=12, seed=9)), cfg)
         assert sum(links) == 12 + 12 * 11 // 2 == 78
+
+    def test_oracle_trial_integrates_every_pair_in_one_call(self, links):
+        # the oracle runs first and requires all 66 pairs at once; msrs and
+        # irrs then find theirs in the table.  The rows keep the config order
+        config = ExperimentConfig(seed=1, trials=1, n_vehicles=12,
+                                  policies=("msrs", "irrs", "noncoop", "optimal"))
+        rows = _run_trial((config, 9, None, None))
+        assert links == [12, 66]
+        assert [r.policy for r in rows] == list(config.policies)
+        assert all(r.total_service is not None for r in rows)
+
+    def test_refused_oracle_leaves_the_pairs_lazy(self, links):
+        # above the cap the oracle integrates nothing, so msrs requires only
+        # its block and the V2V table is never complete
+        config = ExperimentConfig(seed=1, trials=1, n_vehicles=20, oracle_cap=12,
+                                  policies=("optimal", "msrs", "irrs", "noncoop"))
+        rows = _run_trial((config, 9, None, None))
+        assert links[0] == 20 and 190 not in links and sum(links[1:]) < 190
+        assert rows[0].policy == "optimal" and rows[0].note.startswith("refused")
 
     def test_pairs_outside_the_msrs_block(self, cfg):
         # the strongest vehicles aided by the next strongest: msrs never needs these pairs

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -61,6 +62,8 @@ def recursive_service_batch(motions, model, p_tx_dbm, noise_dbm, period, quad):
     values[static] = period.duration * unit_rate(
         model, p_tx_dbm, noise_dbm, np.hypot(motions[static, 0], motions[static, 1]))
     link, pieces, scale = _pieces(motions[~static], model.min_distance, period.duration)
+    if link is None:  # one piece per link
+        link = range(len(pieces))
 
     def panel(lo, width, s, c, scale, level):
         cosh = np.cosh(width * _QK15[0:1] + lo)
@@ -300,6 +303,36 @@ class TestAdaptiveKronrod:
             assert got_ok.all()
         else:
             assert got_ok.any() and not got_ok.all()
+
+    @pytest.mark.parametrize("batch", ["v2i", "static", "failing"])
+    def test_shortcut_batches_match_recursive_oracle(self, bs, cfg, period, batch):
+        # the kernel skips the static rates when no link is static, the clamp
+        # cuts when no link is clamped, and the failure flags when no panel
+        # fails at the last level; batches that take each shortcut keep the bits
+        gen = Xoshiro256StarStar(47)
+        fleet = [Vehicle(k, gen.uniform(-450, 450), 1.75 if k % 2 else 5.25, gen.uniform(4, 35),
+                         0.0 if k % 2 else math.pi) for k in range(12)]
+        v2i = (cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb)
+        if batch == "static":
+            # parked vehicles' pairs, one of them co-located
+            parked = [Vehicle(v.id, v.x, v.y, 0.0, 0.0) for v in fleet]
+            parked.append(Vehicle(12, parked[0].x, parked[0].y, 0.0, 0.0))
+            motions = relative_rows(list(itertools.combinations(parked, 2)))
+            assert not motions[:, 2:].any()
+            args = (motions, cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period,
+                    QuadratureSpec())
+        else:
+            motions = motion_rows(fleet) - motion_rows([bs])
+            assert motions[:, 2:].any(axis=1).all()
+            assert _pieces(motions, cfg.v2i_model.min_distance, period.duration)[0] is None
+            quad = (QuadratureSpec(relative_tolerance=1e-14) if batch == "v2i"
+                    else QuadratureSpec(relative_tolerance=1e-300, max_refinements=0))
+            args = (motions, *v2i, period, quad)
+        got, got_ok = unit_service_batch(*args)
+        want, want_ok = recursive_service_batch(*args)
+        assert got.tobytes() == want.tobytes() and np.array_equal(got_ok, want_ok)
+        # at 1e-300 only a panel whose K15 and G7 agree to the bit converges
+        assert not got_ok.all() if batch == "failing" else got_ok.all()
 
     @pytest.mark.parametrize("links, max_refinements", [
         ([close_pass], 3), ([close_pass, overtake], 1),
