@@ -23,8 +23,10 @@ from .scheduler import (
     InvalidScheduleError,
     Schedule,
     ServiceTables,
+    build_chunk_tables,
     build_rate_tables,
     build_service_tables,
+    require_every_pair,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,

@@ -36,7 +36,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--oracle-cap", type=int, dest="oracle_cap",
                         help="largest fleet the exhaustive oracle will accept")
     parser.add_argument("--workers", type=int, help="worker processes (results are identical)")
-    parser.add_argument("--n", type=int, dest="n_vehicles", help="fleet size for `run`")
 
 
 def _parse_values(text: str, kind):
@@ -67,15 +66,21 @@ def main(argv: list[str] | None = None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="trials at one (fleet size, speed) point")
+    p_run = sub.add_parser("run", help="trials at one (fleet size, speed) point",
+                           allow_abbrev=False)
     _add_common(p_run)
+    p_run.add_argument("--n", type=int, dest="n_vehicles", help="fleet size")
 
-    p_sweep_n = sub.add_parser("sweep-n", help="trials at each fleet size")
+    # no abbreviated flags: sweep-n, which has no --n, would read `--n` as `--n-values`
+    p_sweep_n = sub.add_parser("sweep-n", help="trials at each fleet size",
+                               allow_abbrev=False)
     _add_common(p_sweep_n)
     p_sweep_n.add_argument("--n-values", dest="n_values", help="comma-separated fleet sizes")
 
-    p_sweep_s = sub.add_parser("sweep-speed", help="trials at each fixed speed")
+    p_sweep_s = sub.add_parser("sweep-speed", help="trials at each fixed speed",
+                               allow_abbrev=False)
     _add_common(p_sweep_s)
+    p_sweep_s.add_argument("--n", type=int, dest="n_vehicles", help="fleet size")
     p_sweep_s.add_argument("--speed-values", dest="speed_values",
                            help="comma-separated speeds in m/s")
 

@@ -3,8 +3,9 @@
 A run is fully determined by its config (including the master seed): per-trial
 seeds are derived from the master seed with splitmix64 in a fixed order, each
 trial generates its scenario and runs the requested policies, and rows are
-sorted by (policy, seed) before emission.  Worker processes only change wall
-time, never results or output bytes.
+sorted by (policy, seed) before emission.  Trials run in chunks of
+`CHUNK_TRIALS`, which share their kernel calls; neither the chunks nor worker
+processes change anything but wall time, never results or output bytes.
 
 Outputs per run directory:
 
@@ -31,10 +32,12 @@ from typing import get_args, get_origin, get_type_hints
 
 from .channel import PathLossModel, RadioConfig, default_radio_config, rb_share
 from .rng import split_seeds
-from .scenario import ScenarioSpec, generate
+from .scenario import Scenario, ScenarioSpec, generate
 from .scheduler import (
     BRUTE_FORCE_VEHICLE_CAP,
-    build_service_tables,
+    ServiceTables,
+    build_chunk_tables,
+    require_every_pair,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,
@@ -122,7 +125,7 @@ class MetricsRow:
     loss_ratio: float | None = None
     wall_time_ms: float = 0.0
     note: str = ""
-    tables_ms: float = 0.0  # the trial's direct-link table build, before any policy runs
+    tables_ms: float = 0.0  # the trial's share of its chunk's table build, before any policy runs
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -239,26 +242,47 @@ def config_from_doc(doc: dict, overrides: dict | None = None) -> ExperimentConfi
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _run_trial(args) -> list[MetricsRow]:
-    """One seed, all requested policies.  Module-level so worker pools can pickle it.
+#: Trials per chunk.  A chunk's direct links are integrated in one kernel
+#: call and, with the oracle, its trials' V2V pairs in one more; worker
+#: pools map whole chunks, so both paths run the same chunks.
+CHUNK_TRIALS = 8
 
-    The policies share one set of service tables.  `optimal` runs first: the
-    oracle requires every V2V pair, so they are integrated in one
-    `unit_service_batch` call, and msrs and irrs then find theirs in the
-    table (a link's value does not depend on its batch).  So with the oracle
-    the optimal timing includes every V2V integral.  A refused oracle
-    integrates nothing.  The rows keep the config's policy order.
+
+def _run_chunk(args) -> list[MetricsRow]:
+    """Consecutive trials, each (seed, n_vehicles, speed_range), sharing their kernel calls.
+
+    Module-level so worker pools can pickle it.  The chunk's scenarios are
+    generated first.  Then one `build_chunk_tables` call integrates every
+    direct link of the chunk and, when `optimal` is requested, one
+    `require_every_pair` call every V2V pair of the trials the oracle
+    accepts.  Each trial's `tables_ms` is an equal share of that build.  A
+    link's value does not depend on its batch, so a trial's rows are the
+    same whatever chunk it runs in.
     """
-    config, seed, n_vehicles, speed_range = args
-    spec = config.scenario_spec(seed, n_vehicles, speed_range)
-    scenario = generate(spec)
+    config, trials = args
+    specs = [config.scenario_spec(*trial) for trial in trials]
+    scenarios = [generate(spec) for spec in specs]
     t0 = time.perf_counter()
-    tables = build_service_tables(scenario, config.radio, quad=config.quad)
-    tables_ms = 1000.0 * (time.perf_counter() - t0)
+    tables = build_chunk_tables(scenarios, config.radio, quad=config.quad)
+    if "optimal" in config.policies:
+        require_every_pair([t for t, sc in zip(tables, scenarios) if sc.n <= config.oracle_cap])
+    tables_ms = 1000.0 * (time.perf_counter() - t0) / len(trials)
+    return [row for trial in zip(specs, scenarios, tables)
+            for row in _run_trial(config, *trial, tables_ms)]
+
+
+def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, scenario: Scenario,
+               tables: ServiceTables, tables_ms: float) -> list[MetricsRow]:
+    """All requested policies on one trial's scenario, in the config's policy order.
+
+    The policies share the trial's service tables.  A policy's timing
+    includes the V2V pairs it integrates on demand; with the oracle the
+    chunk has integrated them all, so no policy timing includes an integral.
+    """
     schedules = {}
     timings = {}
     notes = {}
-    for policy in sorted(config.policies, key=lambda p: p != "optimal"):
+    for policy in config.policies:
         t0 = time.perf_counter()
         if policy == "msrs":
             schedules[policy] = solve_msrs(scenario, config.radio, tables=tables)
@@ -290,14 +314,14 @@ def _run_trial(args) -> list[MetricsRow]:
         sched = schedules[policy]
         note = "; ".join(part for part in (notes.get(policy, ""), starved, unconverged) if part)
         if sched is None:
-            rows.append(MetricsRow(policy, seed, scenario.n, spec.speed_range, None,
+            rows.append(MetricsRow(policy, spec.seed, scenario.n, spec.speed_range, None,
                                    None, timings[policy], note, tables_ms))
             continue
         validate_schedule(sched, scenario.n)
         loss = None
         if opt is not None and opt.total_service > 0:
             loss = (opt.total_service - sched.total_service) / opt.total_service
-        rows.append(MetricsRow(policy, seed, scenario.n, spec.speed_range,
+        rows.append(MetricsRow(policy, spec.seed, scenario.n, spec.speed_range,
                                sched.total_service, loss, timings[policy], note, tables_ms))
     return rows
 
@@ -307,16 +331,17 @@ def _run_points(config: ExperimentConfig, points: list[tuple[int | None, tuple |
     if config.seed is None:
         raise ValueError("a master seed is required (wall-clock seeding is not supported)")
     seeds = split_seeds(config.seed, len(points) * config.trials)
-    jobs = []
+    trials = []
     for p, (n_vehicles, speed_range) in enumerate(points):
         for k in range(config.trials):
-            jobs.append((config, seeds[p * config.trials + k], n_vehicles, speed_range))
+            trials.append((seeds[p * config.trials + k], n_vehicles, speed_range))
+    chunks = [(config, trials[k:k + CHUNK_TRIALS]) for k in range(0, len(trials), CHUNK_TRIALS)]
     if config.workers == 1:
-        results = [_run_trial(job) for job in jobs]
+        results = [_run_chunk(chunk) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_trial, jobs, chunksize=8))
-    rows = [row for trial_rows in results for row in trial_rows]
+            results = list(pool.map(_run_chunk, chunks))
+    rows = [row for chunk_rows in results for row in chunk_rows]
     rows.sort(key=lambda r: (r.policy, r.seed))
     return rows
 

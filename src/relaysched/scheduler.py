@@ -8,7 +8,8 @@ relay's downlink amount and the relay-to-vehicle amount).  That objective is
 written once, on `ServiceTables`: `direct_sum` for the vehicles that are not
 aided and `two_hop` (read through `benefit`) for the pairs.  Every policy
 searches or scores with it.  Service and rate tables alike compute a V2V pair
-only when a policy first requires it.
+only when a policy first requires it, unless `require_every_pair` has
+computed every pair of several tables in one kernel call beforehand.
 Four policies are provided, each called as `(scenario, cfg, tables=None)`:
 
 * `solve_msrs`            -- service-integral driven: sort by direct service,
@@ -102,22 +103,24 @@ class ServiceTables:
     Both builders fill V2V pairs on first use: an entry nobody has asked for
     yet holds NaN (the diagonal holds 0).  `require(rows, cols)` computes the
     missing entries among the given pairs and stores them on both sides; a
-    reader that skips it gets NaN, which `BenefitMatrix` rejects.  `v2v_link`
-    computes them: a pair function `(i, j) -> (values, converged)` over index
-    arrays with i < j.  Without it the table is dense and `require` does
-    nothing.  `unconverged` counts the computed links whose quadrature hit
-    its refinement cap.
+    reader that skips it gets NaN, which `BenefitMatrix` rejects.
+    `v2v_kernel` computes them: a function `motions -> (values, converged)`
+    over (P, 4) relative-motion rows, each the difference of two rows of
+    `motion`, the scenario's vehicle rows.  Without it the table is dense and
+    `require` does nothing.  `unconverged` counts this table's computed links
+    whose quadrature hit its refinement cap.
     """
 
     v2i: np.ndarray
     v2v_unit: np.ndarray
     k_dsrc: int
-    v2v_link: Callable | None = field(default=None, repr=False, compare=False)
+    motion: np.ndarray | None = field(default=None, repr=False, compare=False)
+    v2v_kernel: Callable | None = field(default=None, repr=False, compare=False)
     unconverged: int = 0
 
     def require(self, rows, cols) -> None:
         """Compute the unknown V2V entries among broadcastable index arrays `rows` x `cols`."""
-        if self.v2v_link is None:
+        if self.v2v_kernel is None:
             return
         missing = np.isnan(self.v2v_unit[rows, cols])
         if not missing.any():
@@ -129,9 +132,11 @@ class ServiceTables:
         mark = np.zeros(self.v2v_unit.shape, dtype=bool)
         mark[np.minimum(rows, cols), np.maximum(rows, cols)] = True
         i, j = np.nonzero(mark)
-        vals, converged = self.v2v_link(i, j)
-        self.v2v_unit[i, j] = vals
-        self.v2v_unit[j, i] = vals
+        self._store(i, j, *self.v2v_kernel(self.motion[i] - self.motion[j]))
+
+    def _store(self, i, j, values, converged) -> None:
+        self.v2v_unit[i, j] = values
+        self.v2v_unit[j, i] = values
         self.unconverged += int(np.count_nonzero(~converged))
 
     def two_hop(self, unit, direct, n_av: int) -> np.ndarray:
@@ -153,6 +158,35 @@ class ServiceTables:
         return sum(x for i, x in enumerate(self.v2i.tolist()) if i not in aided)
 
 
+def require_every_pair(tables: list[ServiceTables]) -> None:
+    """Compute every unknown V2V entry of several tables in one kernel call.
+
+    The tables must share one `v2v_kernel`, as the tables of one
+    `build_chunk_tables` call do.  Their links are stacked table by table,
+    each table's in ascending (i, j) order, and each table keeps its own
+    values and counts only its own links in `unconverged`; a link's value
+    does not depend on its batch, so a table reads the same amounts as its
+    own `require` would give.
+    """
+    tables = [t for t in tables if t.v2v_kernel is not None]
+    if not tables:
+        return
+    kernel = tables[0].v2v_kernel
+    if any(t.v2v_kernel is not kernel for t in tables):
+        raise ValueError("tables filled together must share one V2V kernel")
+    # the unknown entries above the diagonal, in ascending (i, j) order
+    pairs = [np.nonzero(np.triu(np.isnan(t.v2v_unit))) for t in tables]
+    sizes = [len(i) for i, _ in pairs]
+    if not sum(sizes):
+        return
+    values, converged = kernel(np.concatenate(
+        [t.motion[i] - t.motion[j] for t, (i, j) in zip(tables, pairs)]))
+    ends = np.cumsum(sizes)[:-1]
+    for t, (i, j), vals, ok in zip(tables, pairs, np.split(values, ends),
+                                   np.split(converged, ends)):
+        t._store(i, j, vals, ok)
+
+
 def _unknown_pairs(n: int) -> np.ndarray:
     """An n x n V2V table with every off-diagonal entry still to be required."""
     v2v_unit = np.full((n, n), np.nan)
@@ -160,29 +194,49 @@ def _unknown_pairs(n: int) -> np.ndarray:
     return v2v_unit
 
 
+def build_chunk_tables(
+    scenarios: list[Scenario], cfg: RadioConfig, quad: QuadratureSpec = QuadratureSpec()
+) -> list[ServiceTables]:
+    """Service-integral tables of scenarios that share one period, one per scenario.
+
+    Every direct link of every scenario is integrated now, in one
+    `unit_service_batch` call; V2V pairs wait for `require`, or for
+    `require_every_pair` over any of the returned tables, which share one
+    kernel.  A link's value does not depend on its batch, so each table is
+    the one its scenario would get alone.
+    """
+    if not scenarios:
+        return []
+    period = scenarios[0].period
+    if any(sc.period != period for sc in scenarios):
+        raise ValueError("a chunk's scenarios must share one period")
+    link = (cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad)
+
+    def v2v_kernel(motions):
+        # the module global is looked up per call, so a wrapper installed on
+        # it sees every integrated pair
+        return unit_service_batch(motions, *link)
+
+    sizes = [sc.n for sc in scenarios]
+    unit_bs, converged = np.zeros(0), np.ones(0, dtype=bool)
+    if sum(sizes):
+        unit_bs, converged = unit_service_batch(
+            np.concatenate([sc.motion - sc.bs for sc in scenarios]),
+            cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad,
+        )
+    ends = np.cumsum(sizes)[:-1]
+    return [
+        ServiceTables(rb_share(cfg.k_lte, sc.n) * unit if sc.n else unit, _unknown_pairs(sc.n),
+                      cfg.k_dsrc, sc.motion, v2v_kernel, int(np.count_nonzero(~ok)))
+        for sc, unit, ok in zip(scenarios, np.split(unit_bs, ends), np.split(converged, ends))
+    ]
+
+
 def build_service_tables(
     scenario: Scenario, cfg: RadioConfig, quad: QuadratureSpec = QuadratureSpec()
 ) -> ServiceTables:
     """Service-integral tables: direct links integrated now, V2V pairs on `require`."""
-    n = scenario.n
-    if n == 0:
-        return ServiceTables(np.zeros(0), np.zeros((0, 0)), cfg.k_dsrc)
-    state = scenario.motion
-    unit_bs, converged = unit_service_batch(
-        state - scenario.bs,
-        cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, scenario.period, quad,
-    )
-    v2i = rb_share(cfg.k_lte, n) * unit_bs
-    link = (cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, scenario.period, quad)
-
-    def v2v_link(i, j):
-        # the module global is looked up per call, so a wrapper installed on
-        # it sees every integrated pair
-        return unit_service_batch(state[i] - state[j], *link)
-
-    return ServiceTables(
-        v2i, _unknown_pairs(n), cfg.k_dsrc, v2v_link, int(np.count_nonzero(~converged))
-    )
+    return build_chunk_tables([scenario], cfg, quad)[0]
 
 
 def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
@@ -196,14 +250,14 @@ def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
         cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, np.hypot(to_bs[:, 0], to_bs[:, 1])
     )
 
-    def v2v_link(i, j):
-        gap = state[i, :2] - state[j, :2]
+    def v2v_kernel(motions):
         rates = unit_rate(
-            cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, np.hypot(gap[:, 0], gap[:, 1])
+            cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb,
+            np.hypot(motions[:, 0], motions[:, 1]),
         )
         return rates, np.ones(len(rates), dtype=bool)
 
-    return ServiceTables(v2i, _unknown_pairs(n), cfg.k_dsrc, v2v_link)
+    return ServiceTables(v2i, _unknown_pairs(n), cfg.k_dsrc, state, v2v_kernel)
 
 
 def _partition_total(tables: ServiceTables, av_ids, pairing: dict[int, int]) -> float:

@@ -113,7 +113,8 @@ class TestRunCommand:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(text)
         out = tmp_path / "res"
-        code = run_cli(command + ["--seed", "1", "--n", "4", "--trials", "1",
+        fleet = ["--n", "4"] if command == ["run"] else ["--n-values", "4"]
+        code = run_cli(command + ["--seed", "1", *fleet, "--trials", "1",
                                   "--config", str(cfg_path), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
@@ -152,6 +153,17 @@ class TestSweepCommands:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: could not parse value list '20,x'"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n", "--n-v"])
+    def test_sweep_n_takes_no_fleet_size(self, tmp_path, capsys, flag):
+        # the sweep sets the fleet size per point, and no flag abbreviates --n-values
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep-n", "--seed", "1", "--trials", "1", "--policies", "noncoop",
+                     flag, "55", "--n-values", "20,40", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 55" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_speed_deterministic_bytes(self, tmp_path):

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import relaysched.scheduler as scheduler_module
 from relaysched.experiments import (
+    CHUNK_TRIALS,
     DEFAULT_N_VALUES,
     DEFAULT_SPEED_VALUES,
     ExperimentConfig,
+    _run_chunk,
     cmd_run,
     cmd_sweep_n,
     cmd_sweep_speed,
@@ -20,6 +23,8 @@ from relaysched.experiments import (
     summarize,
     write_outputs,
 )
+from relaysched.rng import split_seeds
+from relaysched.service import QuadratureSpec
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -49,6 +54,10 @@ EVERY_KEY_DOC = {
             "workers": 2},
     "sweep": {"n_values": [10, 30], "speed_values": [5.0, 15.0]},
 }
+
+
+def hexed(x):
+    return "" if x is None else float.hex(x)
 
 
 def small_config(**kw):
@@ -322,10 +331,6 @@ class TestGoldenMetrics:
         # cannot show
         cfg = config_from_doc({"scenario": {"n_vehicles": n_vehicles},
                                "run": {"seed": 7, "trials": trials, "policies": policies}})
-
-        def hexed(x):
-            return "" if x is None else float.hex(x)
-
         got = [f"{r.policy},{r.seed},{hexed(r.total_service)},{hexed(r.loss_ratio)}"
                for r in cmd_run(cfg)]
         want = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
@@ -395,3 +400,71 @@ class TestDeterminism:
         assert float(total_text) == pytest.approx(rows[0].total_service, rel=1e-11)
         assert len(total_text.replace(".", "").replace("-", "").lstrip("0")) <= 13
 
+
+class TestChunks:
+    """Trials run in chunks that share their kernel calls; no result depends on the chunks."""
+
+    ALL = ("msrs", "irrs", "noncoop", "optimal")
+
+    @staticmethod
+    def results(rows):
+        return {(r.policy, r.seed): (hexed(r.total_service), hexed(r.loss_ratio), r.note)
+                for r in rows}
+
+    @pytest.mark.parametrize("n_vehicles,policies", [
+        (12, ALL), (40, ("msrs", "irrs", "noncoop")),
+    ], ids=["n12-optimal", "n40"])
+    def test_trial_results_do_not_depend_on_the_chunk(self, n_vehicles, policies):
+        # 3 trials are one short chunk; of 11 trials, the same first 3 seeds
+        # run in a full chunk of 8
+        cfg = ExperimentConfig(seed=5, trials=3, n_vehicles=n_vehicles, policies=policies)
+        short = self.results(cmd_run(cfg))
+        full = self.results(cmd_run(ExperimentConfig(seed=5, trials=11, n_vehicles=n_vehicles,
+                                                     policies=policies)))
+        assert CHUNK_TRIALS == 8 and len(short) == 3 * len(policies)
+        assert short == {key: full[key] for key in short}
+
+    def test_partial_last_chunk_bytes_across_workers(self, tmp_path):
+        # 19 trials are chunks of 8, 8 and 3; config_echo.json records the
+        # worker count and is otherwise the same
+        cfg = ExperimentConfig(seed=6, trials=19, n_vehicles=12, policies=self.ALL)
+        write_outputs(cmd_run(cfg), cfg, tmp_path / "w1")
+        parallel = ExperimentConfig(seed=6, trials=19, n_vehicles=12, policies=self.ALL, workers=2)
+        write_outputs(cmd_run(parallel), parallel, tmp_path / "w2")
+        for name in ("metrics.csv", "summary.csv"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+        echo = (tmp_path / "w1" / "config_echo.json").read_text(encoding="utf-8")
+        assert '"workers": 1' in echo
+        assert (echo.replace('"workers": 1', '"workers": 2')
+                == (tmp_path / "w2" / "config_echo.json").read_text(encoding="utf-8"))
+
+    def test_mixed_chunk(self, cfg, monkeypatch):
+        # 9 trials at N = 0, 0, 0, 10, 10, 10, 14, 14 | 14, oracle cap 12, and
+        # no bisection, so some links of each fleet stay unconverged
+        real = scheduler_module.unit_service_batch
+        calls = []
+
+        def counting(motions, model, *args, **kwargs):
+            calls.append(("v2i" if model == cfg.v2i_model else "v2v", len(motions)))
+            return real(motions, model, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "unit_service_batch", counting)
+        config = ExperimentConfig(seed=4, trials=3, n_values=(0, 10, 14), policies=self.ALL,
+                                  quad=QuadratureSpec(max_refinements=0))
+        rows = cmd_sweep_n(config)
+        # one direct-link call per chunk; the chunk's one pairs call holds the
+        # 3 x 45 pairs of the N=10 trials; only the refused N=14 trials'
+        # msrs integrates its own pairs, 7 x 7 + 21 of them each
+        assert calls == [("v2i", 58), ("v2v", 135), ("v2v", 70), ("v2v", 70),
+                         ("v2i", 14), ("v2v", 70)]
+        refused = [r for r in rows if r.policy == "optimal" and r.n_vehicles == 14]
+        assert len(refused) == 3 and all(r.total_service is None for r in refused)
+        assert all(r.note.startswith("refused: n_vehicles=14 exceeds oracle cap 12; ")
+                   for r in refused)
+        # each trial's notes count its own links only: the same as run alone
+        notes = {}
+        for seed, n in zip(split_seeds(4, 9), (0, 0, 0, 10, 10, 10, 14, 14, 14)):
+            alone = {r.policy: r.note for r in _run_chunk((config, [(seed, n, None)]))}
+            assert alone == {r.policy: r.note for r in rows if r.seed == seed}
+            notes[seed] = alone["msrs"]
+        assert len({note for note in notes.values() if note}) > 2

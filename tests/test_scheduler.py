@@ -24,14 +24,16 @@ import relaysched.assignment as assignment_module
 import relaysched.scheduler as scheduler_module
 from relaysched.assignment import BenefitMatrix
 from relaysched.channel import default_radio_config, rb_share, unit_rate
-from relaysched.experiments import ExperimentConfig, _run_trial
+from relaysched.experiments import ExperimentConfig, _run_chunk
 from relaysched.scenario import Scenario, ScenarioSpec, generate
 from relaysched.scheduler import (
     InvalidScheduleError,
     Schedule,
     ServiceTables,
+    build_chunk_tables,
     build_rate_tables,
     build_service_tables,
+    require_every_pair,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,
@@ -208,21 +210,42 @@ class TestDemandDrivenTables:
         assert sum(links) == 12 + 12 * 11 // 2 == 78
 
     def test_oracle_trial_integrates_every_pair_in_one_call(self, links):
-        # the oracle runs first and requires all 66 pairs at once; msrs and
-        # irrs then find theirs in the table.  The rows keep the config order
-        config = ExperimentConfig(seed=1, trials=1, n_vehicles=12,
+        # a chunk of 8 oracle trials integrates its 8 x 12 direct links in one
+        # call and its 8 x 66 pairs in one more, before any policy runs; the
+        # policies then find every pair in their tables.  Each trial's rows
+        # keep the config order
+        config = ExperimentConfig(seed=1, trials=8, n_vehicles=12,
                                   policies=("msrs", "irrs", "noncoop", "optimal"))
-        rows = _run_trial((config, 9, None, None))
-        assert links == [12, 66]
-        assert [r.policy for r in rows] == list(config.policies)
+        rows = _run_chunk((config, [(seed, None, None) for seed in range(9, 17)]))
+        assert links == [96, 528]
+        assert [r.policy for r in rows] == list(config.policies) * 8
+        assert [r.seed for r in rows[::4]] == list(range(9, 17))
         assert all(r.total_service is not None for r in rows)
+
+    def test_chunk_tables_equal_tables_built_alone(self, cfg, links):
+        # one call for the chunk's 9 direct links and one for its 10 + 6
+        # pairs; each table holds the bits its scenario gets alone
+        scs = [generate(ScenarioSpec(n_vehicles=n, seed=s)) for n, s in ((5, 1), (0, 2), (4, 3))]
+        chunk = build_chunk_tables(scs, cfg)
+        require_every_pair(chunk)
+        assert links == [9, 16]
+        for sc, tables in zip(scs, chunk):
+            alone = build_service_tables(sc, cfg)
+            every = np.arange(sc.n)
+            alone.require(every[:, None], every)
+            assert np.array_equal(tables.v2i, alone.v2i)
+            assert np.array_equal(tables.v2v_unit, alone.v2v_unit)
+        with pytest.raises(ValueError, match="share one V2V kernel"):
+            require_every_pair([build_service_tables(sc, cfg) for sc in scs])
+        with pytest.raises(ValueError, match="share one period"):
+            build_chunk_tables([scs[0], generate(ScenarioSpec(3, seed=4, period_duration=4.0))], cfg)
 
     def test_refused_oracle_leaves_the_pairs_lazy(self, links):
         # above the cap the oracle integrates nothing, so msrs requires only
         # its block and the V2V table is never complete
         config = ExperimentConfig(seed=1, trials=1, n_vehicles=20, oracle_cap=12,
                                   policies=("optimal", "msrs", "irrs", "noncoop"))
-        rows = _run_trial((config, 9, None, None))
+        rows = _run_chunk((config, [(9, None, None)]))
         assert links[0] == 20 and 190 not in links and sum(links[1:]) < 190
         assert rows[0].policy == "optimal" and rows[0].note.startswith("refused")
 
