@@ -14,7 +14,6 @@ from .channel import (
     PathLossModel,
     RadioConfig,
     default_radio_config,
-    path_loss,
     rate_two_hop,
     unit_rate,
 )

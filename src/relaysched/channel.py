@@ -6,6 +6,11 @@ transmit power and per-resource-block noise floor.  Rates are normalized:
 one unit is (bit/s/Hz) x (one resource block), i.e. no bandwidth factor is
 applied.  Multiply by a resource-block bandwidth in Hz to get bit/s.
 
+dB is the parameter format: the models, powers and noise floors below, and
+the config format, are all given in dB.  Squared distance is the evaluation
+form: `unit_rate` takes d**2, which straight-line motion gives without a
+square root, and evaluates the same SNR through exp and ln.
+
 Default numbers (see `default_radio_config`):
 
 * V2I path loss  128.1 + 37.6*log10(d_km)   dB
@@ -104,39 +109,25 @@ def default_radio_config(
     )
 
 
-def _loss_db(model: PathLossModel, d) -> np.ndarray:
-    """Attenuation in dB at `d`, computed in one new float array (0-d for a scalar `d`).
+def unit_rate(model: PathLossModel, p_tx_dbm: float, noise_dbm: float, d2):
+    """Per-RB rate log2(1+SNR) at squared distance `d2` (m**2, scalar or array); no RB share applied.
 
-    Each step writes into that array, in the order of
-    reference_loss + slope * log10(max(d, min_distance) / distance_divisor).
+    Every rate and service amount in the package is computed here.  The
+    model is given in dB, but the SNR 10**((p_tx - noise - loss(d)) / 10) is
+    evaluated as exp(c + k*ln(max(d2, min_distance**2))), with k = -slope/20
+    and c = (p_tx - noise - reference_loss)*ln(10)/10
+    + (slope/20)*ln(distance_divisor**2), in place in one new array, so
+    callers never take a square root.  Distances are not checked: callers
+    derive them from validated vehicle states.
     """
-    x = np.maximum(d, model.min_distance, out=np.empty(np.shape(d)))
-    np.divide(x, model.distance_divisor, out=x)
-    np.log10(x, out=x)
-    np.multiply(model.slope, x, out=x)
-    return np.add(model.reference_loss, x, out=x)
-
-
-def path_loss(model: PathLossModel, d):
-    """Attenuation in dB at distance `d` (meters, scalar or array)."""
-    d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("non-finite distance")
-    return _loss_db(model, d)[()]
-
-
-def unit_rate(model: PathLossModel, p_tx_dbm: float, noise_dbm: float, d):
-    """Per-RB rate log2(1+SNR) at distance `d` (meters, scalar or array); no RB share applied.
-
-    Every rate and service amount in the package is computed here, in place
-    in the array `_loss_db` returns, with the bits of
-    log2(1 + 10 ** ((p_tx_dbm - noise_dbm - loss) / 10)).  Distances are not
-    checked: callers derive them from validated vehicle states.
-    """
-    x = _loss_db(model, d)
-    np.subtract(p_tx_dbm - noise_dbm, x, out=x)
-    np.divide(x, 10.0, out=x)
-    np.power(10.0, x, out=x)
+    k = -model.slope / 20.0
+    c = ((p_tx_dbm - noise_dbm - model.reference_loss) * (math.log(10.0) / 10.0)
+         - k * math.log(model.distance_divisor**2))
+    x = np.maximum(d2, model.min_distance**2, out=np.empty(np.shape(d2)))
+    np.log(x, out=x)
+    np.multiply(k, x, out=x)
+    np.add(c, x, out=x)
+    np.exp(x, out=x)
     np.add(1.0, x, out=x)
     return np.log2(x, out=x)[()]
 

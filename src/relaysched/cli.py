@@ -52,11 +52,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, attr, None)
         if value is not None:
             overrides[attr] = value
-    if getattr(args, "policies", None):
+    if args.policies is not None:
         overrides["policies"] = tuple(args.policies.split(","))
-    if getattr(args, "n_values", None):
+    if getattr(args, "n_values", None) is not None:
         overrides["n_values"] = _parse_values(args.n_values, int)
-    if getattr(args, "speed_values", None):
+    if getattr(args, "speed_values", None) is not None:
         overrides["speed_values"] = _parse_values(args.speed_values, float)
     return config_from_doc(doc, overrides)
 

@@ -84,6 +84,9 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for name in ("policies", "n_values", "speed_values"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         unknown = [p for p in self.policies if p not in POLICIES]
         if unknown:
             raise ValueError(f"unknown policies {unknown}; choose from {POLICIES}")

@@ -242,22 +242,16 @@ def build_service_tables(
 def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
     """Instantaneous-rate tables at the period start (dt = 0), V2V rates on `require`."""
     n = scenario.n
-    if n == 0:
-        return ServiceTables(np.zeros(0), np.zeros((0, 0)), cfg.k_dsrc)
-    state = scenario.motion
-    to_bs = state - scenario.bs
-    v2i = rb_share(cfg.k_lte, n) * unit_rate(
-        cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, np.hypot(to_bs[:, 0], to_bs[:, 1])
-    )
+    x, y = (scenario.motion - scenario.bs)[:, :2].T
+    v2i = unit_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, x * x + y * y)
 
     def v2v_kernel(motions):
-        rates = unit_rate(
-            cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb,
-            np.hypot(motions[:, 0], motions[:, 1]),
-        )
+        x, y = motions[:, 0], motions[:, 1]
+        rates = unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, x * x + y * y)
         return rates, np.ones(len(rates), dtype=bool)
 
-    return ServiceTables(v2i, _unknown_pairs(n), cfg.k_dsrc, state, v2v_kernel)
+    return ServiceTables(rb_share(cfg.k_lte, n) * v2i if n else v2i, _unknown_pairs(n),
+                         cfg.k_dsrc, scenario.motion, v2v_kernel)
 
 
 def _partition_total(tables: ServiceTables, av_ids, pairing: dict[int, int]) -> float:

@@ -20,7 +20,7 @@ beside the other vehicle, distance is clamped to L while d < L.  The u-range
 is then split where d crosses L, at u = +-asinh(sqrt(L**2 - d_min**2)/L), and
 the clamped span between is its own piece, so every piece is smooth.  A link
 with b = 0 (parked, or both ends with one velocity) has a constant rate, and
-its service is D*rate(|a|) in closed form.
+its service is D*rate(|a|**2) in closed form.
 
 Each piece starts as one panel, integrated with QUADPACK's 15-node
 Gauss-Kronrod rule.  A panel whose Kronrod estimate and the 7-node Gauss
@@ -187,23 +187,21 @@ def unit_service_batch(
     if static.any():
         moving = np.flatnonzero(~static)
         values = np.zeros(len(motions))
-        values[static] = duration * unit_rate(
-            model, p_tx_dbm, noise_dbm, np.hypot(motions[static, 0], motions[static, 1])
-        )
+        ax, ay = motions[static, 0], motions[static, 1]
+        values[static] = duration * unit_rate(model, p_tx_dbm, noise_dbm, ax * ax + ay * ay)
         motions = motions[moving]
     link, pieces, scale = _pieces(motions, model.min_distance, duration)
 
     def integrand(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # rate * cosh(u) at fractions x of each panel's u-range, where
-        # d**2 = d_min**2 + (s*sinh(u))**2 = (s*cosh(u))**2 - (s**2 - d_min**2)
+        # rate * cosh(u) at fractions x of each panel's u-range; the rate
+        # takes d**2 = d_min**2 + (s*sinh(u))**2 = (s*cosh(u))**2 - (s**2 - d_min**2)
         cosh = rows[:, 1:2] * x
         cosh += rows[:, 0:1]
         np.cosh(cosh, out=cosh)
-        d = rows[:, 2:3] * cosh
-        d *= d
-        d -= rows[:, 3:4]
-        np.sqrt(d, out=d)
-        rate = unit_rate(model, p_tx_dbm, noise_dbm, d)
+        d2 = rows[:, 2:3] * cosh
+        d2 *= d2
+        d2 -= rows[:, 3:4]
+        rate = unit_rate(model, p_tx_dbm, noise_dbm, d2)
         rate *= cosh
         return rate
 

@@ -8,7 +8,9 @@ something the package computes faster, kept here as an oracle.
   `generate`'s draws into records.
 * Trajectories and distances of single vehicles at a time offset, and the
   scalar per-link rates built on them (the dense-trapezoid quadrature
-  references); the rates use the package's own `unit_rate` and `rb_share`.
+  references).  The rates write the path loss out in dB on distance
+  (`db_rate`), not through the package's `unit_rate`, so they check it
+  rather than repeat it.
 * `brute_force_assignment`: the assignment optimum by enumeration.
 * `pairs_respect_direct_order` and `aided_are_weakest`: structural
   predicates on schedules.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from relaysched.assignment import Assignment, BenefitMatrix, _check_tall
-from relaysched.channel import RadioConfig, rb_share, unit_rate
+from relaysched.channel import PathLossModel, RadioConfig, rb_share
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import Scenario, ScenarioSpec
 from relaysched.scheduler import Schedule
@@ -110,13 +112,21 @@ def distance_between(a: Vehicle, b: Vehicle, dt):
 # --- scalar per-link rates ----------------------------------------------------
 
 
+def db_rate(model: PathLossModel, p_tx_dbm: float, noise_dbm: float, d):
+    """Per-RB rate log2(1 + SNR) at distance `d`, with the path loss and SNR in dB."""
+    loss = model.reference_loss + model.slope * np.log10(
+        np.maximum(d, model.min_distance) / model.distance_divisor
+    )
+    return np.log2(1.0 + 10.0 ** ((p_tx_dbm - noise_dbm - loss) / 10.0))
+
+
 def rate_v2i(v: Vehicle, bs: Vehicle, cfg: RadioConfig, n_total: int, dt):
     """Downlink rate of vehicle `v` when `n_total` vehicles share the cellular RBs."""
     share = rb_share(cfg.k_lte, n_total)
     if share == 0:
         return np.zeros_like(np.asarray(dt, dtype=float))[()]
     d = distance_to_bs(v, bs, dt)
-    return share * unit_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, d)
+    return share * db_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, d)
 
 
 def rate_v2v(tx: Vehicle, rx: Vehicle, cfg: RadioConfig, n_av: int, dt):
@@ -125,7 +135,7 @@ def rate_v2v(tx: Vehicle, rx: Vehicle, cfg: RadioConfig, n_av: int, dt):
     if share == 0:
         return np.zeros_like(np.asarray(dt, dtype=float))[()]
     d = distance_between(tx, rx, dt)
-    return share * unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, d)
+    return share * db_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, d)
 
 
 # --- assignment by enumeration ----------------------------------------------

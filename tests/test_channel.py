@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import Vehicle, rate_v2i, rate_v2v
+from oracles import Vehicle, db_rate, rate_v2i, rate_v2v
 
 from relaysched.channel import (
     DSRC_PATH_LOSS,
@@ -12,7 +12,6 @@ from relaysched.channel import (
     PathLossModel,
     RadioConfig,
     default_radio_config,
-    path_loss,
     rate_two_hop,
     unit_rate,
 )
@@ -23,21 +22,22 @@ def still_vehicle(x, y=0.0):
 
 
 class TestPathLoss:
+    # a transmit power that exceeds the noise floor by exactly the loss gives
+    # SNR 1, so a rate of 1
     def test_lte_reference_distance(self):
-        assert path_loss(LTE_PATH_LOSS, 1000.0) == pytest.approx(128.1, abs=1e-12)
+        assert unit_rate(LTE_PATH_LOSS, 128.1, 0.0, 1000.0**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_dsrc_reference_distance(self):
-        assert path_loss(DSRC_PATH_LOSS, 1.0) == pytest.approx(43.9, abs=1e-12)
+        assert unit_rate(DSRC_PATH_LOSS, 43.9, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_lte_one_decade_below_reference(self):
-        assert path_loss(LTE_PATH_LOSS, 100.0) == pytest.approx(128.1 - 37.6, abs=1e-12)
+        rate = unit_rate(LTE_PATH_LOSS, 128.1 - 37.6, 0.0, 100.0**2)
+        assert rate == pytest.approx(1.0, abs=1e-12)
 
     def test_clamps_below_min_distance(self):
-        assert path_loss(DSRC_PATH_LOSS, 0.01) == path_loss(DSRC_PATH_LOSS, 1.0)
-
-    def test_rejects_nonfinite_distance(self):
-        with pytest.raises(ValueError):
-            path_loss(LTE_PATH_LOSS, float("nan"))
+        at_clamp = unit_rate(DSRC_PATH_LOSS, 20.0, -112.0, 1.0)
+        for d2 in (0.0, 0.01**2, 1.0 - 1e-12):
+            assert unit_rate(DSRC_PATH_LOSS, 20.0, -112.0, d2) == at_clamp
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -58,34 +58,62 @@ class TestPathLoss:
             PathLossModel(reference_loss=100.0, slope=20.0, distance_divisor=divisor)
 
 
-def expression_rate(model, p_tx_dbm, noise_dbm, d):
-    """The rate formula written as one expression, each step in a new array."""
-    loss = model.reference_loss + model.slope * np.log10(
-        np.maximum(d, model.min_distance) / model.distance_divisor
-    )
-    return np.log2(1.0 + 10.0 ** ((p_tx_dbm - noise_dbm - loss) / 10.0))
+def expression_rate(model, p_tx_dbm, noise_dbm, d2):
+    """The rate on squared distance written as one expression, each step in a new array."""
+    k = -model.slope / 20.0
+    c = ((p_tx_dbm - noise_dbm - model.reference_loss) * (math.log(10.0) / 10.0)
+         - k * math.log(model.distance_divisor**2))
+    return np.log2(1.0 + np.exp(c + k * np.log(np.maximum(d2, model.min_distance**2))))
+
+
+MODELS = pytest.mark.parametrize("model, p_tx, noise", [
+    (DSRC_PATH_LOSS, 20.0, -112.0),
+    (LTE_PATH_LOSS, default_radio_config().p_bs_per_rb, -96.0),
+], ids=["v2v", "v2i"])
 
 
 class TestUnitRate:
-    @pytest.mark.parametrize("model, p_tx, noise", [
-        (DSRC_PATH_LOSS, 20.0, -112.0),
-        (LTE_PATH_LOSS, default_radio_config().p_bs_per_rb, -96.0),
-    ], ids=["v2v", "v2i"])
+    @MODELS
     def test_bits_of_the_expression(self, model, p_tx, noise):
         # in place, step by step, it must give the expression's bits: on both
         # sides of the clamp, at it, for a 2-d array and for a scalar
         gen = np.random.default_rng(5)
-        d = np.concatenate([[0.0, 0.5, 1.0, 1.0 + 1e-12], gen.uniform(0.0, 2.0, 500),
-                            gen.uniform(2.0, 2000.0, 500)])
-        got = unit_rate(model, p_tx, noise, d)
-        assert got.shape == d.shape
-        assert got.tobytes() == expression_rate(model, p_tx, noise, d).tobytes()
-        grid = d[:1000].reshape(40, 25)
+        d2 = np.concatenate([[0.0, 0.25, 1.0, 1.0 + 1e-12], gen.uniform(0.0, 4.0, 500),
+                             gen.uniform(4.0, 4e6, 500)])
+        got = unit_rate(model, p_tx, noise, d2)
+        assert got.shape == d2.shape
+        assert got.tobytes() == expression_rate(model, p_tx, noise, d2).tobytes()
+        grid = d2[:1000].reshape(40, 25)
         assert unit_rate(model, p_tx, noise, grid).tobytes() == got[:1000].tobytes()
-        for x in (0.25, 37.5, 1234.0):
+        for x in (0.0625, 1406.25, 1522756.0):
             scalar = unit_rate(model, p_tx, noise, x)
             assert isinstance(scalar, np.float64) and np.ndim(scalar) == 0
             assert scalar.tobytes() == expression_rate(model, p_tx, noise, x).tobytes()
+
+    @MODELS
+    def test_no_less_accurate_than_the_db_form(self, model, p_tx, noise):
+        # against the dB expression in extended precision at the same squared
+        # distances, the exp/ln form's worst relative error is no larger than
+        # the dB form's on sqrt(d2), which is what the integrand evaluated
+        # before it took squared distances
+        if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+            pytest.skip("long double is no wider than float64 here")
+        gen = np.random.default_rng(11)
+        d2 = np.concatenate([gen.uniform(0.0, 1.0, 500), [1.0],
+                             10.0 ** gen.uniform(0.0, 6.6, 1500)])
+        wide = np.longdouble
+        loss = wide(model.reference_loss) + wide(model.slope) * np.log10(
+            np.sqrt(np.maximum(d2.astype(wide), wide(model.min_distance) ** 2))
+            / wide(model.distance_divisor))
+        want = np.log2(1 + 10 ** ((wide(p_tx) - wide(noise) - loss) / 10))
+
+        def worst(got):
+            return float(np.max(np.abs((got.astype(wide) - want) / want)))
+
+        new, old = worst(unit_rate(model, p_tx, noise, d2)), worst(
+            db_rate(model, p_tx, noise, np.sqrt(d2)))
+        assert new <= old
+        assert new < 1e-13
 
     def test_scalar_rates_stay_scalar(self, bs, cfg):
         v = still_vehicle(300.0)

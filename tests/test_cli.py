@@ -104,9 +104,12 @@ class TestRunCommand:
         (["run"], '{"period": {"duration_s": Infinity}}',
          "error: period_duration must be finite, got inf"),
         (["run"], '{"period": {"duration_s": 0}}', "error: period duration must be positive, got 0"),
+        (["run"], '{"run": {"policies": []}}', "error: policies must not be empty"),
+        (["run"], '{"sweep": {"n_values": []}}', "error: n_values must not be empty"),
+        (["run"], '{"sweep": {"speed_values": []}}', "error: speed_values must not be empty"),
     ], ids=["nan-tolerance", "float-fleet-size", "string-lane-offset", "nan-path-loss",
             "zero-distance-divisor", "infinite-coverage", "nan-lane-offset", "infinite-period",
-            "zero-period"])
+            "zero-period", "no-policies", "no-fleet-sizes", "no-speeds"])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys, command, text, message):
         # these used to run with no link converging, die in a TypeError
         # traceback, or fail later with a message that names no config key
@@ -153,6 +156,19 @@ class TestSweepCommands:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: could not parse value list '20,x'"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, field", [
+        ("sweep-n", "--n-values", "n_values"), ("sweep-speed", "--speed-values", "speed_values"),
+    ])
+    @pytest.mark.parametrize("text", [",", ""])
+    def test_empty_sweep_values_fail_cleanly(self, tmp_path, capsys, command, flag, field, text):
+        # "," used to run no trial and write header-only files, "" to run the default sweep
+        out = tmp_path / "res"
+        code = run_cli([command, "--seed", "1", "--trials", "1", "--policies", "noncoop",
+                        flag, text, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {field} must not be empty"]
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n", "--n-v"])

@@ -165,9 +165,9 @@ class TestConfig:
 
     def test_accepts_integer_items_for_numbers(self):
         cfg = config_from_doc({"scenario": {"lane_offsets_m": [2, 5.5], "speed_range_mps": [4, 35]},
-                               "sweep": {"n_values": [], "speed_values": [5, 20.5]}})
+                               "sweep": {"n_values": [20], "speed_values": [5, 20.5]}})
         assert cfg.lane_offsets == (2, 5.5) and cfg.speed_range == (4, 35)
-        assert cfg.n_values == () and cfg.speed_values == (5, 20.5)
+        assert cfg.n_values == (20,) and cfg.speed_values == (5, 20.5)
 
     def test_rejects_non_finite_quadrature_tolerance(self):
         # json.loads reads NaN and Infinity; with a NaN tolerance no link could converge

@@ -285,9 +285,8 @@ class TestDemandDrivenTables:
         # the dense table at the period start, every pair at once
         state = sc.motion
         gap = state[:, None, :2] - state[None, :, :2]
-        dense = unit_rate(
-            cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, np.hypot(gap[..., 0], gap[..., 1])
-        )
+        dense = unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb,
+                          gap[..., 0] ** 2 + gap[..., 1] ** 2)
         np.fill_diagonal(dense, 0.0)
         assert np.array_equal(rt.v2v_unit, dense)
         assert not links and rt.unconverged == 0
@@ -785,11 +784,27 @@ class TestBruteForceOracle:
         msrs = solve_msrs(sc, cfg, tables=tables)
         noncoop = solve_noncooperative(sc, cfg, tables=tables)
         assert opt.total_service >= msrs.total_service >= noncoop.total_service
-        # the optimum does not depend on which id each vehicle carries
+        # neither the optimum nor msrs depends on which id each vehicle carries
         order = data.draw(st.permutations(range(n)))
         relabelled = Scenario(sc.bs, sc.motion[list(order)], sc.period)
         again = solve_optimal_bruteforce(relabelled, cfg)
         assert again.total_service == pytest.approx(opt.total_service, rel=1e-12)
+        assert_msrs_relabels(sc, relabelled, order, msrs, cfg)
+
+    @pytest.mark.parametrize("n", [40, 100])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_msrs_relabelling_at_scale(self, cfg, n, seed):
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
+        order = np.random.default_rng(seed).permutation(n).tolist()
+        relabelled = Scenario(sc.bs, sc.motion[order], sc.period)
+        assert_msrs_relabels(sc, relabelled, order, solve_msrs(sc, cfg), cfg)
+
+
+def assert_msrs_relabels(sc, relabelled, order, msrs, cfg):
+    """msrs on `relabelled`, whose vehicle k is `sc`'s vehicle order[k], pairs the same vehicles."""
+    again = solve_msrs(relabelled, cfg)
+    assert {order[a]: order[r] for a, r in again.pairing.items()} == msrs.pairing
+    assert again.total_service == pytest.approx(msrs.total_service, rel=1e-12)
 
 
 class TestScalingBenchmark:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import Vehicle, motion_rows, rate_v2i, rate_v2v
+from oracles import Vehicle, db_rate, motion_rows, rate_v2i, rate_v2v
 
 import relaysched.service as service_module
 from relaysched.channel import RadioConfig, default_radio_config, rb_share, unit_rate
@@ -59,8 +59,8 @@ def recursive_service_batch(motions, model, p_tx_dbm, noise_dbm, period, quad):
     static = ~motions[:, 2:].any(axis=1)
     values = np.zeros(len(motions))
     converged = np.ones(len(motions), dtype=bool)
-    values[static] = period.duration * unit_rate(
-        model, p_tx_dbm, noise_dbm, np.hypot(motions[static, 0], motions[static, 1]))
+    ax, ay = motions[static, 0], motions[static, 1]
+    values[static] = period.duration * unit_rate(model, p_tx_dbm, noise_dbm, ax * ax + ay * ay)
     link, pieces, scale = _pieces(motions[~static], model.min_distance, period.duration)
     if link is None:  # one piece per link
         link = range(len(pieces))
@@ -68,7 +68,7 @@ def recursive_service_batch(motions, model, p_tx_dbm, noise_dbm, period, quad):
     def panel(lo, width, s, c, scale, level):
         cosh = np.cosh(width * _QK15[0:1] + lo)
         sc = s * cosh
-        f = unit_rate(model, p_tx_dbm, noise_dbm, np.sqrt(sc * sc - c)) * cosh
+        f = unit_rate(model, p_tx_dbm, noise_dbm, sc * sc - c) * cosh
         kronrod = (f * _QK15[1]).sum(axis=1)[0] * (width * scale)
         gauss = (f * _QK15[2]).sum(axis=1)[0] * (width * scale)
         if abs(kronrod - gauss) <= quad.relative_tolerance * max(abs(kronrod), _ABS_FLOOR):
@@ -88,7 +88,10 @@ def recursive_service_batch(motions, model, p_tx_dbm, noise_dbm, period, quad):
 
 
 def reference_service(row, model, p_tx_dbm, noise_dbm, duration):
-    """scipy's adaptive quadrature in t, given the closest approach and the clamp crossings."""
+    """scipy's adaptive quadrature in t, given the closest approach and the clamp crossings.
+
+    The rate is the dB expression on distance, not the package's `unit_rate`.
+    """
     integrate = pytest.importorskip("scipy.integrate")
     ax, ay, bx, by = (float(c) for c in row)
     speed2 = bx * bx + by * by
@@ -99,7 +102,7 @@ def reference_service(row, model, p_tx_dbm, noise_dbm, duration):
         half = math.sqrt(max(model.min_distance**2 - d_min**2, 0.0) / speed2)
         points = {t for t in (t_star - half, t_star, t_star + half) if 0.0 < t < duration}
     value, _ = integrate.quad(
-        lambda t: float(unit_rate(model, p_tx_dbm, noise_dbm, math.hypot(ax + bx * t, ay + by * t))),
+        lambda t: float(db_rate(model, p_tx_dbm, noise_dbm, math.hypot(ax + bx * t, ay + by * t))),
         0.0, duration, points=sorted(points) or None, epsrel=1e-13, epsabs=0.0, limit=500,
     )
     return value
@@ -339,15 +342,17 @@ class TestAdaptiveKronrod:
     ], ids=["close-pass", "close-pass+overtake"])
     def test_node_count_at_the_cap(self, cfg, period, monkeypatch, links, max_refinements):
         # a piece whose panels all fail down to the cap r evaluates the 15
-        # nodes of each of its 2**(r + 1) - 1 panels once: one piece for the
-        # close pass, three for the overtake.  A tolerance of 1e-300 is met
-        # only by estimates that agree to the bit, which these panels' do not
+        # nodes of each of its 2**(r + 1) - 1 panels once: the close pass is
+        # one such piece, the overtake two, around its clamped span.  A
+        # tolerance of 1e-300 is met only by estimates that agree to the bit.
+        # The clamped span, a constant rate times cosh(u) on an interval
+        # symmetric about u = 0, is one panel whose K15 and G7 do agree
         real = service_module.unit_rate
         nodes = []
 
-        def counting(model, p_tx_dbm, noise_dbm, d):
-            nodes.append(np.size(d))
-            return real(model, p_tx_dbm, noise_dbm, d)
+        def counting(model, p_tx_dbm, noise_dbm, d2):
+            nodes.append(np.size(d2))
+            return real(model, p_tx_dbm, noise_dbm, d2)
 
         monkeypatch.setattr(service_module, "unit_rate", counting)
         pairs = [link() for link in links]
@@ -356,8 +361,8 @@ class TestAdaptiveKronrod:
             relative_rows(pairs), cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad,
         )
         assert not converged.any()
-        pieces = 1 + 3 * (overtake in links)
-        assert sum(nodes) == pieces * 15 * (2 ** (max_refinements + 1) - 1)
+        failing, clamped = 1 + 2 * (overtake in links), overtake in links
+        assert sum(nodes) == 15 * (failing * (2 ** (max_refinements + 1) - 1) + clamped)
 
 
 def relative_rows(pairs):
