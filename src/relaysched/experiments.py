@@ -37,6 +37,7 @@ from .scheduler import (
     BRUTE_FORCE_VEHICLE_CAP,
     ServiceTables,
     build_chunk_tables,
+    build_rate_tables,
     require_every_pair,
     solve_irrs,
     solve_msrs,
@@ -278,9 +279,12 @@ def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, scenario: Scenario,
                tables: ServiceTables, tables_ms: float) -> list[MetricsRow]:
     """All requested policies on one trial's scenario, in the config's policy order.
 
-    The policies share the trial's service tables.  A policy's timing
-    includes the V2V pairs it integrates on demand; with the oracle the
-    chunk has integrated them all, so no policy timing includes an integral.
+    The policies share the trial's service tables, passed positionally as
+    the first argument, where `perfbench/tracing.py` reads the fleet size.
+    A policy's timing includes the V2V pairs it integrates
+    on demand, and irrs's includes building its rate tables; with the oracle
+    the chunk has integrated every pair, so no policy timing includes an
+    integral.
     """
     schedules = {}
     timings = {}
@@ -288,19 +292,17 @@ def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, scenario: Scenario,
     for policy in config.policies:
         t0 = time.perf_counter()
         if policy == "msrs":
-            schedules[policy] = solve_msrs(scenario, config.radio, tables=tables)
+            schedules[policy] = solve_msrs(tables)
         elif policy == "irrs":
-            schedules[policy] = solve_irrs(scenario, config.radio, tables=tables)
+            schedules[policy] = solve_irrs(tables, build_rate_tables(scenario, config.radio))
         elif policy == "noncoop":
-            schedules[policy] = solve_noncooperative(scenario, config.radio, tables=tables)
+            schedules[policy] = solve_noncooperative(tables)
         elif policy == "optimal":
             if scenario.n > config.oracle_cap:
                 schedules[policy] = None
                 notes[policy] = f"refused: n_vehicles={scenario.n} exceeds oracle cap {config.oracle_cap}"
             else:
-                schedules[policy] = solve_optimal_bruteforce(
-                    scenario, config.radio, tables=tables, cap=config.oracle_cap
-                )
+                schedules[policy] = solve_optimal_bruteforce(tables, cap=config.oracle_cap)
         timings[policy] = 1000.0 * (time.perf_counter() - t0)
 
     starved = ""

@@ -1,7 +1,7 @@
 """Scheduling policies for the relay-aided vehicular downlink.
 
-A schedule partitions the fleet into relays (RV), aided vehicles (AV) and
-common vehicles (CV), with a one-to-one pairing of relays to aided vehicles.
+A schedule is a one-to-one pairing of aided vehicles (AV) to relays (RV);
+every other vehicle is a common vehicle (CV).
 Relays and common vehicles receive their direct downlink service; each aided
 vehicle receives the two-hop service of its relay pair (the weaker of the
 relay's downlink amount and the relay-to-vehicle amount).  That objective is
@@ -10,7 +10,8 @@ aided and `two_hop` (read through `benefit`) for the pairs.  Every policy
 searches or scores with it.  Service and rate tables alike compute a V2V pair
 only when a policy first requires it, unless `require_every_pair` has
 computed every pair of several tables in one kernel call beforehand.
-Four policies are provided, each called as `(scenario, cfg, tables=None)`:
+Four policies are provided, each a function of a scenario's service tables
+(`build_service_tables`); irrs also takes its rate tables (`build_rate_tables`):
 
 * `solve_msrs`            -- service-integral driven: sort by direct service,
                              take the weakest vehicles as aided, pair them
@@ -21,7 +22,7 @@ Four policies are provided, each called as `(scenario, cfg, tables=None)`:
                              totals the smallest count wins.
 * `solve_irrs`            -- the identical pipeline driven by instantaneous
                              rates at the period start; the returned schedule
-                             is still scored by service integrals.
+                             is still scored by the service tables.
 * `solve_noncooperative`  -- everyone talks to the BS directly.
 * `solve_optimal_bruteforce` -- exact maximizer over all partitions and
                              pairings: a bound per aided count skips the
@@ -61,32 +62,42 @@ class InvalidScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class Schedule:
-    """A vehicle partition plus relay pairing and its evaluated total service."""
+    """A relay pairing and its evaluated total service.
 
-    av_set: frozenset[int]
-    rv_set: frozenset[int]
-    cv_set: frozenset[int]
+    The aided vehicles are the pairing's keys, the relays its values, and
+    every other vehicle is a common vehicle.
+    """
+
     pairing: dict[int, int] = field(default_factory=dict)  # aided id -> relay id
-    n_av: int = 0
     total_service: float = 0.0
+
+    @property
+    def av_set(self) -> frozenset[int]:
+        return frozenset(self.pairing)
+
+    @property
+    def rv_set(self) -> frozenset[int]:
+        return frozenset(self.pairing.values())
+
+    @property
+    def n_av(self) -> int:
+        return len(self.pairing)
 
 
 def validate_schedule(schedule: Schedule, n_vehicles: int) -> None:
-    """Raise InvalidScheduleError unless the schedule is structurally sound."""
-    av, rv, cv = schedule.av_set, schedule.rv_set, schedule.cv_set
-    everyone = set(range(n_vehicles))
-    if av | rv | cv != everyone or len(av) + len(rv) + len(cv) != n_vehicles:
-        raise InvalidScheduleError("AV/RV/CV sets must partition the vehicle ids")
-    if len(av) != len(rv) or schedule.n_av != len(av):
-        raise InvalidScheduleError(
-            f"need as many relays as aided vehicles, got {len(rv)} vs {len(av)}"
-        )
-    if schedule.n_av > n_vehicles // 2:
-        raise InvalidScheduleError(f"n_av={schedule.n_av} exceeds floor(N/2)")
-    if set(schedule.pairing) != av or set(schedule.pairing.values()) != rv:
-        raise InvalidScheduleError("pairing must be a bijection from AV set onto RV set")
-    if len(set(schedule.pairing.values())) != len(schedule.pairing):
+    """Raise InvalidScheduleError unless the pairing is sound for vehicles 0..n_vehicles-1.
+
+    Once every id is in range, no relay serves two aided vehicles and no
+    vehicle is both aided and a relay, the pairs hold 2 n_av distinct ids,
+    so n_av <= N/2 follows.
+    """
+    av, rv = schedule.av_set, schedule.rv_set
+    if not all(0 <= i < n_vehicles for i in av | rv):
+        raise InvalidScheduleError(f"vehicle ids must lie in 0..{n_vehicles - 1}")
+    if len(rv) != len(av):
         raise InvalidScheduleError("a relay cannot serve two aided vehicles")
+    if av & rv:
+        raise InvalidScheduleError("a vehicle cannot be both aided and a relay")
 
 
 @dataclass
@@ -117,6 +128,10 @@ class ServiceTables:
     motion: np.ndarray | None = field(default=None, repr=False, compare=False)
     v2v_kernel: Callable | None = field(default=None, repr=False, compare=False)
     unconverged: int = 0
+
+    @property
+    def n(self) -> int:
+        return len(self.v2i)
 
     def require(self, rows, cols) -> None:
         """Compute the unknown V2V entries among broadcastable index arrays `rows` x `cols`."""
@@ -153,8 +168,11 @@ class ServiceTables:
         """
         return self.two_hop(self.v2v_unit[rows, cols], self.v2i[rows], n_av)
 
-    def direct_sum(self, aided: set) -> float:
-        """Direct amounts of every vehicle not in the set `aided`, summed in ascending id order."""
+    def direct_sum(self, aided) -> float:
+        """Direct amounts of every vehicle not aided, summed in ascending id order.
+
+        `aided` holds the aided ids: a pairing (its keys) or a set.
+        """
         return sum(x for i, x in enumerate(self.v2i.tolist()) if i not in aided)
 
 
@@ -254,27 +272,19 @@ def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
                          cfg.k_dsrc, scenario.motion, v2v_kernel)
 
 
-def _partition_total(tables: ServiceTables, av_ids, pairing: dict[int, int]) -> float:
-    """Objective value of a partition: direct amounts plus paired two-hop amounts.
+def _partition_total(tables: ServiceTables, pairing: dict[int, int]) -> float:
+    """Objective value of a pairing: direct amounts plus paired two-hop amounts.
 
     Summation order is pinned (ascending ids, direct part then relay part) so
     that every policy and re-evaluation reproduces identical floats.
     """
-    av_set = set(av_ids)
-    direct = tables.direct_sum(av_set)
-    if not av_set:
+    direct = float(tables.direct_sum(pairing))
+    if not pairing:
         return direct
-    aided = sorted(av_set)
+    aided = sorted(pairing)
     relays = [pairing[j] for j in aided]
     tables.require(relays, aided)
     return direct + sum(tables.benefit(relays, aided, len(aided)).tolist())
-
-
-def _schedule_from_parts(n: int, av_ids, pairing: dict[int, int], total: float) -> Schedule:
-    av = frozenset(av_ids)
-    rv = frozenset(pairing.values())
-    cv = frozenset(range(n)) - av - rv
-    return Schedule(av, rv, cv, dict(pairing), len(av), float(total))
 
 
 def _aided_cap(n: int, k_dsrc: int) -> int:
@@ -296,8 +306,8 @@ def _can_beat(bound: float, incumbent: float) -> bool:
     return not bound + 1e-9 * (1.0 + abs(bound)) <= incumbent
 
 
-def _best_partition(tables: ServiceTables):
-    """Search the aided-vehicle count; returns (total, av_ids, pairing).
+def solve_msrs(tables: ServiceTables) -> Schedule:
+    """Service-integral-driven schedule: sort, select, pair, search the AV count.
 
     For each count n_av the n_av weakest vehicles are aided and paired with
     relays among the rest; rows that win no aided vehicle stay common vehicles.
@@ -305,7 +315,7 @@ def _best_partition(tables: ServiceTables):
     count whose bound cannot beat the best total.  The largest total wins,
     the smallest n_av among equal totals.
     """
-    n = tables.v2i.shape[0]
+    n = tables.n
     # descending direct amount, ties by ascending id
     order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
     cap = _aided_cap(n, tables.k_dsrc)
@@ -323,64 +333,39 @@ def _best_partition(tables: ServiceTables):
         # column maxima bound the matching
         counts.append((kept[n - n_av] + w.max(axis=0).sum(), n_av, w))
     counts.sort(key=lambda c: (-c[0], c[1]))
-    best = (_partition_total(tables, (), {}), (), {})
+    best = Schedule({}, _partition_total(tables, {}))
     for bound, n_av, w in counts:
         # the incumbent only rises and the bounds only fall, so no later count
         # can win either
-        if not _can_beat(bound, best[0]):
+        if not _can_beat(bound, best.total_service):
             break
         avs = order[n - n_av:]
         solved = solve_max_assignment(BenefitMatrix(w))
         pairing = {avs[c]: order[r] for c, r in solved.match.items()}
-        total = _partition_total(tables, avs, pairing)
-        if total > best[0] or (total == best[0] and n_av < len(best[1])):
-            best = (total, tuple(avs), pairing)
+        total = _partition_total(tables, pairing)
+        if total > best.total_service or (total == best.total_service and n_av < best.n_av):
+            best = Schedule(pairing, total)
     return best
 
 
-def solve_msrs(
-    scenario: Scenario, cfg: RadioConfig, tables: ServiceTables | None = None
-) -> Schedule:
-    """Service-integral-driven schedule (sort, select, pair, search the AV count)."""
-    if tables is None:
-        tables = build_service_tables(scenario, cfg)
-    total, av_ids, pairing = _best_partition(tables)
-    return _schedule_from_parts(scenario.n, av_ids, pairing, total)
-
-
-def solve_irrs(
-    scenario: Scenario, cfg: RadioConfig, tables: ServiceTables | None = None
-) -> Schedule:
-    """Rate-driven schedule: decisions use period-start rates, scoring uses integrals.
+def solve_irrs(tables: ServiceTables, rates: ServiceTables) -> Schedule:
+    """Rate-driven schedule: decisions use the period-start `rates`, scoring uses `tables`.
 
     The pipeline is identical to `solve_msrs` but every decision quantity is
-    the instantaneous rate at the period start.  The chosen structure is then
-    evaluated with mobile-service integrals so totals are comparable across
-    policies.
+    the instantaneous rate at the period start (`build_rate_tables`).  The
+    chosen pairing is then scored with the mobile-service tables so totals
+    are comparable across policies.
     """
-    _, av_ids, pairing = _best_partition(build_rate_tables(scenario, cfg))
-    if tables is None:
-        tables = build_service_tables(scenario, cfg)
-    total = _partition_total(tables, av_ids, pairing)
-    return _schedule_from_parts(scenario.n, av_ids, pairing, total)
+    pairing = solve_msrs(rates).pairing
+    return Schedule(pairing, _partition_total(tables, pairing))
 
 
-def solve_noncooperative(
-    scenario: Scenario, cfg: RadioConfig, tables: ServiceTables | None = None
-) -> Schedule:
+def solve_noncooperative(tables: ServiceTables) -> Schedule:
     """Everyone direct to the BS; no relaying, no V2V resource use."""
-    if tables is None:
-        tables = build_service_tables(scenario, cfg)
-    total = _partition_total(tables, (), {})
-    return _schedule_from_parts(scenario.n, (), {}, total)
+    return Schedule({}, _partition_total(tables, {}))
 
 
-def solve_optimal_bruteforce(
-    scenario: Scenario,
-    cfg: RadioConfig,
-    tables: ServiceTables | None = None,
-    cap: int = BRUTE_FORCE_VEHICLE_CAP,
-) -> Schedule:
+def solve_optimal_bruteforce(tables: ServiceTables, cap: int = BRUTE_FORCE_VEHICLE_CAP) -> Schedule:
     """Exact optimum over every partition and pairing.
 
     The aided counts are visited in ascending order.  A count is skipped
@@ -396,18 +381,14 @@ def solve_optimal_bruteforce(
     are integrated, not ~3.6 million candidate schedules.  The cap bounds
     the sets a kept count visits, whose number about doubles per vehicle.
     """
-    n = scenario.n
+    n = tables.n
     if n > cap:
         raise ValueError(f"refusing exhaustive search for {n} vehicles; cap is {cap}")
-    if tables is None:
-        tables = build_service_tables(scenario, cfg)
     every = np.arange(n)
     tables.require(every[:, None], every)
     ids = list(range(n))
 
-    total_direct = _partition_total(tables, (), {})
-    best_total = total_direct
-    best_av: tuple = ()
+    best_total = total_direct = _partition_total(tables, {})
     best_pairing: dict[int, int] = {}
     for n_av in range(1, _aided_cap(n, tables.k_dsrc) + 1):
         w_arr = tables.benefit(every[:, None], every, n_av)
@@ -432,6 +413,5 @@ def solve_optimal_bruteforce(
                     total = direct + relay
                     if total > best_total:
                         best_total = total
-                        best_av = av
                         best_pairing = {a: r for r, a in zip(perm, av)}
-    return _schedule_from_parts(n, best_av, best_pairing, best_total)
+    return Schedule(best_pairing, best_total)

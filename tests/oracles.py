@@ -178,10 +178,8 @@ def aided_are_weakest(schedule: Schedule, per_vehicle, tol: float = 1e-9) -> boo
     This is the structural mark of the sort-then-select pipeline: the aided
     set is exactly the tail of the direct-amount ordering (up to ties).
     """
-    if not schedule.av_set:
-        return True
-    others = schedule.rv_set | schedule.cv_set
-    if not others:
+    others = [i for i in range(len(per_vehicle)) if i not in schedule.av_set]
+    if not schedule.av_set or not others:
         return True
     worst_kept = min(per_vehicle[i] for i in others)
     best_aided = max(per_vehicle[j] for j in schedule.av_set)

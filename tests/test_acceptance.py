@@ -31,6 +31,7 @@ from relaysched.channel import rb_share
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import (
+    build_rate_tables,
     build_service_tables,
     solve_irrs,
     solve_msrs,
@@ -64,9 +65,9 @@ def small_fleet_study(cfg):
         for seed in range(200):
             sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
             tables = build_service_tables(sc, cfg)
-            msrs = solve_msrs(sc, cfg, tables=tables)
-            noncoop = solve_noncooperative(sc, cfg, tables=tables)
-            opt = solve_optimal_bruteforce(sc, cfg, tables=tables)
+            msrs = solve_msrs(tables)
+            noncoop = solve_noncooperative(tables)
+            opt = solve_optimal_bruteforce(tables)
             records.append({
                 "n": n, "seed": seed, "tables": tables, "scenario": sc,
                 "msrs": msrs, "noncoop": noncoop, "opt": opt,
@@ -179,8 +180,8 @@ class TestCriterion5CooperativeGain:
         for seed in range(200):
             sc = generate(ScenarioSpec(n_vehicles=100, seed=seed))
             tables = build_service_tables(sc, cfg)
-            msrs_totals.append(solve_msrs(sc, cfg, tables=tables).total_service)
-            noncoop_totals.append(solve_noncooperative(sc, cfg, tables=tables).total_service)
+            msrs_totals.append(solve_msrs(tables).total_service)
+            noncoop_totals.append(solve_noncooperative(tables).total_service)
         elapsed = time.perf_counter() - t0
         mean_msrs = sum(msrs_totals) / len(msrs_totals)
         mean_noncoop = sum(noncoop_totals) / len(noncoop_totals)
@@ -202,8 +203,8 @@ class TestCriterion6SpeedTrend:
                 sc = generate(ScenarioSpec(n_vehicles=50, seed=seed,
                                            speed_range=(speed, speed)))
                 tables = build_service_tables(sc, cfg)
-                msrs_totals.append(solve_msrs(sc, cfg, tables=tables).total_service)
-                irrs_totals.append(solve_irrs(sc, cfg, tables=tables).total_service)
+                msrs_totals.append(solve_msrs(tables).total_service)
+                irrs_totals.append(solve_irrs(tables, build_rate_tables(sc, cfg)).total_service)
             mean_msrs = sum(msrs_totals) / len(msrs_totals)
             mean_irrs = sum(irrs_totals) / len(irrs_totals)
             gaps[speed] = (mean_msrs - mean_irrs) / mean_irrs

@@ -19,7 +19,7 @@ from relaysched.channel import default_radio_config
 from relaysched.experiments import ExperimentConfig, cmd_sweep_n
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
-from relaysched.scheduler import build_service_tables, solve_irrs, solve_msrs
+from relaysched.scheduler import build_rate_tables, build_service_tables, solve_irrs, solve_msrs
 
 # known-answer case: five candidate relays, four aided vehicles
 REFERENCE = [
@@ -263,8 +263,8 @@ def scheduler_matrices():
         cfg = default_radio_config()
         sc = generate(ScenarioSpec(n_vehicles=200, seed=5))
         tables = build_service_tables(sc, cfg)
-        solve_msrs(sc, cfg, tables=tables)
-        solve_irrs(sc, cfg, tables=tables)
+        solve_msrs(tables)
+        solve_irrs(tables, build_rate_tables(sc, cfg))
     return captured
 
 

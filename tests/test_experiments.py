@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from relaysched.experiments import (
     CHUNK_TRIALS,
     DEFAULT_N_VALUES,
     DEFAULT_SPEED_VALUES,
+    POLICIES,
     ExperimentConfig,
     _run_chunk,
     cmd_run,
@@ -24,6 +27,7 @@ from relaysched.experiments import (
     write_outputs,
 )
 from relaysched.rng import split_seeds
+from relaysched.scheduler import validate_schedule
 from relaysched.service import QuadratureSpec
 
 
@@ -468,3 +472,24 @@ class TestChunks:
             assert alone == {r.policy: r.note for r in rows if r.seed == seed}
             notes[seed] = alone["msrs"]
         assert len({note for note in notes.values() if note}) > 2
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer wraps the policies by name in `experiments` and reads `args[0].n`."""
+
+    def test_captures_every_policy_schedule(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        tracer = importlib.import_module("tracing").Tracer(capture_schedules=True)
+        tracer.install()
+        try:
+            cmd_run(ExperimentConfig(seed=7, trials=3, n_vehicles=12, policies=POLICIES))
+        finally:
+            tracer.uninstall()
+        names = ("solve_msrs", "solve_irrs", "solve_noncooperative", "solve_optimal_bruteforce")
+        assert Counter(name for name, _, _ in tracer.schedules) == dict.fromkeys(names, 3)
+        for _, n, schedule in tracer.schedules:
+            assert n == 12
+            validate_schedule(schedule, n)
+        # the search counter reads the fleet size off the first argument too
+        searches = [s for s in tracer.spans if s.name in ("solve_msrs", "solve_irrs")]
+        assert len(searches) == 6 and all(s.counts == {"n_av_candidates": 6} for s in searches)

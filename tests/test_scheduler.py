@@ -65,39 +65,51 @@ def edge_relay_pair(speed=0.0):
     )
 
 
+def heuristics(sc, cfg, tables):
+    """The msrs, irrs and noncoop schedules of `sc`, whose service tables are `tables`."""
+    return [solve_msrs(tables), solve_irrs(tables, build_rate_tables(sc, cfg)),
+            solve_noncooperative(tables)]
+
+
 class TestValidateSchedule:
     def test_accepts_valid(self):
-        s = Schedule(frozenset({1}), frozenset({0}), frozenset({2}), {1: 0}, 1, 0.0)
+        s = Schedule({1: 0}, 0.0)
+        assert (s.av_set, s.rv_set, s.n_av) == ({1}, {0}, 1)
         validate_schedule(s, 3)
+        validate_schedule(Schedule(), 0)
+
+    @pytest.mark.parametrize("pairing", [{1: 3}, {3: 1}, {-1: 0}, {0: -1}],
+                             ids=["relay-past-n", "aided-past-n", "aided-negative", "relay-negative"])
+    def test_rejects_id_out_of_range(self, pairing):
+        with pytest.raises(InvalidScheduleError, match="ids must lie in 0..2"):
+            validate_schedule(Schedule(pairing), 3)
 
     def test_rejects_bad_partition(self):
-        s = Schedule(frozenset({1}), frozenset({1}), frozenset({2}), {1: 1}, 1, 0.0)
-        with pytest.raises(InvalidScheduleError):
-            validate_schedule(s, 3)
+        # a vehicle both aided and a relay: its own relay, or another's
+        for pairing in ({1: 1}, {1: 0, 0: 2}):
+            with pytest.raises(InvalidScheduleError, match="both aided and a relay"):
+                validate_schedule(Schedule(pairing), 3)
 
     def test_rejects_unbalanced(self):
-        s = Schedule(frozenset({1, 2}), frozenset({0}), frozenset(), {1: 0, 2: 0}, 2, 0.0)
-        with pytest.raises(InvalidScheduleError):
-            validate_schedule(s, 3)
+        # one relay serving two aided vehicles
+        with pytest.raises(InvalidScheduleError, match="relay cannot serve two"):
+            validate_schedule(Schedule({1: 0, 2: 0}), 3)
 
     def test_rejects_oversized_av_set(self):
-        s = Schedule(frozenset({0, 1}), frozenset({2, 3}), frozenset(), {0: 2, 1: 3}, 2, 0.0)
-        with pytest.raises(InvalidScheduleError):
-            validate_schedule(s, 3)
-
-    def test_rejects_pairing_outside_sets(self):
-        s = Schedule(frozenset({1}), frozenset({0}), frozenset({2}), {1: 2}, 1, 0.0)
-        with pytest.raises(InvalidScheduleError):
-            validate_schedule(s, 3)
+        # n_av = 2 > 3/2 needs four distinct ids among three, so every such
+        # pairing breaks one of the checks above
+        for pairing in ({0: 2, 1: 3}, {0: 2, 1: 2}, {0: 1, 1: 2}):
+            with pytest.raises(InvalidScheduleError):
+                validate_schedule(Schedule(pairing), 3)
 
 
 class TestEvaluateSchedule:
     def test_all_cv_is_direct_sum(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=5, seed=9))
         tables = build_service_tables(sc, cfg)
-        s = Schedule(frozenset(), frozenset(), frozenset(range(5)), {}, 0, 0.0)
+        s = Schedule()
         validate_schedule(s, sc.n)
-        got = _partition_total(tables, s.av_set, s.pairing)
+        got = _partition_total(tables, s.pairing)
         assert got == sum(float(x) for x in tables.v2i)
 
     def test_hand_built_sum(self, cfg):
@@ -107,13 +119,13 @@ class TestEvaluateSchedule:
         unit = np.zeros((4, 4))
         unit[0, 1] = unit[1, 0] = 4.0 / share
         tables = ServiceTables(np.array([6.0, 1.0, 4.0, 6.0]), unit, cfg.k_dsrc)
-        s = Schedule(frozenset({1}), frozenset({0}), frozenset({2, 3}), {1: 0}, 1, 0.0)
+        s = Schedule({1: 0})
         validate_schedule(s, 4)
-        assert _partition_total(tables, s.av_set, s.pairing) == pytest.approx(20.0, rel=1e-12)
+        assert _partition_total(tables, s.pairing) == pytest.approx(20.0, rel=1e-12)
 
     def test_invalid_schedule_rejected(self):
-        # every id is covered, but vehicle 0 is both aided and its own relay
-        bad = Schedule(frozenset({0}), frozenset({0}), frozenset({1, 2}), {0: 0}, 1, 0.0)
+        # vehicle 0 is both aided and its own relay
+        bad = Schedule({0: 0})
         with pytest.raises(InvalidScheduleError):
             validate_schedule(bad, 3)
 
@@ -121,13 +133,12 @@ class TestEvaluateSchedule:
     def test_reevaluation_is_bitwise(self, cfg, seed):
         sc = generate(ScenarioSpec(n_vehicles=9, seed=seed))
         tables = build_service_tables(sc, cfg)
-        for solver in (solve_msrs, solve_irrs, solve_noncooperative, solve_optimal_bruteforce):
-            sched = solver(sc, cfg, tables=tables)
+        for sched in heuristics(sc, cfg, tables) + [solve_optimal_bruteforce(tables)]:
             validate_schedule(sched, sc.n)
-            again = _partition_total(tables, sched.av_set, sched.pairing)
+            again = _partition_total(tables, sched.pairing)
             assert again == sched.total_service
             fresh = build_service_tables(sc, cfg)  # tables rebuilt from scratch
-            assert _partition_total(fresh, sched.av_set, sched.pairing) == sched.total_service
+            assert _partition_total(fresh, sched.pairing) == sched.total_service
 
 
 class TestServiceTables:
@@ -197,16 +208,18 @@ class TestDemandDrivenTables:
         sc = generate(ScenarioSpec(n_vehicles=n, seed=7))
         tables = build_service_tables(sc, cfg)
         assert sum(links) == n
-        solve_msrs(sc, cfg, tables=tables)
+        solve_msrs(tables)
         assert sum(links) == n + cap * (n - cap) + cap * (cap - 1) // 2 == 2275
         assert np.isnan(tables.v2v_unit).sum() == n * (n - 1) - 2 * (2275 - n)
 
     def test_noncooperative_integrates_direct_links_only(self, cfg, links):
-        solve_noncooperative(generate(ScenarioSpec(n_vehicles=40, seed=8)), cfg)
+        sc = generate(ScenarioSpec(n_vehicles=40, seed=8))
+        solve_noncooperative(build_service_tables(sc, cfg))
         assert sum(links) == 40
 
     def test_bruteforce_integrates_every_pair(self, cfg, links):
-        solve_optimal_bruteforce(generate(ScenarioSpec(n_vehicles=12, seed=9)), cfg)
+        sc = generate(ScenarioSpec(n_vehicles=12, seed=9))
+        solve_optimal_bruteforce(build_service_tables(sc, cfg))
         assert sum(links) == 12 + 12 * 11 // 2 == 78
 
     def test_oracle_trial_integrates_every_pair_in_one_call(self, links):
@@ -254,7 +267,7 @@ class TestDemandDrivenTables:
         n = 20
         sc = generate(ScenarioSpec(n_vehicles=n, seed=41))
         tables = build_service_tables(sc, cfg)
-        solve_msrs(sc, cfg, tables=tables)
+        solve_msrs(tables)
         order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
         aided, relays = order[:3], order[3:6]
         block = tables.v2v_unit[np.ix_(relays, aided)]
@@ -262,15 +275,13 @@ class TestDemandDrivenTables:
         with pytest.raises(ValueError, match="finite"):
             BenefitMatrix(block)
 
-        pairing = dict(zip(aided, relays))
-        cv = frozenset(range(n)) - set(aided) - set(relays)
-        sched = Schedule(frozenset(aided), frozenset(relays), cv, pairing, 3, 0.0)
+        sched = Schedule(dict(zip(aided, relays)))
         full = build_service_tables(sc, cfg)
         full.require(np.arange(n)[:, None], np.arange(n))
         assert not np.isnan(full.v2v_unit).any()
         validate_schedule(sched, n)
-        got = _partition_total(tables, sched.av_set, sched.pairing)
-        assert got == _partition_total(full, aided, pairing)
+        got = _partition_total(tables, sched.pairing)
+        assert got == _partition_total(full, sched.pairing)
         # scoring integrated the pairing's own pairs and nothing else
         assert np.array_equal(tables.v2v_unit[relays, aided], full.v2v_unit[relays, aided])
         assert np.isnan(tables.v2v_unit[np.ix_(relays, aided)]).sum() == 6
@@ -296,39 +307,38 @@ class TestMsrs:
     def test_single_vehicle(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=1, seed=1))
         tables = build_service_tables(sc, cfg)
-        sched = solve_msrs(sc, cfg, tables=tables)
-        assert sched.n_av == 0 and sched.cv_set == frozenset({0})
+        sched = solve_msrs(tables)
+        assert sched.n_av == 0 and sched.pairing == {}
         assert sched.total_service == float(tables.v2i[0])
 
     def test_empty_scenario(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=0, seed=1))
-        sched = solve_msrs(sc, cfg)
+        sched = solve_msrs(build_service_tables(sc, cfg))
         assert sched.n_av == 0 and sched.total_service == 0.0
 
     def test_cell_edge_pair_gets_relayed(self, cfg):
-        sc = edge_relay_pair()
-        sched = solve_msrs(sc, cfg)
-        opt = solve_optimal_bruteforce(sc, cfg)
+        tables = build_service_tables(edge_relay_pair(), cfg)
+        sched = solve_msrs(tables)
+        opt = solve_optimal_bruteforce(tables)
         assert sched.n_av == 1 and sched.pairing == {0: 1}
         assert sched.total_service == opt.total_service
-        assert sched.total_service > solve_noncooperative(sc, cfg).total_service
+        assert sched.total_service > solve_noncooperative(tables).total_service
 
     @pytest.mark.parametrize("seed", range(12))
     def test_near_optimal_small_fleets(self, cfg, seed):
         sc = generate(ScenarioSpec(n_vehicles=6, seed=seed))
         tables = build_service_tables(sc, cfg)
-        msrs = solve_msrs(sc, cfg, tables=tables)
-        opt = solve_optimal_bruteforce(sc, cfg, tables=tables)
+        msrs = solve_msrs(tables)
+        opt = solve_optimal_bruteforce(tables)
         assert (opt.total_service - msrs.total_service) / opt.total_service <= 0.05
 
     @pytest.mark.parametrize("seed", range(8))
     def test_structural_invariants(self, cfg, seed):
         sc = generate(ScenarioSpec(n_vehicles=11, seed=100 + seed))
         tables = build_service_tables(sc, cfg)
-        for solver in (solve_msrs, solve_irrs, solve_noncooperative):
-            sched = solver(sc, cfg, tables=tables)
+        for sched in heuristics(sc, cfg, tables):
             validate_schedule(sched, sc.n)
-        msrs = solve_msrs(sc, cfg, tables=tables)
+        msrs = solve_msrs(tables)
         assert aided_are_weakest(msrs, tables.v2i)
         assert pairs_respect_direct_order(msrs, tables.v2i)
 
@@ -336,9 +346,9 @@ class TestMsrs:
     def test_dominance_chain(self, cfg, seed):
         sc = generate(ScenarioSpec(n_vehicles=8, seed=200 + seed))
         tables = build_service_tables(sc, cfg)
-        opt = solve_optimal_bruteforce(sc, cfg, tables=tables)
-        msrs = solve_msrs(sc, cfg, tables=tables)
-        noncoop = solve_noncooperative(sc, cfg, tables=tables)
+        opt = solve_optimal_bruteforce(tables)
+        msrs = solve_msrs(tables)
+        noncoop = solve_noncooperative(tables)
         assert opt.total_service >= msrs.total_service >= noncoop.total_service
         assert pairs_respect_direct_order(opt, tables.v2i)
 
@@ -358,9 +368,9 @@ class TestMsrs:
             return real_solve(w)
 
         monkeypatch.setattr(scheduler_module, "solve_max_assignment", counting)
-        sched = solve_msrs(sc, cfg, tables=tables)
+        sched = solve_msrs(tables)
         assert 0 < len(solves) <= cfg.k_dsrc
-        assert sched.n_av == 0 and sched.cv_set == frozenset(range(sc.n))
+        assert sched.n_av == 0 and sched.pairing == {}
         assert sched.total_service == 0.0
 
 
@@ -377,7 +387,8 @@ class TestAssignmentSolves:
             return real_solve(w)
 
         monkeypatch.setattr(scheduler_module, "solve_max_assignment", counting)
-        solve_msrs(generate(ScenarioSpec(n_vehicles=100, seed=7)), cfg)
+        sc = generate(ScenarioSpec(n_vehicles=100, seed=7))
+        solve_msrs(build_service_tables(sc, cfg))
         assert cols == [5]
 
     def test_one_dual_solve_per_assignment(self, monkeypatch, cfg):
@@ -401,8 +412,8 @@ class TestAssignmentSolves:
         monkeypatch.setattr(scheduler_module, "solve_max_assignment", counting_solve)
         sc = generate(ScenarioSpec(n_vehicles=200, seed=9))
         tables = build_service_tables(sc, cfg)
-        solve_msrs(sc, cfg, tables=tables)
-        solve_irrs(sc, cfg, tables=tables)
+        solve_msrs(tables)
+        solve_irrs(tables, build_rate_tables(sc, cfg))
         assert len(needing_solve) >= 2
         assert solves == needing_solve
 
@@ -414,25 +425,25 @@ def ascending_partition(tables, solved):
     solved unless its bound cannot beat the best total so far, and only a
     strictly larger total replaces the incumbent.
     """
-    n = tables.v2i.shape[0]
+    n = tables.n
     order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
     cap = min(n // 2, tables.k_dsrc)
     rows = np.array(order, dtype=int)[:, None]
     tables.require(rows, order[n - cap:])
     kept = np.concatenate(([0.0], np.cumsum(tables.v2i[order])))
-    best = (_partition_total(tables, (), {}), (), {})
+    best = Schedule({}, _partition_total(tables, {}))
     for n_av in range(1, cap + 1):
         avs = order[n - n_av:]
         w = tables.benefit(rows[: n - n_av], avs, n_av)
         bound = kept[n - n_av] + w.max(axis=0).sum()
-        if bound + 1e-9 * (1.0 + abs(bound)) <= best[0]:
+        if bound + 1e-9 * (1.0 + abs(bound)) <= best.total_service:
             continue
         solved.append(n_av)
         match = assignment_module.solve_max_assignment(BenefitMatrix(w)).match
         pairing = {avs[c]: order[r] for c, r in match.items()}
-        total = _partition_total(tables, avs, pairing)
-        if total > best[0]:
-            best = (total, tuple(avs), pairing)
+        total = _partition_total(tables, pairing)
+        if total > best.total_service:
+            best = Schedule(pairing, total)
     return best
 
 
@@ -442,7 +453,7 @@ def per_count_partition(tables, solved):
     Reference for the one-block search: the same bounds, solve order and
     schedule; appends each solved benefit matrix to `solved`.
     """
-    n = tables.v2i.shape[0]
+    n = tables.n
     order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
     cap = min(n // 2, tables.k_dsrc)
     rows = np.array(order, dtype=int)[:, None]
@@ -453,22 +464,22 @@ def per_count_partition(tables, solved):
         w = tables.benefit(rows[: n - n_av], order[n - n_av:], n_av)
         counts.append((kept[n - n_av] + w.max(axis=0).sum(), n_av, w))
     counts.sort(key=lambda c: (-c[0], c[1]))
-    best = (_partition_total(tables, (), {}), (), {})
+    best = Schedule({}, _partition_total(tables, {}))
     for bound, n_av, w in counts:
-        if bound + 1e-9 * (1.0 + abs(bound)) <= best[0]:
+        if bound + 1e-9 * (1.0 + abs(bound)) <= best.total_service:
             break
         solved.append(w)
         avs = order[n - n_av:]
         match = assignment_module.solve_max_assignment(BenefitMatrix(w)).match
         pairing = {avs[c]: order[r] for c, r in match.items()}
-        total = _partition_total(tables, avs, pairing)
-        if total > best[0] or (total == best[0] and n_av < len(best[1])):
-            best = (total, tuple(avs), pairing)
+        total = _partition_total(tables, pairing)
+        if total > best.total_service or (total == best.total_service and n_av < best.n_av):
+            best = Schedule(pairing, total)
     return best
 
 
 def best_first_partition(tables, matrices=None):
-    """`_best_partition(tables)` and the n_av of each of its solves, in order.
+    """`solve_msrs(tables)` and the n_av of each of its solves, in order.
 
     Appends each solved benefit matrix to `matrices` when it is given.
     """
@@ -483,7 +494,7 @@ def best_first_partition(tables, matrices=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scheduler_module, "solve_max_assignment", counting)
-        return scheduler_module._best_partition(tables), solved
+        return solve_msrs(tables), solved
 
 
 class TestBestFirstSearch:
@@ -501,7 +512,7 @@ class TestBestFirstSearch:
             want = ascending_partition(tables, reference_solved)
             matrices = []
             got, solved = best_first_partition(tables, matrices)
-            assert got == want and repr(got[0]) == repr(want[0])
+            assert got == want and repr(got.total_service) == repr(want.total_service)
             assert len(set(solved)) == len(solved)
             assert set(solved) <= set(reference_solved)
             # the one-block matrices carry the per-count gathers' bits, so
@@ -524,7 +535,7 @@ class TestBestFirstSearch:
         tables = ServiceTables(np.array([8.0, 6.0, 1.0, 0.0]), unit, k_dsrc=2)
         got, solved = best_first_partition(tables)
         assert solved == [2, 1]
-        assert got == (19.0, (3,), {3: 0})
+        assert got == Schedule({3: 0}, 19.0)
         reference_solved = []
         assert ascending_partition(tables, reference_solved) == got
         assert reference_solved == [1, 2]
@@ -535,40 +546,42 @@ class TestIrrs:
         for seed in (1, 2, 3):
             sc = generate(ScenarioSpec(n_vehicles=9, seed=seed, speed_range=(0.0, 0.0)))
             tables = build_service_tables(sc, cfg)
-            msrs = solve_msrs(sc, cfg, tables=tables)
-            irrs = solve_irrs(sc, cfg, tables=tables)
+            msrs = solve_msrs(tables)
+            irrs = solve_irrs(tables, build_rate_tables(sc, cfg))
             assert irrs.av_set == msrs.av_set and irrs.pairing == msrs.pairing
             assert irrs.total_service == msrs.total_service
 
     def test_static_cell_edge_pairing(self, cfg):
         sc = edge_relay_pair(speed=0.0)
-        assert solve_irrs(sc, cfg).pairing == solve_msrs(sc, cfg).pairing == {0: 1}
+        tables = build_service_tables(sc, cfg)
+        irrs = solve_irrs(tables, build_rate_tables(sc, cfg))
+        assert irrs.pairing == solve_msrs(tables).pairing == {0: 1}
 
 
 class TestNoncooperative:
     def test_matches_all_cv_evaluation(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=6, seed=31))
         tables = build_service_tables(sc, cfg)
-        sched = solve_noncooperative(sc, cfg, tables=tables)
-        manual = Schedule(frozenset(), frozenset(), frozenset(range(6)), {}, 0, 0.0)
+        sched = solve_noncooperative(tables)
+        manual = Schedule()
         validate_schedule(manual, sc.n)
-        assert sched.total_service == _partition_total(tables, manual.av_set, manual.pairing)
+        assert sched.total_service == _partition_total(tables, manual.pairing)
 
     def test_single_vehicle_equals_msrs(self, cfg):
-        sc = generate(ScenarioSpec(n_vehicles=1, seed=5))
-        assert solve_noncooperative(sc, cfg) == solve_msrs(sc, cfg)
+        tables = build_service_tables(generate(ScenarioSpec(n_vehicles=1, seed=5)), cfg)
+        assert solve_noncooperative(tables) == solve_msrs(tables)
 
 
 class TestBruteForce:
     def test_cap_refusal(self, cfg):
-        sc = generate(ScenarioSpec(n_vehicles=13, seed=1))
+        tables = build_service_tables(generate(ScenarioSpec(n_vehicles=13, seed=1)), cfg)
         with pytest.raises(ValueError) as exc:
-            solve_optimal_bruteforce(sc, cfg)
+            solve_optimal_bruteforce(tables)
         assert str(exc.value) == "refusing exhaustive search for 13 vehicles; cap is 12"
 
     def test_single_vehicle_matches_msrs(self, cfg):
-        sc = generate(ScenarioSpec(n_vehicles=1, seed=6))
-        assert solve_optimal_bruteforce(sc, cfg) == solve_msrs(sc, cfg)
+        tables = build_service_tables(generate(ScenarioSpec(n_vehicles=1, seed=6)), cfg)
+        assert solve_optimal_bruteforce(tables) == solve_msrs(tables)
 
     def test_symmetric_pair_stays_direct(self, cfg):
         # equidistant, equally served: relaying can only forfeit one direct share
@@ -578,7 +591,7 @@ class TestBruteForce:
                 Vehicle(id=1, x=100.0, y=1.75, speed=0.0, heading=0.0),
             ]
         )
-        opt = solve_optimal_bruteforce(sc, cfg)
+        opt = solve_optimal_bruteforce(build_service_tables(sc, cfg))
         assert opt.n_av == 0
 
 
@@ -590,12 +603,11 @@ def enumerated_optimum(tables, starts=None, passed=None):
     the incumbent total at the start of each aided count, and `passed` each
     aided set whose bound beats the incumbent, in the order they are met.
     """
-    n = tables.v2i.shape[0]
+    n = tables.n
     every = np.arange(n)
     tables.require(every[:, None], every)
     ids = list(range(n))
-    best_total = _partition_total(tables, (), {})
-    best_av: tuple = ()
+    best_total = _partition_total(tables, {})
     best_pairing: dict[int, int] = {}
     for n_av in range(1, min(n // 2, tables.k_dsrc) + 1):
         if starts is not None:
@@ -618,14 +630,13 @@ def enumerated_optimum(tables, starts=None, passed=None):
                     total = direct + relay
                     if total > best_total:
                         best_total = total
-                        best_av = av
                         best_pairing = {a: r for r, a in zip(perm, av)}
-    return scheduler_module._schedule_from_parts(n, best_av, best_pairing, best_total)
+    return Schedule(best_pairing, best_total)
 
 
 def assert_same_optimum(sc, cfg):
     tables = build_service_tables(sc, cfg)
-    got = solve_optimal_bruteforce(sc, cfg, tables=tables)
+    got = solve_optimal_bruteforce(tables)
     want = enumerated_optimum(tables)
     assert got == want
     assert repr(got.total_service) == repr(want.total_service)
@@ -710,7 +721,7 @@ class TestBruteForceOracle:
             "itertools",
             types.SimpleNamespace(combinations=combinations, permutations=itertools.permutations),
         )
-        solve_optimal_bruteforce(sc, cfg, tables=tables)
+        solve_optimal_bruteforce(tables)
         assert got == want
         if radio.get("k_lte") == 10:
             assert got == []
@@ -756,7 +767,7 @@ class TestBruteForceOracle:
             return real(self, aided)
 
         monkeypatch.setattr(ServiceTables, "direct_sum", counting)
-        solve_optimal_bruteforce(sc, cfg, tables=tables)
+        solve_optimal_bruteforce(tables)
         assert calls == [()] + [
             av for n_av in can_win for av in itertools.combinations(range(n), n_av)
         ]
@@ -780,16 +791,16 @@ class TestBruteForceOracle:
     def test_dominance_and_relabelling(self, cfg, n, seed, data):
         sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
         tables = build_service_tables(sc, cfg)
-        opt = solve_optimal_bruteforce(sc, cfg, tables=tables)
-        msrs = solve_msrs(sc, cfg, tables=tables)
-        noncoop = solve_noncooperative(sc, cfg, tables=tables)
+        opt = solve_optimal_bruteforce(tables)
+        msrs = solve_msrs(tables)
+        noncoop = solve_noncooperative(tables)
         assert opt.total_service >= msrs.total_service >= noncoop.total_service
         # neither the optimum nor msrs depends on which id each vehicle carries
         order = data.draw(st.permutations(range(n)))
         relabelled = Scenario(sc.bs, sc.motion[list(order)], sc.period)
-        again = solve_optimal_bruteforce(relabelled, cfg)
+        again = solve_optimal_bruteforce(build_service_tables(relabelled, cfg))
         assert again.total_service == pytest.approx(opt.total_service, rel=1e-12)
-        assert_msrs_relabels(sc, relabelled, order, msrs, cfg)
+        assert_msrs_relabels(relabelled, order, msrs, cfg)
 
     @pytest.mark.parametrize("n", [40, 100])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -797,12 +808,13 @@ class TestBruteForceOracle:
         sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
         order = np.random.default_rng(seed).permutation(n).tolist()
         relabelled = Scenario(sc.bs, sc.motion[order], sc.period)
-        assert_msrs_relabels(sc, relabelled, order, solve_msrs(sc, cfg), cfg)
+        msrs = solve_msrs(build_service_tables(sc, cfg))
+        assert_msrs_relabels(relabelled, order, msrs, cfg)
 
 
-def assert_msrs_relabels(sc, relabelled, order, msrs, cfg):
-    """msrs on `relabelled`, whose vehicle k is `sc`'s vehicle order[k], pairs the same vehicles."""
-    again = solve_msrs(relabelled, cfg)
+def assert_msrs_relabels(relabelled, order, msrs, cfg):
+    """msrs on `relabelled`, whose vehicle k is `msrs`'s vehicle order[k], pairs the same vehicles."""
+    again = solve_msrs(build_service_tables(relabelled, cfg))
     assert {order[a]: order[r] for a, r in again.pairing.items()} == msrs.pairing
     assert again.total_service == pytest.approx(msrs.total_service, rel=1e-12)
 
@@ -815,7 +827,7 @@ class TestScalingBenchmark:
             sc = generate(ScenarioSpec(n_vehicles=n, seed=77))
             tables = build_service_tables(sc, cfg)
             t0 = time.perf_counter()
-            solve_msrs(sc, cfg, tables=tables)
+            solve_msrs(tables)
             timings[n] = time.perf_counter() - t0
         print("msrs solve seconds by fleet size:", {n: f"{t:.4f}" for n, t in timings.items()})
         assert timings[200] < 5.0  # sanity only; the real bound is the acceptance budget
