@@ -6,9 +6,10 @@ have more rows than columns (rows left unmatched receive no aided vehicle)
 but not more columns than rows.  The solver converts benefit maximization to
 cost minimization by subtracting every entry from the global maximum, then
 runs a potentials-based shortest-augmenting-path method for rectangular
-matrices (O(R*C^2), Kuhn-Munkres family; Crouse, IEEE TAES 2016).  Each
-Dijkstra step costs a few length-R numpy operations; the potentials of the
-rows a search has settled are brought up to date once, when it ends.
+matrices (O(R*C^2), Kuhn-Munkres family; Crouse, IEEE TAES 2016).  The
+search is sparse: a row never matched keeps potential 0, so a column's
+cheapest free row is a cached argmin of its costs, and each Dijkstra step
+relaxes only the at most C matched rows, in plain floats.
 
 Tie-breaking is deterministic: among equal-total matchings the solver returns
 the one that, scanning columns in ascending order, pairs each column with the
@@ -66,59 +67,73 @@ def _rect_min_assign(cost: np.ndarray):
     """Min-cost matching of every column to a distinct row; cost is (R, C), R >= C.
 
     Returns (row_for_col, u, v): the matching and the dual potentials, with
-    cost[j, c] - u[c] - v[j] >= 0 everywhere and == 0 on matched pairs.
+    cost[j, c] - u[c] - v[j] >= 0 everywhere, == 0 on matched pairs, and v <= 0.
 
-    Each column is added by one Dijkstra search over the rows.  A step only
-    reads the potentials of unsettled rows and of the column it expands, and
-    neither moves during the search, so each step's delta is recorded and
-    the settled rows' potentials take their deltas one by one when the
-    search ends: the same additions, in the same order, as updating them at
-    every step.
+    Each column is added by one Dijkstra search over the rows.  A row's
+    potential only falls when a search settles it, and a search settles only
+    matched rows (reaching a free row ends it), so a row never matched keeps
+    v = 0.  The cheapest free row of a column is then its cheapest free cost
+    entry, cached per column and looked up again only when that row is
+    matched.  So each step relaxes just the matched, unsettled rows, in plain
+    floats on absolute labels d: row r reached from column k, whose label is
+    d[k], gets d[k] + cost[r, k] - u[k] - v[r].  A free row wins ties and ends
+    the search at its label D; then every column the search visited gains
+    D - d[k] in u, and every row it settled loses D - d[r] in v.
     """
     n_rows, n_cols = cost.shape
-    cost_t = np.ascontiguousarray(cost.T)  # column c0 as one contiguous row
+    free_t = cost.T.copy()  # free_t[k, r]: cost of free row r for column k, inf once r is matched
+    free_row = [-1] * n_cols  # cached argmin of free_t[k]; -1 when not yet known
+    free_cost = [0.0] * n_cols
+    cost_of = [None] * n_rows  # a matched row's costs as a list
     u = [0.0] * n_cols
-    v = [0.0] * (n_rows + 1)  # index n_rows is the virtual root row
-    owner = [-1] * (n_rows + 1)  # column matched to each row
+    v = [0.0] * n_rows
+    owner = [-1] * n_rows  # column matched to each row
+    way = [-1] * n_rows  # row whose column reached each row, -1 for the new column
+    matched = []
     for c in range(n_cols):
-        owner[n_rows] = c
-        j0 = n_rows
-        minv = np.full(n_rows, np.inf)
-        way = np.full(n_rows, n_rows)
-        free_v = np.array(v[:n_rows])  # -inf on settled rows: their reduced cost is inf
-        settled = [n_rows]
-        deltas = []
+        label = dict.fromkeys(matched, np.inf)  # the matched rows not yet settled
+        settled = []
+        k, d_k, via = c, 0.0, -1  # expand column k, reached with label d_k through row via
+        end_d = np.inf
         while True:
-            c0 = owner[j0]
-            cur = cost_t[c0] - u[c0] - free_v
-            way[cur < minv] = j0
-            np.minimum(minv, cur, out=minv)
-            j1 = int(np.argmin(minv))
-            delta = float(minv[j1])
-            deltas.append(delta)
-            minv -= delta
-            minv[j1] = np.inf
-            j0 = j1
-            if owner[j0] == -1:
+            base = d_k - u[k]
+            if free_row[k] < 0:
+                r = free_row[k] = int(free_t[k].argmin())
+                free_cost[k] = float(free_t[k, r])
+            if base + free_cost[k] < end_d:
+                end, end_d, end_via = free_row[k], base + free_cost[k], via
+            nxt, nxt_d = -1, end_d
+            for r, d in label.items():
+                x = base + cost_of[r][k] - v[r]
+                if x < d:
+                    label[r] = d = x
+                    way[r] = via
+                if d < nxt_d:
+                    nxt, nxt_d = r, d
+            if nxt < 0:
                 break
-            settled.append(j0)
-            free_v[j0] = -np.inf
-        # settled[k] joined before step k, so it and its column move by every delta from step k on
-        for k, j in enumerate(settled):
-            x, y = u[owner[j]], v[j]
-            for d in deltas[k:]:
-                x += d
-                y -= d
-            u[owner[j]], v[j] = x, y
-        while j0 != n_rows:
-            j1 = int(way[j0])
-            owner[j0] = owner[j1]
-            j0 = j1
+            del label[nxt]
+            settled.append((nxt, nxt_d))
+            k, d_k, via = owner[nxt], nxt_d, nxt
+        u[c] += end_d
+        for r, d in settled:
+            u[owner[r]] += end_d - d
+            v[r] -= end_d - d
+        r, via = end, end_via
+        while via >= 0:  # each row on the path takes the column it was reached from
+            owner[r] = owner[via]
+            r, via = via, way[via]
+        owner[r] = c
+        matched.append(end)
+        cost_of[end] = cost[end].tolist()
+        free_t[:, end] = np.inf
+        for k in range(n_cols):
+            if free_row[k] == end:
+                free_row[k] = -1
     row_for_col = np.empty(n_cols, dtype=int)
-    for j in range(n_rows):
-        if owner[j] >= 0:
-            row_for_col[owner[j]] = j
-    return row_for_col, np.array(u), np.array(v[:n_rows])
+    for r in matched:
+        row_for_col[owner[r]] = r
+    return row_for_col, np.array(u), np.array(v)
 
 
 def _alternating_search(start, adj, mate, skip, is_end):

@@ -317,7 +317,8 @@ def solve_msrs(tables: ServiceTables) -> Schedule:
     """
     n = tables.n
     # descending direct amount, ties by ascending id
-    order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
+    v2i = tables.v2i.tolist()
+    order = sorted(range(n), key=lambda i: (-v2i[i], i))
     cap = _aided_cap(n, tables.k_dsrc)
     rows = np.array(order, dtype=int)[:, None]
     # every candidate count pairs all vehicles against the `cap` weakest at most;
