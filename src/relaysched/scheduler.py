@@ -34,7 +34,9 @@ Four policies are provided, each a function of a scenario's service tables
 The sort-select-pair pipeline costs O(N^3 log N) in the fleet size, but the
 bound order leaves about two assignment solves per search on fleets of
 20 to 200 vehicles.  A search gathers one N x min(N/2, k_dsrc) block of V2V
-amounts, and every count's benefit matrix is a view of it.  The
+amounts.  The counts that share one V2V RB share (9 levels at k_dsrc = 25)
+share one two-hop block cut from it, whose column maxima grow one row per
+count, and every count's benefit matrix is a view of its level's block.  The
 oracle visits every aided set of each count its count bound keeps: with
 default radios usually only the 12 sets of n_av = 1 at N=12, but up to
 2 509 sets, a number that about doubles with every vehicle (hence the cap).
@@ -140,14 +142,18 @@ class ServiceTables:
         missing = np.isnan(self.v2v_unit[rows, cols])
         if not missing.any():
             return
-        rows = np.broadcast_to(rows, missing.shape)[missing]
-        cols = np.broadcast_to(cols, missing.shape)[missing]
-        # one entry per unordered pair, lower id first as in the motion rows,
-        # in ascending (i, j) order
-        mark = np.zeros(self.v2v_unit.shape, dtype=bool)
-        mark[np.minimum(rows, cols), np.maximum(rows, cols)] = True
-        i, j = np.nonzero(mark)
-        self._store(i, j, *self.v2v_kernel(self.motion[i] - self.motion[j]))
+        n = self.n
+        # one flat key i * N + j per pair, lower id first as in the motion
+        # rows; a flat mark drops the repeats and orders them ascending
+        keys = (np.minimum(rows, cols) * n + np.maximum(rows, cols))[missing]
+        mark = np.zeros(n * n, dtype=bool)
+        mark[keys] = True
+        i, j = np.divmod(np.flatnonzero(mark), n)
+        self._store(i, j, *self.v2v_kernel(self._motions(i, j)))
+
+    def _motions(self, i, j) -> np.ndarray:
+        """Relative-motion rows of the pairs (i, j), the kernel's input."""
+        return self.motion.take(i, 0) - self.motion.take(j, 0)
 
     def _store(self, i, j, values, converged) -> None:
         self.v2v_unit[i, j] = values
@@ -198,18 +204,20 @@ def require_every_pair(tables: list[ServiceTables]) -> None:
     if not sum(sizes):
         return
     values, converged = kernel(np.concatenate(
-        [t.motion[i] - t.motion[j] for t, (i, j) in zip(tables, pairs)]))
+        [t._motions(i, j) for t, (i, j) in zip(tables, pairs)]))
     ends = np.cumsum(sizes)[:-1]
     for t, (i, j), vals, ok in zip(tables, pairs, np.split(values, ends),
                                    np.split(converged, ends)):
         t._store(i, j, vals, ok)
 
 
-def _unknown_pairs(n: int) -> np.ndarray:
-    """An n x n V2V table with every off-diagonal entry still to be required."""
+def _lazy_tables(unit, motion, cfg: RadioConfig, v2v_kernel, unconverged: int = 0) -> ServiceTables:
+    """One fleet's tables: per-RB direct amounts times its cellular RB share, V2V pairs unknown."""
+    n = len(unit)
     v2v_unit = np.full((n, n), np.nan)
     np.fill_diagonal(v2v_unit, 0.0)
-    return v2v_unit
+    return ServiceTables(rb_share(cfg.k_lte, n) * unit if n else unit, v2v_unit, cfg.k_dsrc,
+                         motion, v2v_kernel, unconverged)
 
 
 def build_chunk_tables(
@@ -244,8 +252,7 @@ def build_chunk_tables(
         )
     ends = np.cumsum(sizes)[:-1]
     return [
-        ServiceTables(rb_share(cfg.k_lte, sc.n) * unit if sc.n else unit, _unknown_pairs(sc.n),
-                      cfg.k_dsrc, sc.motion, v2v_kernel, int(np.count_nonzero(~ok)))
+        _lazy_tables(unit, sc.motion, cfg, v2v_kernel, int(np.count_nonzero(~ok)))
         for sc, unit, ok in zip(scenarios, np.split(unit_bs, ends), np.split(converged, ends))
     ]
 
@@ -259,7 +266,6 @@ def build_service_tables(
 
 def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
     """Instantaneous-rate tables at the period start (dt = 0), V2V rates on `require`."""
-    n = scenario.n
     x, y = (scenario.motion - scenario.bs)[:, :2].T
     v2i = unit_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, x * x + y * y)
 
@@ -268,8 +274,7 @@ def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
         rates = unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, x * x + y * y)
         return rates, np.ones(len(rates), dtype=bool)
 
-    return ServiceTables(rb_share(cfg.k_lte, n) * v2i if n else v2i, _unknown_pairs(n),
-                         cfg.k_dsrc, scenario.motion, v2v_kernel)
+    return _lazy_tables(v2i, scenario.motion, cfg, v2v_kernel)
 
 
 def _partition_total(tables: ServiceTables, pairing: dict[int, int]) -> float:
@@ -323,16 +328,26 @@ def solve_msrs(tables: ServiceTables) -> Schedule:
     rows = np.array(order, dtype=int)[:, None]
     # every candidate count pairs all vehicles against the `cap` weakest at most;
     # count n_av reads the block's first n - n_av rows and last n_av columns
-    tables.require(rows, order[n - cap:])
-    block = tables.v2v_unit[rows, order[n - cap:]]
+    tables.require(rows, rows[n - cap:, 0])
+    block = tables.v2v_unit[rows, rows[n - cap:, 0]]
     direct = tables.v2i[rows]
     # kept[k]: the summed direct amounts of the k strongest vehicles
-    kept = np.concatenate(([0.0], np.cumsum(tables.v2i[order])))
+    kept = np.concatenate(([0.0], np.cumsum(direct)))
     counts = []
-    for n_av in range(1, cap + 1):
-        w = tables.two_hop(block[: n - n_av, cap - n_av:], direct[: n - n_av], n_av)
-        # column maxima bound the matching
-        counts.append((kept[n - n_av] + w.max(axis=0).sum(), n_av, w))
+    k, share = tables.k_dsrc, 0
+    for n_av in range(cap, 0, -1):
+        if k // n_av != share:
+            # the counts first..n_av share one V2V RB share and so one
+            # two-hop block: the rows of count first, the columns of n_av
+            share = k // n_av
+            first = k // (share + 1) + 1
+            w = tables.two_hop(block[: n - first, cap - n_av:], direct[: n - first], n_av)
+            # column maxima bound the matching
+            peak = w[: n - n_av].max(axis=0)
+        else:
+            # one more row for each smaller count of the level
+            np.maximum(peak, w[n - n_av - 1], out=peak)
+        counts.append((kept[n - n_av] + peak[-n_av:].sum(), n_av, w))
     counts.sort(key=lambda c: (-c[0], c[1]))
     best = Schedule({}, _partition_total(tables, {}))
     for bound, n_av, w in counts:
@@ -341,7 +356,7 @@ def solve_msrs(tables: ServiceTables) -> Schedule:
         if not _can_beat(bound, best.total_service):
             break
         avs = order[n - n_av:]
-        solved = solve_max_assignment(BenefitMatrix(w))
+        solved = solve_max_assignment(BenefitMatrix(w[: n - n_av, -n_av:]))
         pairing = {avs[c]: order[r] for c, r in solved.match.items()}
         total = _partition_total(tables, pairing)
         if total > best.total_service or (total == best.total_service and n_av < best.n_av):

@@ -302,6 +302,48 @@ class TestDemandDrivenTables:
         assert np.array_equal(rt.v2v_unit, dense)
         assert not links and rt.unconverged == 0
 
+    def test_require_computes_each_unknown_pair_once(self, cfg):
+        # a partly filled table and a request shaped like the msrs block: all
+        # vehicles against 8 of them, so the pairs among the 8 come in both
+        # orientations; three of the four known pairs lie in the request
+        n = 30
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=12))
+        tables = build_service_tables(sc, cfg)
+        real = tables.v2v_kernel
+        calls = []
+
+        def recording(motions):
+            calls.append(motions)
+            values, _ = real(motions)
+            return values, np.zeros(len(values), dtype=bool)  # every link unconverged
+
+        tables.v2v_kernel = recording
+        order = np.random.default_rng(5).permutation(n)
+        weak = order[-8:]
+        known = [(order[0], weak[0]), (weak[2], weak[1]), (weak[5], order[3]), (7, 19)]
+        tables.require([r for r, _ in known], [c for _, c in known])
+        assert len(calls) == 1 and len(calls[0]) == 4 and tables.unconverged == 4
+
+        tables.require(order[:, None], weak)
+        want = sorted({(min(r, c), max(r, c)) for r in order.tolist() for c in weak.tolist()
+                       if r != c} - {(min(r, c), max(r, c)) for r, c in known})
+        i, j = (np.array(x) for x in zip(*want))
+        # each unknown unordered pair once, lower id first, ascending (i, j)
+        assert len(calls) == 2
+        assert calls[1].tobytes() == (sc.motion[i] - sc.motion[j]).tobytes()
+        assert tables.unconverged == 4 + len(want) == 4 + 8 * 7 // 2 + 8 * 22 - 3
+        tables.require(weak[:, None], order)
+        assert len(calls) == 2
+
+        filled = build_service_tables(sc, cfg)
+        require_every_pair([filled])
+        asked = ~np.isnan(tables.v2v_unit)
+        assert asked.sum() == n + 2 * (4 + len(want))
+        assert tables.v2v_unit[asked].tobytes() == filled.v2v_unit[asked].tobytes()
+        every = np.arange(n)
+        tables.require(every[:, None], every)
+        assert tables.v2v_unit.tobytes() == filled.v2v_unit.tobytes()
+
 
 class TestMsrs:
     def test_single_vehicle(self, cfg):
@@ -417,6 +459,26 @@ class TestAssignmentSolves:
         assert len(needing_solve) >= 2
         assert solves == needing_solve
 
+    def test_one_two_hop_block_per_share_level(self, monkeypatch, cfg):
+        # N=100, k_dsrc=25: the 25 counts fall into 9 V2V share levels
+        # (25 // n_av = 1, 2, 3, 4, 5, 6, 8, 12, 25), and each level takes
+        # its two-hop amounts once, over the rows of its smallest count and
+        # the columns of its largest; scoring a pairing reads 1-D pairs
+        real = ServiceTables.two_hop
+        blocks = []
+
+        def counting(self, unit, direct, n_av):
+            if np.ndim(unit) == 2:
+                blocks.append((n_av, np.shape(unit)))
+            return real(self, unit, direct, n_av)
+
+        monkeypatch.setattr(ServiceTables, "two_hop", counting)
+        sc = generate(ScenarioSpec(n_vehicles=100, seed=7))
+        solve_msrs(build_service_tables(sc, cfg))
+        last = [25, 12, 8, 6, 5, 4, 3, 2, 1]
+        first = [13, 9, 7, 6, 5, 4, 3, 2, 1]
+        assert blocks == [(m, (100 - f, m)) for m, f in zip(last, first)]
+
 
 def ascending_partition(tables, solved):
     """The aided-count search as an ascending loop; appends each solved n_av to `solved`.
@@ -447,11 +509,11 @@ def ascending_partition(tables, solved):
     return best
 
 
-def per_count_partition(tables, solved):
-    """The best-first search with each count's matrix gathered from the tables on its own.
+def per_count_bounds(tables):
+    """Every count's (bound, n_av, benefit matrix), best bound first, each gathered on its own.
 
-    Reference for the one-block search: the same bounds, solve order and
-    schedule; appends each solved benefit matrix to `solved`.
+    Reference for the share-level blocks: a count's matrix is gathered from
+    the tables, and its bound is its own column maxima's sum.
     """
     n = tables.n
     order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
@@ -464,6 +526,17 @@ def per_count_partition(tables, solved):
         w = tables.benefit(rows[: n - n_av], order[n - n_av:], n_av)
         counts.append((kept[n - n_av] + w.max(axis=0).sum(), n_av, w))
     counts.sort(key=lambda c: (-c[0], c[1]))
+    return order, counts
+
+
+def per_count_partition(tables, solved):
+    """The best-first search over `per_count_bounds`.
+
+    Reference for the search: the same bounds, solve order and schedule;
+    appends each solved benefit matrix to `solved`.
+    """
+    n = tables.n
+    order, counts = per_count_bounds(tables)
     best = Schedule({}, _partition_total(tables, {}))
     for bound, n_av, w in counts:
         if bound + 1e-9 * (1.0 + abs(bound)) <= best.total_service:
@@ -522,6 +595,46 @@ class TestBestFirstSearch:
             assert len(matrices) == len(per_count)
             for a, b in zip(matrices, per_count):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("k_dsrc", [7, 25, 200])
+    def test_same_bounds_and_matrices_as_per_count_gathers_at_scale(self, n, k_dsrc):
+        # share levels of uneven length: at k_dsrc = 7 the counts 4..7 share
+        # one level, at 25 the counts 13..25, and at 200 the levels hold
+        # from one count to 34 (N=200: 67..100).  A search that never prunes
+        # and solves trivially visits every count, so every bound and every
+        # matrix is compared.  Then the real search is compared too
+        cfg = default_radio_config(k_dsrc=k_dsrc)
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=n + k_dsrc))
+        for tables in (build_service_tables(sc, cfg), build_rate_tables(sc, cfg)):
+            _, counts = per_count_bounds(tables)
+            bounds, matrices = [], []
+
+            def visit(bound, incumbent):
+                bounds.append(float(bound).hex())
+                return True
+
+            def first_rows(w):
+                matrices.append(w.values)
+                return assignment_module.Assignment({c: c for c in range(w.cols)})
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scheduler_module, "_can_beat", visit)
+                mp.setattr(scheduler_module, "solve_max_assignment", first_rows)
+                solve_msrs(tables)
+            assert bounds == [float(b).hex() for b, _, _ in counts]
+            assert len(matrices) == len(counts) == min(n // 2, k_dsrc)
+            for a, (_, _, b) in zip(matrices, counts):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+            matrices = []
+            got, _ = best_first_partition(tables, matrices)
+            per_count = []
+            want = per_count_partition(tables, per_count)
+            assert got == want and repr(got.total_service) == repr(want.total_service)
+            assert [m.shape for m in matrices] == [m.shape for m in per_count]
+            for a, b in zip(matrices, per_count):
+                assert a.tobytes() == b.tobytes()
 
     def test_equal_totals_keep_the_smaller_count(self):
         # k_dsrc = 2: one aided vehicle gets 2 V2V RBs, two get 1 each.
