@@ -37,7 +37,6 @@ from .scheduler import (
     BRUTE_FORCE_VEHICLE_CAP,
     ServiceTables,
     build_chunk_tables,
-    build_rate_tables,
     require_every_pair,
     solve_irrs,
     solve_msrs,
@@ -135,6 +134,8 @@ class MetricsRow:
 def load_config_file(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read config file ({exc.strerror})") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
@@ -246,9 +247,9 @@ def config_from_doc(doc: dict, overrides: dict | None = None) -> ExperimentConfi
     return replace(cfg, **overrides) if overrides else cfg
 
 
-#: Trials per chunk.  A chunk's direct links are integrated in one kernel
-#: call and, with the oracle, its trials' V2V pairs in one more; worker
-#: pools map whole chunks, so both paths run the same chunks.
+#: Trials per chunk.  A chunk's direct links take one kernel call, their rates
+#: one more and, with the oracle, its trials' V2V pairs a third; worker pools
+#: map whole chunks, so both paths run the same chunks.
 CHUNK_TRIALS = 8
 
 
@@ -257,34 +258,36 @@ def _run_chunk(args) -> list[MetricsRow]:
 
     Module-level so worker pools can pickle it.  The chunk's scenarios are
     generated first.  Then one `build_chunk_tables` call integrates every
-    direct link of the chunk and, when `optimal` is requested, one
-    `require_every_pair` call every V2V pair of the trials the oracle
-    accepts.  Each trial's `tables_ms` is an equal share of that build.  A
-    link's value does not depend on its batch, so a trial's rows are the
-    same whatever chunk it runs in.
+    direct link of the chunk, a second one gives the chunk's rate tables (the
+    service tables of its fleets held still) and, when `optimal` is
+    requested, one `require_every_pair` call integrates every V2V pair of
+    the trials the oracle accepts.  Each trial's `tables_ms` is an equal
+    share of these builds.  A link's value does not depend on its batch, so
+    a trial's rows are the same whatever chunk it runs in.
     """
     config, trials = args
     specs = [config.scenario_spec(*trial) for trial in trials]
     scenarios = [generate(spec) for spec in specs]
     t0 = time.perf_counter()
     tables = build_chunk_tables(scenarios, config.radio, quad=config.quad)
+    rates = build_chunk_tables([sc.held_still() for sc in scenarios], config.radio)
     if "optimal" in config.policies:
         require_every_pair([t for t, sc in zip(tables, scenarios) if sc.n <= config.oracle_cap])
     tables_ms = 1000.0 * (time.perf_counter() - t0) / len(trials)
-    return [row for trial in zip(specs, scenarios, tables)
+    return [row for trial in zip(specs, scenarios, tables, rates)
             for row in _run_trial(config, *trial, tables_ms)]
 
 
 def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, scenario: Scenario,
-               tables: ServiceTables, tables_ms: float) -> list[MetricsRow]:
+               tables: ServiceTables, rates: ServiceTables, tables_ms: float) -> list[MetricsRow]:
     """All requested policies on one trial's scenario, in the config's policy order.
 
     The policies share the trial's service tables, passed positionally as
-    the first argument, where `perfbench/tracing.py` reads the fleet size.
-    A policy's timing includes the V2V pairs it integrates
-    on demand, and irrs's includes building its rate tables; with the oracle
-    the chunk has integrated every pair, so no policy timing includes an
-    integral.
+    the first argument, where `perfbench/tracing.py` reads the fleet size;
+    irrs also decides on the trial's rate tables, `rates`, which the chunk
+    has built.  A policy's timing includes the V2V amounts it computes on
+    demand; with the oracle the chunk has integrated every service pair, so
+    only irrs's rate pairs are left to a policy.
     """
     schedules = {}
     timings = {}
@@ -294,7 +297,7 @@ def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, scenario: Scenario,
         if policy == "msrs":
             schedules[policy] = solve_msrs(tables)
         elif policy == "irrs":
-            schedules[policy] = solve_irrs(tables, build_rate_tables(scenario, config.radio))
+            schedules[policy] = solve_irrs(tables, rates)
         elif policy == "noncoop":
             schedules[policy] = solve_noncooperative(tables)
         elif policy == "optimal":

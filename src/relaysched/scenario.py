@@ -45,6 +45,16 @@ class Scenario:
     def n(self) -> int:
         return len(self.motion)
 
+    def held_still(self) -> Scenario:
+        """The same fleet parked at its start positions, over a 1 s period.
+
+        Every link is static, so its service amounts are the instantaneous
+        rates at the period start: irrs's rate tables are its service tables.
+        """
+        motion = self.motion.copy()
+        motion[:, 2:] = 0.0
+        return Scenario(self.bs, motion, Period(1.0))
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:

@@ -7,11 +7,13 @@ vehicle receives the two-hop service of its relay pair (the weaker of the
 relay's downlink amount and the relay-to-vehicle amount).  That objective is
 written once, on `ServiceTables`: `direct_sum` for the vehicles that are not
 aided and `two_hop` (read through `benefit`) for the pairs.  Every policy
-searches or scores with it.  Service and rate tables alike compute a V2V pair
-only when a policy first requires it, unless `require_every_pair` has
-computed every pair of several tables in one kernel call beforehand.
+searches or scores with it.  The tables compute a V2V pair only when a
+policy first requires it, unless `require_every_pair` has computed every
+pair of several tables in one kernel call beforehand.
 Four policies are provided, each a function of a scenario's service tables
-(`build_service_tables`); irrs also takes its rate tables (`build_rate_tables`):
+(`build_service_tables`).  irrs also takes rate tables: the service tables
+of `Scenario.held_still()`, whose links are static over a 1 s period, so
+each amount is the link's instantaneous rate at the period start:
 
 * `solve_msrs`            -- service-integral driven: sort by direct service,
                              take the weakest vehicles as aided, pair them
@@ -51,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .assignment import BenefitMatrix, solve_max_assignment
-from .channel import RadioConfig, rate_two_hop, rb_share, unit_rate
+from .channel import RadioConfig, rate_two_hop, rb_share
 from .scenario import Scenario
 from .service import QuadratureSpec, unit_service_batch
 
@@ -109,12 +111,11 @@ class ServiceTables:
     `v2i[i]` is vehicle i's direct downlink amount with the RB share for the
     full fleet already applied.  `v2v_unit[i, j]` is the relay link's per-RB
     amount between i and j (symmetric); the aided-count-dependent RB share
-    multiplies it on demand, so one table serves every candidate n_av.  The
-    same structure holds instantaneous rates when built by
-    `build_rate_tables`.
+    multiplies it on demand, so one table serves every candidate n_av.  Built
+    from `Scenario.held_still()`, the same tables hold instantaneous rates.
 
-    Both builders fill V2V pairs on first use: an entry nobody has asked for
-    yet holds NaN (the diagonal holds 0).  `require(rows, cols)` computes the
+    V2V pairs are filled on first use: an entry nobody has asked for yet
+    holds NaN (the diagonal holds 0).  `require(rows, cols)` computes the
     missing entries among the given pairs and stores them on both sides; a
     reader that skips it gets NaN, which `BenefitMatrix` rejects.
     `v2v_kernel` computes them: a function `motions -> (values, converged)`
@@ -201,23 +202,12 @@ def require_every_pair(tables: list[ServiceTables]) -> None:
     # the unknown entries above the diagonal, in ascending (i, j) order
     pairs = [np.nonzero(np.triu(np.isnan(t.v2v_unit))) for t in tables]
     sizes = [len(i) for i, _ in pairs]
-    if not sum(sizes):
-        return
     values, converged = kernel(np.concatenate(
         [t._motions(i, j) for t, (i, j) in zip(tables, pairs)]))
     ends = np.cumsum(sizes)[:-1]
     for t, (i, j), vals, ok in zip(tables, pairs, np.split(values, ends),
                                    np.split(converged, ends)):
         t._store(i, j, vals, ok)
-
-
-def _lazy_tables(unit, motion, cfg: RadioConfig, v2v_kernel, unconverged: int = 0) -> ServiceTables:
-    """One fleet's tables: per-RB direct amounts times its cellular RB share, V2V pairs unknown."""
-    n = len(unit)
-    v2v_unit = np.full((n, n), np.nan)
-    np.fill_diagonal(v2v_unit, 0.0)
-    return ServiceTables(rb_share(cfg.k_lte, n) * unit if n else unit, v2v_unit, cfg.k_dsrc,
-                         motion, v2v_kernel, unconverged)
 
 
 def build_chunk_tables(
@@ -243,18 +233,19 @@ def build_chunk_tables(
         # it sees every integrated pair
         return unit_service_batch(motions, *link)
 
-    sizes = [sc.n for sc in scenarios]
-    unit_bs, converged = np.zeros(0), np.ones(0, dtype=bool)
-    if sum(sizes):
-        unit_bs, converged = unit_service_batch(
-            np.concatenate([sc.motion - sc.bs for sc in scenarios]),
-            cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad,
-        )
-    ends = np.cumsum(sizes)[:-1]
-    return [
-        _lazy_tables(unit, sc.motion, cfg, v2v_kernel, int(np.count_nonzero(~ok)))
-        for sc, unit, ok in zip(scenarios, np.split(unit_bs, ends), np.split(converged, ends))
-    ]
+    unit_bs, converged = unit_service_batch(
+        np.concatenate([sc.motion - sc.bs for sc in scenarios]),
+        cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad,
+    )
+    ends = np.cumsum([sc.n for sc in scenarios])[:-1]
+    tables = []
+    for sc, unit, ok in zip(scenarios, np.split(unit_bs, ends), np.split(converged, ends)):
+        # per-RB direct amounts times the fleet's cellular RB share, V2V pairs unknown
+        v2v_unit = np.full((sc.n, sc.n), np.nan)
+        np.fill_diagonal(v2v_unit, 0.0)
+        tables.append(ServiceTables(rb_share(cfg.k_lte, sc.n) * unit if sc.n else unit, v2v_unit,
+                                    cfg.k_dsrc, sc.motion, v2v_kernel, int(np.count_nonzero(~ok))))
+    return tables
 
 
 def build_service_tables(
@@ -262,19 +253,6 @@ def build_service_tables(
 ) -> ServiceTables:
     """Service-integral tables: direct links integrated now, V2V pairs on `require`."""
     return build_chunk_tables([scenario], cfg, quad)[0]
-
-
-def build_rate_tables(scenario: Scenario, cfg: RadioConfig) -> ServiceTables:
-    """Instantaneous-rate tables at the period start (dt = 0), V2V rates on `require`."""
-    x, y = (scenario.motion - scenario.bs)[:, :2].T
-    v2i = unit_rate(cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, x * x + y * y)
-
-    def v2v_kernel(motions):
-        x, y = motions[:, 0], motions[:, 1]
-        rates = unit_rate(cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, x * x + y * y)
-        return rates, np.ones(len(rates), dtype=bool)
-
-    return _lazy_tables(v2i, scenario.motion, cfg, v2v_kernel)
 
 
 def _partition_total(tables: ServiceTables, pairing: dict[int, int]) -> float:
@@ -368,9 +346,9 @@ def solve_irrs(tables: ServiceTables, rates: ServiceTables) -> Schedule:
     """Rate-driven schedule: decisions use the period-start `rates`, scoring uses `tables`.
 
     The pipeline is identical to `solve_msrs` but every decision quantity is
-    the instantaneous rate at the period start (`build_rate_tables`).  The
-    chosen pairing is then scored with the mobile-service tables so totals
-    are comparable across policies.
+    the instantaneous rate at the period start (the service tables of
+    `Scenario.held_still()`).  The chosen pairing is then scored with the
+    mobile-service tables so totals are comparable across policies.
     """
     pairing = solve_msrs(rates).pairing
     return Schedule(pairing, _partition_total(tables, pairing))

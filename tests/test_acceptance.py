@@ -31,7 +31,6 @@ from relaysched.channel import rb_share
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import (
-    build_rate_tables,
     build_service_tables,
     solve_irrs,
     solve_msrs,
@@ -204,7 +203,8 @@ class TestCriterion6SpeedTrend:
                                            speed_range=(speed, speed)))
                 tables = build_service_tables(sc, cfg)
                 msrs_totals.append(solve_msrs(tables).total_service)
-                irrs_totals.append(solve_irrs(tables, build_rate_tables(sc, cfg)).total_service)
+                rates = build_service_tables(sc.held_still(), cfg)
+                irrs_totals.append(solve_irrs(tables, rates).total_service)
             mean_msrs = sum(msrs_totals) / len(msrs_totals)
             mean_irrs = sum(irrs_totals) / len(irrs_totals)
             gaps[speed] = (mean_msrs - mean_irrs) / mean_irrs

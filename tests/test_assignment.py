@@ -20,7 +20,7 @@ from relaysched.channel import default_radio_config
 from relaysched.experiments import ExperimentConfig, cmd_sweep_n
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
-from relaysched.scheduler import build_rate_tables, build_service_tables, solve_irrs, solve_msrs
+from relaysched.scheduler import build_service_tables, solve_irrs, solve_msrs
 
 # known-answer case: five candidate relays, four aided vehicles
 REFERENCE = [
@@ -265,7 +265,7 @@ def scheduler_matrices():
         sc = generate(ScenarioSpec(n_vehicles=200, seed=5))
         tables = build_service_tables(sc, cfg)
         solve_msrs(tables)
-        solve_irrs(tables, build_rate_tables(sc, cfg))
+        solve_irrs(tables, build_service_tables(sc.held_still(), cfg))
     return captured
 
 

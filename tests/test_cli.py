@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 
 import pytest
@@ -122,6 +124,16 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [message]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, code", [("missing.json", errno.ENOENT), ("", errno.EISDIR)],
+                             ids=["missing", "directory"])
+    def test_unreadable_config_file_fails_cleanly(self, tmp_path, capsys, name, code):
+        path = tmp_path / name
+        out = tmp_path / "res"
+        assert run_cli(["run", "--seed", "1", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: cannot read config file ({os.strerror(code)})"]
         assert not out.exists()
 
     def test_timing_lines_include_the_table_build(self, tmp_path, capsys):

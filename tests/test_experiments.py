@@ -28,7 +28,7 @@ from relaysched.experiments import (
 )
 from relaysched.rng import split_seeds
 from relaysched.scheduler import validate_schedule
-from relaysched.service import QuadratureSpec
+from relaysched.service import Period, QuadratureSpec
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -446,11 +446,16 @@ class TestChunks:
         # 9 trials at N = 0, 0, 0, 10, 10, 10, 14, 14 | 14, oracle cap 12, and
         # no bisection, so some links of each fleet stay unconverged
         real = scheduler_module.unit_service_batch
-        calls = []
+        calls, rate_calls = [], []
 
-        def counting(motions, model, *args, **kwargs):
-            calls.append(("v2i" if model == cfg.v2i_model else "v2v", len(motions)))
-            return real(motions, model, *args, **kwargs)
+        def counting(motions, model, p_tx, noise, period, *args, **kwargs):
+            call = ("v2i" if model == cfg.v2i_model else "v2v", len(motions))
+            if period == Period(1.0):  # a held-still fleet's: its rate tables'
+                assert not motions[:, 2:].any()
+                rate_calls.append(call)
+            else:
+                calls.append(call)
+            return real(motions, model, p_tx, noise, period, *args, **kwargs)
 
         monkeypatch.setattr(scheduler_module, "unit_service_batch", counting)
         config = ExperimentConfig(seed=4, trials=3, n_values=(0, 10, 14), policies=self.ALL,
@@ -461,6 +466,10 @@ class TestChunks:
         # msrs integrates its own pairs, 7 x 7 + 21 of them each
         assert calls == [("v2i", 58), ("v2v", 135), ("v2v", 70), ("v2v", 70),
                          ("v2i", 14), ("v2v", 70)]
+        # the rate tables: one direct-rate call per chunk, then each irrs
+        # takes its block's rates, 5 x 5 + 10 pairs at N=10
+        assert rate_calls == [("v2i", 58), *[("v2v", 35)] * 3, ("v2v", 70), ("v2v", 70),
+                              ("v2i", 14), ("v2v", 70)]
         refused = [r for r in rows if r.policy == "optimal" and r.n_vehicles == 14]
         assert len(refused) == 3 and all(r.total_service is None for r in refused)
         assert all(r.note.startswith("refused: n_vehicles=14 exceeds oracle cap 12; ")

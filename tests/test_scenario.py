@@ -8,6 +8,7 @@ import pytest
 from oracles import generated_vehicles, motion_rows
 
 from relaysched.scenario import ScenarioSpec, generate
+from relaysched.service import Period
 
 
 class TestGenerate:
@@ -56,11 +57,17 @@ class TestGenerate:
         for seed in range(20):
             spec = ScenarioSpec(n_vehicles=n, seed=seed)
             want = motion_rows(generated_vehicles(spec))
-            assert generate(spec).motion.tobytes() == want.tobytes()
+            sc = generate(spec)
+            assert sc.motion.tobytes() == want.tobytes()
+            # held still: the same base station and positions, no velocity, 1 s
+            still = sc.held_still()
+            want[:, 2:] = 0.0
+            assert still.bs is sc.bs and still.motion.tobytes() == want.tobytes()
+            assert still.period == Period(1.0) and sc.period == Period(spec.period_duration)
 
     def test_read_only(self):
         sc = generate(ScenarioSpec(n_vehicles=3, seed=1))
-        for rows in (sc.motion, sc.bs):
+        for rows in (sc.motion, sc.bs, sc.held_still().motion, sc.held_still().bs):
             with pytest.raises(ValueError, match="read-only"):
                 rows[0] = 1.0
 

@@ -31,7 +31,6 @@ from relaysched.scheduler import (
     Schedule,
     ServiceTables,
     build_chunk_tables,
-    build_rate_tables,
     build_service_tables,
     require_every_pair,
     solve_irrs,
@@ -41,7 +40,7 @@ from relaysched.scheduler import (
     validate_schedule,
     _partition_total,
 )
-from relaysched.service import unit_service_batch
+from relaysched.service import Period, unit_service_batch
 
 
 def unit_service(a, b, model, p_tx_dbm, noise_dbm, period):
@@ -67,7 +66,7 @@ def edge_relay_pair(speed=0.0):
 
 def heuristics(sc, cfg, tables):
     """The msrs, irrs and noncoop schedules of `sc`, whose service tables are `tables`."""
-    return [solve_msrs(tables), solve_irrs(tables, build_rate_tables(sc, cfg)),
+    return [solve_msrs(tables), solve_irrs(tables, build_service_tables(sc.held_still(), cfg)),
             solve_noncooperative(tables)]
 
 
@@ -177,7 +176,7 @@ class TestServiceTables:
     def test_rate_tables_match_channel(self, cfg, bs):
         spec = ScenarioSpec(n_vehicles=6, seed=23)
         fleet = generated_vehicles(spec)
-        rt = build_rate_tables(generate(spec), cfg)
+        rt = build_service_tables(generate(spec).held_still(), cfg)
         rt.require(np.arange(6)[:, None], np.arange(6))
         for i, v in enumerate(fleet):
             assert rt.v2i[i] == pytest.approx(float(rate_v2i(v, bs, cfg, 6, 0.0)), rel=1e-12)
@@ -190,17 +189,36 @@ class TestServiceTables:
 
 class TestDemandDrivenTables:
     @pytest.fixture
-    def links(self, monkeypatch):
-        """Rows integrated by every `unit_service_batch` call the scheduler makes."""
-        real = scheduler_module.unit_service_batch
-        counted = []
+    def counted(self, monkeypatch):
+        """Rows of every `unit_service_batch` call the scheduler makes: service, rate.
 
-        def counting(motions, *args, **kwargs):
-            counted.append(len(motions))
-            return real(motions, *args, **kwargs)
+        The rate tables' calls are those of a held-still fleet: the 1 s
+        period, and static rows only.  The tests here use other periods for
+        their service tables.
+        """
+        real = scheduler_module.unit_service_batch
+        service, rate = [], []
+
+        def counting(motions, model, p_tx, noise, period, *args, **kwargs):
+            if period == Period(1.0):
+                assert not motions[:, 2:].any()
+                rate.append(len(motions))
+            else:
+                service.append(len(motions))
+            return real(motions, model, p_tx, noise, period, *args, **kwargs)
 
         monkeypatch.setattr(scheduler_module, "unit_service_batch", counting)
-        return counted
+        return service, rate
+
+    @pytest.fixture
+    def links(self, counted):
+        """Rows of every service-table call."""
+        return counted[0]
+
+    @pytest.fixture
+    def rate_links(self, counted):
+        """Rows of every rate-table call."""
+        return counted[1]
 
     def test_msrs_integrates_only_pairs_with_the_weakest(self, cfg, links):
         # N direct links, the cap weakest against the rest, and the pairs among them
@@ -222,44 +240,51 @@ class TestDemandDrivenTables:
         solve_optimal_bruteforce(build_service_tables(sc, cfg))
         assert sum(links) == 12 + 12 * 11 // 2 == 78
 
-    def test_oracle_trial_integrates_every_pair_in_one_call(self, links):
+    def test_oracle_trial_integrates_every_pair_in_one_call(self, links, rate_links):
         # a chunk of 8 oracle trials integrates its 8 x 12 direct links in one
         # call and its 8 x 66 pairs in one more, before any policy runs; the
-        # policies then find every pair in their tables.  Each trial's rows
-        # keep the config order
+        # policies then find every pair in their service tables.  The rate
+        # tables take the chunk's 96 direct rates in one call, and each irrs
+        # its block's 6 x 6 + 15 pairs.  Each trial's rows keep the config order
         config = ExperimentConfig(seed=1, trials=8, n_vehicles=12,
                                   policies=("msrs", "irrs", "noncoop", "optimal"))
         rows = _run_chunk((config, [(seed, None, None) for seed in range(9, 17)]))
         assert links == [96, 528]
+        assert rate_links == [96] + [51] * 8
         assert [r.policy for r in rows] == list(config.policies) * 8
         assert [r.seed for r in rows[::4]] == list(range(9, 17))
         assert all(r.total_service is not None for r in rows)
 
-    def test_chunk_tables_equal_tables_built_alone(self, cfg, links):
+    def test_chunk_tables_equal_tables_built_alone(self, cfg, links, rate_links):
         # one call for the chunk's 9 direct links and one for its 10 + 6
-        # pairs; each table holds the bits its scenario gets alone
-        scs = [generate(ScenarioSpec(n_vehicles=n, seed=s)) for n, s in ((5, 1), (0, 2), (4, 3))]
-        chunk = build_chunk_tables(scs, cfg)
-        require_every_pair(chunk)
-        assert links == [9, 16]
-        for sc, tables in zip(scs, chunk):
-            alone = build_service_tables(sc, cfg)
-            every = np.arange(sc.n)
-            alone.require(every[:, None], every)
-            assert np.array_equal(tables.v2i, alone.v2i)
-            assert np.array_equal(tables.v2v_unit, alone.v2v_unit)
-        with pytest.raises(ValueError, match="share one V2V kernel"):
-            require_every_pair([build_service_tables(sc, cfg) for sc in scs])
-        with pytest.raises(ValueError, match="share one period"):
-            build_chunk_tables([scs[0], generate(ScenarioSpec(3, seed=4, period_duration=4.0))], cfg)
+        # pairs; each table holds the bits its scenario gets alone.  So does
+        # each rate table, built from the fleets held still
+        fleets = [generate(ScenarioSpec(n_vehicles=n, seed=s)) for n, s in ((5, 1), (0, 2), (4, 3))]
+        for scs, calls in ((fleets, links), ([sc.held_still() for sc in fleets], rate_links)):
+            chunk = build_chunk_tables(scs, cfg)
+            require_every_pair(chunk)
+            assert calls == [9, 16]
+            for sc, tables in zip(scs, chunk):
+                alone = build_service_tables(sc, cfg)
+                every = np.arange(sc.n)
+                alone.require(every[:, None], every)
+                assert np.array_equal(tables.v2i, alone.v2i)
+                assert np.array_equal(tables.v2v_unit, alone.v2v_unit)
+            with pytest.raises(ValueError, match="share one V2V kernel"):
+                require_every_pair([build_service_tables(sc, cfg) for sc in scs])
+            with pytest.raises(ValueError, match="share one period"):
+                build_chunk_tables([scs[0], generate(ScenarioSpec(3, seed=4, period_duration=4.0))],
+                                   cfg)
 
-    def test_refused_oracle_leaves_the_pairs_lazy(self, links):
+    def test_refused_oracle_leaves_the_pairs_lazy(self, links, rate_links):
         # above the cap the oracle integrates nothing, so msrs requires only
-        # its block and the V2V table is never complete
+        # its block and the V2V table is never complete; irrs's rate tables
+        # take their 20 direct rates and then only its block's 10 x 10 + 45
         config = ExperimentConfig(seed=1, trials=1, n_vehicles=20, oracle_cap=12,
                                   policies=("optimal", "msrs", "irrs", "noncoop"))
         rows = _run_chunk((config, [(9, None, None)]))
         assert links[0] == 20 and 190 not in links and sum(links[1:]) < 190
+        assert rate_links == [20, 145]
         assert rows[0].policy == "optimal" and rows[0].note.startswith("refused")
 
     def test_pairs_outside_the_msrs_block(self, cfg):
@@ -286,13 +311,15 @@ class TestDemandDrivenTables:
         assert np.array_equal(tables.v2v_unit[relays, aided], full.v2v_unit[relays, aided])
         assert np.isnan(tables.v2v_unit[np.ix_(relays, aided)]).sum() == 6
 
-    def test_rate_tables_fill_on_demand(self, cfg, links):
+    def test_rate_tables_fill_on_demand(self, cfg, links, rate_links):
         n = 6
         sc = generate(ScenarioSpec(n_vehicles=n, seed=10))
-        rt = build_rate_tables(sc, cfg)
+        rt = build_service_tables(sc.held_still(), cfg)
+        assert rate_links == [n]
         assert np.isnan(rt.v2v_unit[~np.eye(n, dtype=bool)]).all()
         assert (np.diag(rt.v2v_unit) == 0.0).all()
         rt.require(np.arange(n)[:, None], np.arange(n))
+        assert rate_links == [n, n * (n - 1) // 2]
         # the dense table at the period start, every pair at once
         state = sc.motion
         gap = state[:, None, :2] - state[None, :, :2]
@@ -455,7 +482,7 @@ class TestAssignmentSolves:
         sc = generate(ScenarioSpec(n_vehicles=200, seed=9))
         tables = build_service_tables(sc, cfg)
         solve_msrs(tables)
-        solve_irrs(tables, build_rate_tables(sc, cfg))
+        solve_irrs(tables, build_service_tables(sc.held_still(), cfg))
         assert len(needing_solve) >= 2
         assert solves == needing_solve
 
@@ -580,7 +607,7 @@ class TestBestFirstSearch:
         k_lte = data.draw(st.sampled_from([222, max(n, 1), max(n - 1, 1)]))
         cfg = default_radio_config(k_lte=k_lte, k_dsrc=k_dsrc)
         sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
-        for tables in (build_service_tables(sc, cfg), build_rate_tables(sc, cfg)):
+        for tables in (build_service_tables(sc, cfg), build_service_tables(sc.held_still(), cfg)):
             reference_solved = []
             want = ascending_partition(tables, reference_solved)
             matrices = []
@@ -606,7 +633,7 @@ class TestBestFirstSearch:
         # matrix is compared.  Then the real search is compared too
         cfg = default_radio_config(k_dsrc=k_dsrc)
         sc = generate(ScenarioSpec(n_vehicles=n, seed=n + k_dsrc))
-        for tables in (build_service_tables(sc, cfg), build_rate_tables(sc, cfg)):
+        for tables in (build_service_tables(sc, cfg), build_service_tables(sc.held_still(), cfg)):
             _, counts = per_count_bounds(tables)
             bounds, matrices = [], []
 
@@ -660,14 +687,14 @@ class TestIrrs:
             sc = generate(ScenarioSpec(n_vehicles=9, seed=seed, speed_range=(0.0, 0.0)))
             tables = build_service_tables(sc, cfg)
             msrs = solve_msrs(tables)
-            irrs = solve_irrs(tables, build_rate_tables(sc, cfg))
+            irrs = solve_irrs(tables, build_service_tables(sc.held_still(), cfg))
             assert irrs.av_set == msrs.av_set and irrs.pairing == msrs.pairing
             assert irrs.total_service == msrs.total_service
 
     def test_static_cell_edge_pairing(self, cfg):
         sc = edge_relay_pair(speed=0.0)
         tables = build_service_tables(sc, cfg)
-        irrs = solve_irrs(tables, build_rate_tables(sc, cfg))
+        irrs = solve_irrs(tables, build_service_tables(sc.held_still(), cfg))
         assert irrs.pairing == solve_msrs(tables).pairing == {0: 1}
 
 

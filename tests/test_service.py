@@ -280,6 +280,31 @@ class TestBatchIntegrator:
             )
             assert vals.shape == (0,) and converged.shape == (0,)
 
+    @pytest.mark.parametrize("duration", [1.0, 5.0])
+    def test_static_links_take_the_closed_form_in_any_batch(self, cfg, monkeypatch, duration):
+        # parked pairs, one of them co-located, as a held-still fleet's
+        # tables ask for them: a batch of them alone, or an empty one, skips
+        # the quadrature; inside a batch with moving links they keep the bits
+        gen = Xoshiro256StarStar(53)
+        parked = [Vehicle(k, gen.uniform(-450, 450), 1.75, 0.0, 0.0) for k in range(6)]
+        parked.append(Vehicle(6, parked[0].x, parked[0].y, 0.0, 0.0))
+        static = relative_rows(list(itertools.combinations(parked, 2)))
+        moving = relative_rows([close_pass(), overtake()])
+        link = (cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, Period(duration))
+        ax, ay = static[:, 0], static[:, 1]
+        want = duration * unit_rate(*link[:3], ax * ax + ay * ay)
+        mixed, mixed_ok = unit_service_batch(np.concatenate([moving[:1], static, moving[1:]]), *link)
+
+        def no_quadrature(*args):
+            raise AssertionError("a batch without moving links reached the quadrature")
+
+        monkeypatch.setattr(service_module, "_pieces", no_quadrature)
+        alone, alone_ok = unit_service_batch(static, *link)
+        empty, empty_ok = unit_service_batch(static[:0], *link)
+        assert alone.tobytes() == want.tobytes() == mixed[1:-1].tobytes()
+        assert empty.dtype == alone.dtype and empty.shape == empty_ok.shape == (0,)
+        assert alone_ok.all() and mixed_ok.all()
+
 
 class TestAdaptiveKronrod:
     @pytest.mark.parametrize("max_refinements", [0, 3, 12])
