@@ -23,7 +23,6 @@ from .scheduler import (
     Schedule,
     ServiceTables,
     build_chunk_tables,
-    build_service_tables,
     require_every_pair,
     solve_irrs,
     solve_msrs,

@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"policies listed more than once: {repeated}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.oracle_cap < 0:
+            raise ValueError(f"oracle_cap must be >= 0, got {self.oracle_cap}")
         # the scenario fields and sweep points fail where the config is read, not in a trial
         self.scenario_spec(seed=0)
         for n in self.n_values:
@@ -136,6 +138,8 @@ def load_config_file(path: str | Path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"{path}: cannot read config file ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):

@@ -7,11 +7,12 @@ vehicle receives the two-hop service of its relay pair (the weaker of the
 relay's downlink amount and the relay-to-vehicle amount).  That objective is
 written once, on `ServiceTables`: `direct_sum` for the vehicles that are not
 aided and `two_hop` (read through `benefit`) for the pairs.  Every policy
-searches or scores with it.  The tables compute a V2V pair only when a
-policy first requires it, unless `require_every_pair` has computed every
-pair of several tables in one kernel call beforehand.
+searches or scores with it.  The tables have one reader of V2V amounts,
+`v2v`, which integrates a pair when a policy first reads it, unless
+`require_every_pair` has computed every pair of several tables in one
+kernel call beforehand.
 Four policies are provided, each a function of a scenario's service tables
-(`build_service_tables`).  irrs also takes rate tables: the service tables
+(`build_chunk_tables`).  irrs also takes rate tables: the service tables
 of `Scenario.held_still()`, whose links are static over a 1 s period, so
 each amount is the link's instantaneous rate at the period start:
 
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -109,57 +109,45 @@ class ServiceTables:
     """Per-vehicle direct amounts and per-pair unit amounts for one scenario.
 
     `v2i[i]` is vehicle i's direct downlink amount with the RB share for the
-    full fleet already applied.  `v2v_unit[i, j]` is the relay link's per-RB
-    amount between i and j (symmetric); the aided-count-dependent RB share
-    multiplies it on demand, so one table serves every candidate n_av.  Built
-    from `Scenario.held_still()`, the same tables hold instantaneous rates.
+    full fleet already applied.  `v2v(rows, cols)` reads the relay links'
+    per-RB amounts between the pairs `rows` x `cols` (symmetric); the
+    aided-count-dependent RB share multiplies them on demand, so one table
+    serves every candidate n_av.  Built from `Scenario.held_still()`, the
+    same tables hold instantaneous rates.
 
-    V2V pairs are filled on first use: an entry nobody has asked for yet
-    holds NaN (the diagonal holds 0).  `require(rows, cols)` computes the
-    missing entries among the given pairs and stores them on both sides; a
-    reader that skips it gets NaN, which `BenefitMatrix` rejects.
-    `v2v_kernel` computes them: a function `motions -> (values, converged)`
-    over (P, 4) relative-motion rows, each the difference of two rows of
-    `motion`, the scenario's vehicle rows.  Without it the table is dense and
-    `require` does nothing.  `unconverged` counts this table's computed links
-    whose quadrature hit its refinement cap.
+    V2V pairs are integrated on first read: `v2v_unit` holds NaN for a pair
+    nobody has read yet (the diagonal holds 0), and `v2v` computes the
+    missing entries among the pairs it reads, stores them on both sides and
+    returns them.  `link` holds the V2V arguments of `unit_service_batch`
+    after the motion rows; each pair's row is the difference of two rows of
+    `motion`, the scenario's vehicle rows.  Without it the table is dense.
+    `unconverged` counts this table's computed links whose quadrature hit
+    its refinement cap.
     """
 
     v2i: np.ndarray
     v2v_unit: np.ndarray
     k_dsrc: int
     motion: np.ndarray | None = field(default=None, repr=False, compare=False)
-    v2v_kernel: Callable | None = field(default=None, repr=False, compare=False)
+    link: tuple | None = field(default=None, repr=False, compare=False)
     unconverged: int = 0
 
     @property
     def n(self) -> int:
         return len(self.v2i)
 
-    def require(self, rows, cols) -> None:
-        """Compute the unknown V2V entries among broadcastable index arrays `rows` x `cols`."""
-        if self.v2v_kernel is None:
-            return
-        missing = np.isnan(self.v2v_unit[rows, cols])
-        if not missing.any():
-            return
-        n = self.n
-        # one flat key i * N + j per pair, lower id first as in the motion
-        # rows; a flat mark drops the repeats and orders them ascending
-        keys = (np.minimum(rows, cols) * n + np.maximum(rows, cols))[missing]
-        mark = np.zeros(n * n, dtype=bool)
-        mark[keys] = True
-        i, j = np.divmod(np.flatnonzero(mark), n)
-        self._store(i, j, *self.v2v_kernel(self._motions(i, j)))
+    def v2v(self, rows, cols) -> np.ndarray:
+        """Per-RB V2V amounts of the pairs `rows` x `cols`, integrating the missing ones first.
 
-    def _motions(self, i, j) -> np.ndarray:
-        """Relative-motion rows of the pairs (i, j), the kernel's input."""
-        return self.motion.take(i, 0) - self.motion.take(j, 0)
-
-    def _store(self, i, j, values, converged) -> None:
-        self.v2v_unit[i, j] = values
-        self.v2v_unit[j, i] = values
-        self.unconverged += int(np.count_nonzero(~converged))
+        The index arrays broadcast, as in `v2v_unit[rows, cols]`.
+        """
+        unit = self.v2v_unit[rows, cols]
+        if self.link is not None:
+            missing = np.isnan(unit)
+            if missing.any():
+                _fill([(self, rows, cols, missing)])
+                unit = self.v2v_unit[rows, cols]
+        return unit
 
     def two_hop(self, unit, direct, n_av: int) -> np.ndarray:
         """Two-hop amounts of relays with direct amounts `direct` over per-RB V2V amounts `unit`.
@@ -171,9 +159,9 @@ class ServiceTables:
     def benefit(self, rows, cols, n_av: int) -> np.ndarray:
         """Two-hop amounts of relays `rows` serving aided `cols` when n_av share the V2V RBs.
 
-        The index arrays broadcast; their V2V entries must have been required.
+        The index arrays broadcast.
         """
-        return self.two_hop(self.v2v_unit[rows, cols], self.v2i[rows], n_av)
+        return self.two_hop(self.v2v(rows, cols), self.v2i[rows], n_av)
 
     def direct_sum(self, aided) -> float:
         """Direct amounts of every vehicle not aided, summed in ascending id order.
@@ -183,31 +171,50 @@ class ServiceTables:
         return sum(x for i, x in enumerate(self.v2i.tolist()) if i not in aided)
 
 
+def _fill(requests) -> None:
+    """Compute the missing V2V entries of several tables in one kernel call.
+
+    Each request is (table, rows, cols, missing): broadcastable index arrays
+    of pairs and the mask of those whose entries are NaN.  The tables share
+    one `link`.  Each table's missing pairs are stacked in ascending (i, j)
+    order, i < j, after the previous table's; each table stores its values on
+    both sides and counts only its own links in `unconverged`.
+    """
+    pairs, motions = [], []
+    for t, rows, cols, missing in requests:
+        n = t.n
+        # one flat key i * N + j per pair, lower id first as in the motion
+        # rows; a flat mark drops the repeats and orders them ascending
+        mark = np.zeros(n * n, dtype=bool)
+        mark[(np.minimum(rows, cols) * n + np.maximum(rows, cols))[missing]] = True
+        i, j = np.divmod(np.flatnonzero(mark), n)
+        pairs.append((t, i, j))
+        motions.append(t.motion.take(i, 0) - t.motion.take(j, 0))
+    link = requests[0][0].link
+    # the module global is looked up per call, so a wrapper installed on it
+    # sees every integrated pair
+    values, converged = unit_service_batch(np.concatenate(motions), *link)
+    start = 0
+    for t, i, j in pairs:
+        end = start + len(i)
+        t.v2v_unit[i, j] = t.v2v_unit[j, i] = values[start:end]
+        t.unconverged += int(np.count_nonzero(~converged[start:end]))
+        start = end
+
+
 def require_every_pair(tables: list[ServiceTables]) -> None:
     """Compute every unknown V2V entry of several tables in one kernel call.
 
-    The tables must share one `v2v_kernel`, as the tables of one
-    `build_chunk_tables` call do.  Their links are stacked table by table,
-    each table's in ascending (i, j) order, and each table keeps its own
-    values and counts only its own links in `unconverged`; a link's value
-    does not depend on its batch, so a table reads the same amounts as its
-    own `require` would give.
+    The tables must share one `link`, as the tables of one
+    `build_chunk_tables` call do.  A link's value does not depend on its
+    batch, so a table holds the same amounts as its own reads would give.
     """
-    tables = [t for t in tables if t.v2v_kernel is not None]
+    tables = [t for t in tables if t.link is not None]
     if not tables:
         return
-    kernel = tables[0].v2v_kernel
-    if any(t.v2v_kernel is not kernel for t in tables):
-        raise ValueError("tables filled together must share one V2V kernel")
-    # the unknown entries above the diagonal, in ascending (i, j) order
-    pairs = [np.nonzero(np.triu(np.isnan(t.v2v_unit))) for t in tables]
-    sizes = [len(i) for i, _ in pairs]
-    values, converged = kernel(np.concatenate(
-        [t._motions(i, j) for t, (i, j) in zip(tables, pairs)]))
-    ends = np.cumsum(sizes)[:-1]
-    for t, (i, j), vals, ok in zip(tables, pairs, np.split(values, ends),
-                                   np.split(converged, ends)):
-        t._store(i, j, vals, ok)
+    if any(t.link != tables[0].link for t in tables):
+        raise ValueError("tables filled together must share one V2V link")
+    _fill([(t, np.arange(t.n)[:, None], np.arange(t.n), np.isnan(t.v2v_unit)) for t in tables])
 
 
 def build_chunk_tables(
@@ -216,9 +223,9 @@ def build_chunk_tables(
     """Service-integral tables of scenarios that share one period, one per scenario.
 
     Every direct link of every scenario is integrated now, in one
-    `unit_service_batch` call; V2V pairs wait for `require`, or for
+    `unit_service_batch` call; V2V pairs wait for a read, or for
     `require_every_pair` over any of the returned tables, which share one
-    kernel.  A link's value does not depend on its batch, so each table is
+    `link`.  A link's value does not depend on its batch, so each table is
     the one its scenario would get alone.
     """
     if not scenarios:
@@ -227,12 +234,6 @@ def build_chunk_tables(
     if any(sc.period != period for sc in scenarios):
         raise ValueError("a chunk's scenarios must share one period")
     link = (cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad)
-
-    def v2v_kernel(motions):
-        # the module global is looked up per call, so a wrapper installed on
-        # it sees every integrated pair
-        return unit_service_batch(motions, *link)
-
     unit_bs, converged = unit_service_batch(
         np.concatenate([sc.motion - sc.bs for sc in scenarios]),
         cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, period, quad,
@@ -244,15 +245,8 @@ def build_chunk_tables(
         v2v_unit = np.full((sc.n, sc.n), np.nan)
         np.fill_diagonal(v2v_unit, 0.0)
         tables.append(ServiceTables(rb_share(cfg.k_lte, sc.n) * unit if sc.n else unit, v2v_unit,
-                                    cfg.k_dsrc, sc.motion, v2v_kernel, int(np.count_nonzero(~ok))))
+                                    cfg.k_dsrc, sc.motion, link, int(np.count_nonzero(~ok))))
     return tables
-
-
-def build_service_tables(
-    scenario: Scenario, cfg: RadioConfig, quad: QuadratureSpec = QuadratureSpec()
-) -> ServiceTables:
-    """Service-integral tables: direct links integrated now, V2V pairs on `require`."""
-    return build_chunk_tables([scenario], cfg, quad)[0]
 
 
 def _partition_total(tables: ServiceTables, pairing: dict[int, int]) -> float:
@@ -266,7 +260,6 @@ def _partition_total(tables: ServiceTables, pairing: dict[int, int]) -> float:
         return direct
     aided = sorted(pairing)
     relays = [pairing[j] for j in aided]
-    tables.require(relays, aided)
     return direct + sum(tables.benefit(relays, aided, len(aided)).tolist())
 
 
@@ -306,8 +299,7 @@ def solve_msrs(tables: ServiceTables) -> Schedule:
     rows = np.array(order, dtype=int)[:, None]
     # every candidate count pairs all vehicles against the `cap` weakest at most;
     # count n_av reads the block's first n - n_av rows and last n_av columns
-    tables.require(rows, rows[n - cap:, 0])
-    block = tables.v2v_unit[rows, rows[n - cap:, 0]]
+    block = tables.v2v(rows, rows[n - cap:, 0])
     direct = tables.v2i[rows]
     # kept[k]: the summed direct amounts of the k strongest vehicles
     kept = np.concatenate(([0.0], np.cumsum(direct)))
@@ -378,14 +370,13 @@ def solve_optimal_bruteforce(tables: ServiceTables, cap: int = BRUTE_FORCE_VEHIC
     n = tables.n
     if n > cap:
         raise ValueError(f"refusing exhaustive search for {n} vehicles; cap is {cap}")
-    every = np.arange(n)
-    tables.require(every[:, None], every)
+    unit = tables.v2v(np.arange(n)[:, None], np.arange(n))
     ids = list(range(n))
 
     best_total = total_direct = _partition_total(tables, {})
     best_pairing: dict[int, int] = {}
     for n_av in range(1, _aided_cap(n, tables.k_dsrc) + 1):
-        w_arr = tables.benefit(every[:, None], every, n_av)
+        w_arr = tables.two_hop(unit, tables.v2i[:, None], n_av)
         # an aided vehicle gains at most its column maximum over its direct
         # amount, so the n_av largest gains bound every set of this count
         gain = np.sort(w_arr.max(axis=0) - tables.v2i)

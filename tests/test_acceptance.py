@@ -31,7 +31,7 @@ from relaysched.channel import rb_share
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import (
-    build_service_tables,
+    build_chunk_tables,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,
@@ -63,7 +63,7 @@ def small_fleet_study(cfg):
     for n in (6, 8, 10):
         for seed in range(200):
             sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
-            tables = build_service_tables(sc, cfg)
+            tables = build_chunk_tables([sc], cfg)[0]
             msrs = solve_msrs(tables)
             noncoop = solve_noncooperative(tables)
             opt = solve_optimal_bruteforce(tables)
@@ -178,7 +178,7 @@ class TestCriterion5CooperativeGain:
         msrs_totals, noncoop_totals = [], []
         for seed in range(200):
             sc = generate(ScenarioSpec(n_vehicles=100, seed=seed))
-            tables = build_service_tables(sc, cfg)
+            tables = build_chunk_tables([sc], cfg)[0]
             msrs_totals.append(solve_msrs(tables).total_service)
             noncoop_totals.append(solve_noncooperative(tables).total_service)
         elapsed = time.perf_counter() - t0
@@ -201,9 +201,9 @@ class TestCriterion6SpeedTrend:
             for seed in range(500):
                 sc = generate(ScenarioSpec(n_vehicles=50, seed=seed,
                                            speed_range=(speed, speed)))
-                tables = build_service_tables(sc, cfg)
+                tables = build_chunk_tables([sc], cfg)[0]
                 msrs_totals.append(solve_msrs(tables).total_service)
-                rates = build_service_tables(sc.held_still(), cfg)
+                rates = build_chunk_tables([sc.held_still()], cfg)[0]
                 irrs_totals.append(solve_irrs(tables, rates).total_service)
             mean_msrs = sum(msrs_totals) / len(msrs_totals)
             mean_irrs = sum(irrs_totals) / len(irrs_totals)

@@ -20,7 +20,7 @@ from relaysched.channel import default_radio_config
 from relaysched.experiments import ExperimentConfig, cmd_sweep_n
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
-from relaysched.scheduler import build_service_tables, solve_irrs, solve_msrs
+from relaysched.scheduler import build_chunk_tables, solve_irrs, solve_msrs
 
 # known-answer case: five candidate relays, four aided vehicles
 REFERENCE = [
@@ -263,9 +263,9 @@ def scheduler_matrices():
         mp.setattr(scheduler_module, "solve_max_assignment", capturing)
         cfg = default_radio_config()
         sc = generate(ScenarioSpec(n_vehicles=200, seed=5))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         solve_msrs(tables)
-        solve_irrs(tables, build_service_tables(sc.held_still(), cfg))
+        solve_irrs(tables, build_chunk_tables([sc.held_still()], cfg)[0])
     return captured
 
 

@@ -109,9 +109,10 @@ class TestRunCommand:
         (["run"], '{"run": {"policies": []}}', "error: policies must not be empty"),
         (["run"], '{"sweep": {"n_values": []}}', "error: n_values must not be empty"),
         (["run"], '{"sweep": {"speed_values": []}}', "error: speed_values must not be empty"),
+        (["run"], '{"run": {"oracle_cap": -5}}', "error: oracle_cap must be >= 0, got -5"),
     ], ids=["nan-tolerance", "float-fleet-size", "string-lane-offset", "nan-path-loss",
             "zero-distance-divisor", "infinite-coverage", "nan-lane-offset", "infinite-period",
-            "zero-period", "no-policies", "no-fleet-sizes", "no-speeds"])
+            "zero-period", "no-policies", "no-fleet-sizes", "no-speeds", "negative-oracle-cap"])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys, command, text, message):
         # these used to run with no link converging, die in a TypeError
         # traceback, or fail later with a message that names no config key
@@ -126,14 +127,18 @@ class TestRunCommand:
         assert err.splitlines() == [message]
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, code", [("missing.json", errno.ENOENT), ("", errno.EISDIR)],
-                             ids=["missing", "directory"])
-    def test_unreadable_config_file_fails_cleanly(self, tmp_path, capsys, name, code):
+    @pytest.mark.parametrize("name, content, reason", [
+        ("missing.json", None, f"cannot read config file ({os.strerror(errno.ENOENT)})"),
+        ("", None, f"cannot read config file ({os.strerror(errno.EISDIR)})"),
+        ("bad.json", b'\xff\xfe{"run": {}}', "not valid UTF-8 (invalid start byte at byte 0)"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_config_file_fails_cleanly(self, tmp_path, capsys, name, content, reason):
         path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
         out = tmp_path / "res"
         assert run_cli(["run", "--seed", "1", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {path}: cannot read config file ({os.strerror(code)})"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {reason}"]
         assert not out.exists()
 
     def test_timing_lines_include_the_table_build(self, tmp_path, capsys):

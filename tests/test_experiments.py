@@ -225,6 +225,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(seed=1, trials=0)
 
+    def test_rejects_negative_oracle_cap(self):
+        with pytest.raises(ValueError, match="^oracle_cap must be >= 0, got -5$"):
+            ExperimentConfig(seed=1, oracle_cap=-5)
+        assert ExperimentConfig(seed=1, oracle_cap=0).oracle_cap == 0
+
     def test_rejects_bad_sweep_points(self):
         # a bad point fails when the config is built, before any trial runs
         with pytest.raises(ValueError, match="^n_vehicles must be >= 0, got -1$"):

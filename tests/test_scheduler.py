@@ -31,7 +31,6 @@ from relaysched.scheduler import (
     Schedule,
     ServiceTables,
     build_chunk_tables,
-    build_service_tables,
     require_every_pair,
     solve_irrs,
     solve_msrs,
@@ -40,7 +39,7 @@ from relaysched.scheduler import (
     validate_schedule,
     _partition_total,
 )
-from relaysched.service import Period, unit_service_batch
+from relaysched.service import Period, QuadratureSpec, unit_service_batch
 
 
 def unit_service(a, b, model, p_tx_dbm, noise_dbm, period):
@@ -66,7 +65,7 @@ def edge_relay_pair(speed=0.0):
 
 def heuristics(sc, cfg, tables):
     """The msrs, irrs and noncoop schedules of `sc`, whose service tables are `tables`."""
-    return [solve_msrs(tables), solve_irrs(tables, build_service_tables(sc.held_still(), cfg)),
+    return [solve_msrs(tables), solve_irrs(tables, build_chunk_tables([sc.held_still()], cfg)[0]),
             solve_noncooperative(tables)]
 
 
@@ -105,7 +104,7 @@ class TestValidateSchedule:
 class TestEvaluateSchedule:
     def test_all_cv_is_direct_sum(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=5, seed=9))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         s = Schedule()
         validate_schedule(s, sc.n)
         got = _partition_total(tables, s.pairing)
@@ -131,12 +130,12 @@ class TestEvaluateSchedule:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_reevaluation_is_bitwise(self, cfg, seed):
         sc = generate(ScenarioSpec(n_vehicles=9, seed=seed))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         for sched in heuristics(sc, cfg, tables) + [solve_optimal_bruteforce(tables)]:
             validate_schedule(sched, sc.n)
             again = _partition_total(tables, sched.pairing)
             assert again == sched.total_service
-            fresh = build_service_tables(sc, cfg)  # tables rebuilt from scratch
+            fresh = build_chunk_tables([sc], cfg)[0]  # tables rebuilt from scratch
             assert _partition_total(fresh, sched.pairing) == sched.total_service
 
 
@@ -145,7 +144,7 @@ class TestServiceTables:
         # each link integrated on its own, then the RB shares and the min rule applied
         spec = ScenarioSpec(n_vehicles=6, seed=21)
         sc, fleet = generate(spec), generated_vehicles(spec)
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         for n_av in (1, 2, 3):
             for i in range(6):
                 direct = rb_share(cfg.k_lte, 6) * unit_service(
@@ -160,13 +159,12 @@ class TestServiceTables:
                         cfg.noise_v2v_per_rb, sc.period,
                     )
                     want = min(relay, direct)
-                    tables.require(i, j)
                     assert tables.benefit(i, j, n_av) == pytest.approx(want, rel=1e-9)
 
     def test_v2i_column_matches_scalar(self, cfg, bs):
         spec = ScenarioSpec(n_vehicles=7, seed=22)
         sc = generate(spec)
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         for i, v in enumerate(generated_vehicles(spec)):
             want = rb_share(cfg.k_lte, 7) * unit_service(
                 v, bs, cfg.v2i_model, cfg.p_bs_per_rb, cfg.noise_v2i_per_rb, sc.period
@@ -176,8 +174,8 @@ class TestServiceTables:
     def test_rate_tables_match_channel(self, cfg, bs):
         spec = ScenarioSpec(n_vehicles=6, seed=23)
         fleet = generated_vehicles(spec)
-        rt = build_service_tables(generate(spec).held_still(), cfg)
-        rt.require(np.arange(6)[:, None], np.arange(6))
+        rt = build_chunk_tables([generate(spec).held_still()], cfg)[0]
+        rt.v2v(np.arange(6)[:, None], np.arange(6))
         for i, v in enumerate(fleet):
             assert rt.v2i[i] == pytest.approx(float(rate_v2i(v, bs, cfg, 6, 0.0)), rel=1e-12)
         for i in range(6):
@@ -224,7 +222,7 @@ class TestDemandDrivenTables:
         # N direct links, the cap weakest against the rest, and the pairs among them
         n, cap = 100, 25
         sc = generate(ScenarioSpec(n_vehicles=n, seed=7))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         assert sum(links) == n
         solve_msrs(tables)
         assert sum(links) == n + cap * (n - cap) + cap * (cap - 1) // 2 == 2275
@@ -232,12 +230,12 @@ class TestDemandDrivenTables:
 
     def test_noncooperative_integrates_direct_links_only(self, cfg, links):
         sc = generate(ScenarioSpec(n_vehicles=40, seed=8))
-        solve_noncooperative(build_service_tables(sc, cfg))
+        solve_noncooperative(build_chunk_tables([sc], cfg)[0])
         assert sum(links) == 40
 
     def test_bruteforce_integrates_every_pair(self, cfg, links):
         sc = generate(ScenarioSpec(n_vehicles=12, seed=9))
-        solve_optimal_bruteforce(build_service_tables(sc, cfg))
+        solve_optimal_bruteforce(build_chunk_tables([sc], cfg)[0])
         assert sum(links) == 12 + 12 * 11 // 2 == 78
 
     def test_oracle_trial_integrates_every_pair_in_one_call(self, links, rate_links):
@@ -265,13 +263,24 @@ class TestDemandDrivenTables:
             require_every_pair(chunk)
             assert calls == [9, 16]
             for sc, tables in zip(scs, chunk):
-                alone = build_service_tables(sc, cfg)
+                alone = build_chunk_tables([sc], cfg)[0]
                 every = np.arange(sc.n)
-                alone.require(every[:, None], every)
+                alone.v2v(every[:, None], every)
                 assert np.array_equal(tables.v2i, alone.v2i)
                 assert np.array_equal(tables.v2v_unit, alone.v2v_unit)
-            with pytest.raises(ValueError, match="share one V2V kernel"):
-                require_every_pair([build_service_tables(sc, cfg) for sc in scs])
+            # tables built apart share equal links, so they fill together
+            apart = [build_chunk_tables([sc], cfg)[0] for sc in scs]
+            require_every_pair(apart)
+            assert calls[-1] == 16
+            for tables, got in zip(chunk, apart):
+                assert got.v2v_unit.tobytes() == tables.v2v_unit.tobytes()
+            # tables of another period, radio or quadrature do not
+            for other in (build_chunk_tables([generate(ScenarioSpec(5, seed=1, period_duration=4.0))],
+                                             cfg)[0],
+                          build_chunk_tables(scs[:1], default_radio_config(p_vn_per_rb_dbm=23.0))[0],
+                          build_chunk_tables(scs[:1], cfg, QuadratureSpec(max_refinements=3))[0]):
+                with pytest.raises(ValueError, match="share one V2V link"):
+                    require_every_pair([chunk[0], other])
             with pytest.raises(ValueError, match="share one period"):
                 build_chunk_tables([scs[0], generate(ScenarioSpec(3, seed=4, period_duration=4.0))],
                                    cfg)
@@ -291,7 +300,7 @@ class TestDemandDrivenTables:
         # the strongest vehicles aided by the next strongest: msrs never needs these pairs
         n = 20
         sc = generate(ScenarioSpec(n_vehicles=n, seed=41))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         solve_msrs(tables)
         order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
         aided, relays = order[:3], order[3:6]
@@ -301,8 +310,8 @@ class TestDemandDrivenTables:
             BenefitMatrix(block)
 
         sched = Schedule(dict(zip(aided, relays)))
-        full = build_service_tables(sc, cfg)
-        full.require(np.arange(n)[:, None], np.arange(n))
+        full = build_chunk_tables([sc], cfg)[0]
+        full.v2v(np.arange(n)[:, None], np.arange(n))
         assert not np.isnan(full.v2v_unit).any()
         validate_schedule(sched, n)
         got = _partition_total(tables, sched.pairing)
@@ -311,14 +320,36 @@ class TestDemandDrivenTables:
         assert np.array_equal(tables.v2v_unit[relays, aided], full.v2v_unit[relays, aided])
         assert np.isnan(tables.v2v_unit[np.ix_(relays, aided)]).sum() == 6
 
+    def test_reads_integrate_only_the_pairs_read(self, cfg, links):
+        # a fresh lazy table read outside the msrs block: the 6 strongest
+        # vehicles against the 3 strongest, so the diagonal and both
+        # orientations of the pairs among the 3 are read too; the 12 unknown
+        # pairs take one call, and every value read is the filled table's
+        n = 20
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=41))
+        tables, full = build_chunk_tables([sc, sc], cfg)
+        require_every_pair([full])
+        order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
+        rows, cols = np.array(order[:6])[:, None], np.array(order[:3])
+        assert links == [2 * n, n * (n - 1) // 2]
+        got = tables.benefit(rows, cols, 3)
+        assert links[2:] == [3 + 3 * 3]
+        assert np.isfinite(got).all()
+        assert got.tobytes() == full.benefit(rows, cols, 3).tobytes()
+        assert np.count_nonzero(~np.isnan(tables.v2v_unit)) == n + 2 * 12
+        # read again, or through the other orientation: nothing left to integrate
+        for r, c in ((rows, cols), (cols[:, None], rows[:, 0])):
+            assert tables.v2v(r, c).tobytes() == full.v2v_unit[r, c].tobytes()
+        assert links[2:] == [12]
+
     def test_rate_tables_fill_on_demand(self, cfg, links, rate_links):
         n = 6
         sc = generate(ScenarioSpec(n_vehicles=n, seed=10))
-        rt = build_service_tables(sc.held_still(), cfg)
+        rt = build_chunk_tables([sc.held_still()], cfg)[0]
         assert rate_links == [n]
         assert np.isnan(rt.v2v_unit[~np.eye(n, dtype=bool)]).all()
         assert (np.diag(rt.v2v_unit) == 0.0).all()
-        rt.require(np.arange(n)[:, None], np.arange(n))
+        rt.v2v(np.arange(n)[:, None], np.arange(n))
         assert rate_links == [n, n * (n - 1) // 2]
         # the dense table at the period start, every pair at once
         state = sc.motion
@@ -329,29 +360,29 @@ class TestDemandDrivenTables:
         assert np.array_equal(rt.v2v_unit, dense)
         assert not links and rt.unconverged == 0
 
-    def test_require_computes_each_unknown_pair_once(self, cfg):
-        # a partly filled table and a request shaped like the msrs block: all
+    def test_require_computes_each_unknown_pair_once(self, cfg, monkeypatch):
+        # a partly filled table and a read shaped like the msrs block: all
         # vehicles against 8 of them, so the pairs among the 8 come in both
-        # orientations; three of the four known pairs lie in the request
+        # orientations; three of the four known pairs lie in the read
         n = 30
         sc = generate(ScenarioSpec(n_vehicles=n, seed=12))
-        tables = build_service_tables(sc, cfg)
-        real = tables.v2v_kernel
+        tables = build_chunk_tables([sc], cfg)[0]
+        real = scheduler_module.unit_service_batch
         calls = []
 
-        def recording(motions):
+        def recording(motions, *link):
             calls.append(motions)
-            values, _ = real(motions)
+            values, _ = real(motions, *link)
             return values, np.zeros(len(values), dtype=bool)  # every link unconverged
 
-        tables.v2v_kernel = recording
+        monkeypatch.setattr(scheduler_module, "unit_service_batch", recording)
         order = np.random.default_rng(5).permutation(n)
         weak = order[-8:]
         known = [(order[0], weak[0]), (weak[2], weak[1]), (weak[5], order[3]), (7, 19)]
-        tables.require([r for r, _ in known], [c for _, c in known])
+        tables.v2v([r for r, _ in known], [c for _, c in known])
         assert len(calls) == 1 and len(calls[0]) == 4 and tables.unconverged == 4
 
-        tables.require(order[:, None], weak)
+        tables.v2v(order[:, None], weak)
         want = sorted({(min(r, c), max(r, c)) for r in order.tolist() for c in weak.tolist()
                        if r != c} - {(min(r, c), max(r, c)) for r, c in known})
         i, j = (np.array(x) for x in zip(*want))
@@ -359,34 +390,35 @@ class TestDemandDrivenTables:
         assert len(calls) == 2
         assert calls[1].tobytes() == (sc.motion[i] - sc.motion[j]).tobytes()
         assert tables.unconverged == 4 + len(want) == 4 + 8 * 7 // 2 + 8 * 22 - 3
-        tables.require(weak[:, None], order)
+        tables.v2v(weak[:, None], order)
         assert len(calls) == 2
 
-        filled = build_service_tables(sc, cfg)
+        monkeypatch.setattr(scheduler_module, "unit_service_batch", real)
+        filled = build_chunk_tables([sc], cfg)[0]
         require_every_pair([filled])
         asked = ~np.isnan(tables.v2v_unit)
         assert asked.sum() == n + 2 * (4 + len(want))
         assert tables.v2v_unit[asked].tobytes() == filled.v2v_unit[asked].tobytes()
         every = np.arange(n)
-        tables.require(every[:, None], every)
+        tables.v2v(every[:, None], every)
         assert tables.v2v_unit.tobytes() == filled.v2v_unit.tobytes()
 
 
 class TestMsrs:
     def test_single_vehicle(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=1, seed=1))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         sched = solve_msrs(tables)
         assert sched.n_av == 0 and sched.pairing == {}
         assert sched.total_service == float(tables.v2i[0])
 
     def test_empty_scenario(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=0, seed=1))
-        sched = solve_msrs(build_service_tables(sc, cfg))
+        sched = solve_msrs(build_chunk_tables([sc], cfg)[0])
         assert sched.n_av == 0 and sched.total_service == 0.0
 
     def test_cell_edge_pair_gets_relayed(self, cfg):
-        tables = build_service_tables(edge_relay_pair(), cfg)
+        tables = build_chunk_tables([edge_relay_pair()], cfg)[0]
         sched = solve_msrs(tables)
         opt = solve_optimal_bruteforce(tables)
         assert sched.n_av == 1 and sched.pairing == {0: 1}
@@ -396,7 +428,7 @@ class TestMsrs:
     @pytest.mark.parametrize("seed", range(12))
     def test_near_optimal_small_fleets(self, cfg, seed):
         sc = generate(ScenarioSpec(n_vehicles=6, seed=seed))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         msrs = solve_msrs(tables)
         opt = solve_optimal_bruteforce(tables)
         assert (opt.total_service - msrs.total_service) / opt.total_service <= 0.05
@@ -404,7 +436,7 @@ class TestMsrs:
     @pytest.mark.parametrize("seed", range(8))
     def test_structural_invariants(self, cfg, seed):
         sc = generate(ScenarioSpec(n_vehicles=11, seed=100 + seed))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         for sched in heuristics(sc, cfg, tables):
             validate_schedule(sched, sc.n)
         msrs = solve_msrs(tables)
@@ -414,7 +446,7 @@ class TestMsrs:
     @pytest.mark.parametrize("seed", range(8))
     def test_dominance_chain(self, cfg, seed):
         sc = generate(ScenarioSpec(n_vehicles=8, seed=200 + seed))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         opt = solve_optimal_bruteforce(tables)
         msrs = solve_msrs(tables)
         noncoop = solve_noncooperative(tables)
@@ -427,7 +459,7 @@ class TestMsrs:
         # aided vehicles the V2V share is 0 too, so those counts are not tried
         cfg = default_radio_config(k_lte=10, k_dsrc=3)
         sc = generate(ScenarioSpec(n_vehicles=30, seed=4))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         assert not tables.v2i.any()
         real_solve = scheduler_module.solve_max_assignment
         solves = []
@@ -457,7 +489,7 @@ class TestAssignmentSolves:
 
         monkeypatch.setattr(scheduler_module, "solve_max_assignment", counting)
         sc = generate(ScenarioSpec(n_vehicles=100, seed=7))
-        solve_msrs(build_service_tables(sc, cfg))
+        solve_msrs(build_chunk_tables([sc], cfg)[0])
         assert cols == [5]
 
     def test_one_dual_solve_per_assignment(self, monkeypatch, cfg):
@@ -480,9 +512,9 @@ class TestAssignmentSolves:
         monkeypatch.setattr(assignment_module, "_rect_min_assign", counting_rect)
         monkeypatch.setattr(scheduler_module, "solve_max_assignment", counting_solve)
         sc = generate(ScenarioSpec(n_vehicles=200, seed=9))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         solve_msrs(tables)
-        solve_irrs(tables, build_service_tables(sc.held_still(), cfg))
+        solve_irrs(tables, build_chunk_tables([sc.held_still()], cfg)[0])
         assert len(needing_solve) >= 2
         assert solves == needing_solve
 
@@ -501,7 +533,7 @@ class TestAssignmentSolves:
 
         monkeypatch.setattr(ServiceTables, "two_hop", counting)
         sc = generate(ScenarioSpec(n_vehicles=100, seed=7))
-        solve_msrs(build_service_tables(sc, cfg))
+        solve_msrs(build_chunk_tables([sc], cfg)[0])
         last = [25, 12, 8, 6, 5, 4, 3, 2, 1]
         first = [13, 9, 7, 6, 5, 4, 3, 2, 1]
         assert blocks == [(m, (100 - f, m)) for m, f in zip(last, first)]
@@ -518,7 +550,7 @@ def ascending_partition(tables, solved):
     order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
     cap = min(n // 2, tables.k_dsrc)
     rows = np.array(order, dtype=int)[:, None]
-    tables.require(rows, order[n - cap:])
+    tables.v2v(rows, order[n - cap:])
     kept = np.concatenate(([0.0], np.cumsum(tables.v2i[order])))
     best = Schedule({}, _partition_total(tables, {}))
     for n_av in range(1, cap + 1):
@@ -546,7 +578,7 @@ def per_count_bounds(tables):
     order = sorted(range(n), key=lambda i: (-tables.v2i[i], i))
     cap = min(n // 2, tables.k_dsrc)
     rows = np.array(order, dtype=int)[:, None]
-    tables.require(rows, order[n - cap:])
+    tables.v2v(rows, order[n - cap:])
     kept = np.concatenate(([0.0], np.cumsum(tables.v2i[order])))
     counts = []
     for n_av in range(1, cap + 1):
@@ -607,7 +639,7 @@ class TestBestFirstSearch:
         k_lte = data.draw(st.sampled_from([222, max(n, 1), max(n - 1, 1)]))
         cfg = default_radio_config(k_lte=k_lte, k_dsrc=k_dsrc)
         sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
-        for tables in (build_service_tables(sc, cfg), build_service_tables(sc.held_still(), cfg)):
+        for tables in (build_chunk_tables([sc], cfg)[0], build_chunk_tables([sc.held_still()], cfg)[0]):
             reference_solved = []
             want = ascending_partition(tables, reference_solved)
             matrices = []
@@ -633,7 +665,7 @@ class TestBestFirstSearch:
         # matrix is compared.  Then the real search is compared too
         cfg = default_radio_config(k_dsrc=k_dsrc)
         sc = generate(ScenarioSpec(n_vehicles=n, seed=n + k_dsrc))
-        for tables in (build_service_tables(sc, cfg), build_service_tables(sc.held_still(), cfg)):
+        for tables in (build_chunk_tables([sc], cfg)[0], build_chunk_tables([sc.held_still()], cfg)[0]):
             _, counts = per_count_bounds(tables)
             bounds, matrices = [], []
 
@@ -685,42 +717,42 @@ class TestIrrs:
     def test_static_fleet_matches_msrs(self, cfg):
         for seed in (1, 2, 3):
             sc = generate(ScenarioSpec(n_vehicles=9, seed=seed, speed_range=(0.0, 0.0)))
-            tables = build_service_tables(sc, cfg)
+            tables = build_chunk_tables([sc], cfg)[0]
             msrs = solve_msrs(tables)
-            irrs = solve_irrs(tables, build_service_tables(sc.held_still(), cfg))
+            irrs = solve_irrs(tables, build_chunk_tables([sc.held_still()], cfg)[0])
             assert irrs.av_set == msrs.av_set and irrs.pairing == msrs.pairing
             assert irrs.total_service == msrs.total_service
 
     def test_static_cell_edge_pairing(self, cfg):
         sc = edge_relay_pair(speed=0.0)
-        tables = build_service_tables(sc, cfg)
-        irrs = solve_irrs(tables, build_service_tables(sc.held_still(), cfg))
+        tables = build_chunk_tables([sc], cfg)[0]
+        irrs = solve_irrs(tables, build_chunk_tables([sc.held_still()], cfg)[0])
         assert irrs.pairing == solve_msrs(tables).pairing == {0: 1}
 
 
 class TestNoncooperative:
     def test_matches_all_cv_evaluation(self, cfg):
         sc = generate(ScenarioSpec(n_vehicles=6, seed=31))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         sched = solve_noncooperative(tables)
         manual = Schedule()
         validate_schedule(manual, sc.n)
         assert sched.total_service == _partition_total(tables, manual.pairing)
 
     def test_single_vehicle_equals_msrs(self, cfg):
-        tables = build_service_tables(generate(ScenarioSpec(n_vehicles=1, seed=5)), cfg)
+        tables = build_chunk_tables([generate(ScenarioSpec(n_vehicles=1, seed=5))], cfg)[0]
         assert solve_noncooperative(tables) == solve_msrs(tables)
 
 
 class TestBruteForce:
     def test_cap_refusal(self, cfg):
-        tables = build_service_tables(generate(ScenarioSpec(n_vehicles=13, seed=1)), cfg)
+        tables = build_chunk_tables([generate(ScenarioSpec(n_vehicles=13, seed=1))], cfg)[0]
         with pytest.raises(ValueError) as exc:
             solve_optimal_bruteforce(tables)
         assert str(exc.value) == "refusing exhaustive search for 13 vehicles; cap is 12"
 
     def test_single_vehicle_matches_msrs(self, cfg):
-        tables = build_service_tables(generate(ScenarioSpec(n_vehicles=1, seed=6)), cfg)
+        tables = build_chunk_tables([generate(ScenarioSpec(n_vehicles=1, seed=6))], cfg)[0]
         assert solve_optimal_bruteforce(tables) == solve_msrs(tables)
 
     def test_symmetric_pair_stays_direct(self, cfg):
@@ -731,7 +763,7 @@ class TestBruteForce:
                 Vehicle(id=1, x=100.0, y=1.75, speed=0.0, heading=0.0),
             ]
         )
-        opt = solve_optimal_bruteforce(build_service_tables(sc, cfg))
+        opt = solve_optimal_bruteforce(build_chunk_tables([sc], cfg)[0])
         assert opt.n_av == 0
 
 
@@ -745,7 +777,7 @@ def enumerated_optimum(tables, starts=None, passed=None):
     """
     n = tables.n
     every = np.arange(n)
-    tables.require(every[:, None], every)
+    tables.v2v(every[:, None], every)
     ids = list(range(n))
     best_total = _partition_total(tables, {})
     best_pairing: dict[int, int] = {}
@@ -775,7 +807,7 @@ def enumerated_optimum(tables, starts=None, passed=None):
 
 
 def assert_same_optimum(sc, cfg):
-    tables = build_service_tables(sc, cfg)
+    tables = build_chunk_tables([sc], cfg)[0]
     got = solve_optimal_bruteforce(tables)
     want = enumerated_optimum(tables)
     assert got == want
@@ -812,7 +844,7 @@ class TestBruteForceOracle:
         # k_lte < N: every direct amount is 0, so every bound ties the incumbent 0
         cfg = default_radio_config(k_lte=10)
         sc = generate(ScenarioSpec(n_vehicles=12, seed=5))
-        assert not build_service_tables(sc, cfg).v2i.any()
+        assert not build_chunk_tables([sc], cfg)[0].v2i.any()
         opt = assert_same_optimum(sc, cfg)
         assert opt.n_av == 0 and opt.total_service == 0.0
 
@@ -845,7 +877,7 @@ class TestBruteForceOracle:
         # the incumbent 0, so no set is enumerated
         cfg = default_radio_config(**radio)
         sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         want = []
         enumerated_optimum(tables, passed=want)
         got = []
@@ -887,7 +919,7 @@ class TestBruteForceOracle:
         # incumbent 0, so the margin lets every count through
         cfg = default_radio_config(**radio)
         sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         starts = []
         enumerated_optimum(tables, starts)
         every = np.arange(n)
@@ -930,7 +962,7 @@ class TestBruteForceOracle:
     @given(n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_dominance_and_relabelling(self, cfg, n, seed, data):
         sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
-        tables = build_service_tables(sc, cfg)
+        tables = build_chunk_tables([sc], cfg)[0]
         opt = solve_optimal_bruteforce(tables)
         msrs = solve_msrs(tables)
         noncoop = solve_noncooperative(tables)
@@ -938,7 +970,7 @@ class TestBruteForceOracle:
         # neither the optimum nor msrs depends on which id each vehicle carries
         order = data.draw(st.permutations(range(n)))
         relabelled = Scenario(sc.bs, sc.motion[list(order)], sc.period)
-        again = solve_optimal_bruteforce(build_service_tables(relabelled, cfg))
+        again = solve_optimal_bruteforce(build_chunk_tables([relabelled], cfg)[0])
         assert again.total_service == pytest.approx(opt.total_service, rel=1e-12)
         assert_msrs_relabels(relabelled, order, msrs, cfg)
 
@@ -948,13 +980,13 @@ class TestBruteForceOracle:
         sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
         order = np.random.default_rng(seed).permutation(n).tolist()
         relabelled = Scenario(sc.bs, sc.motion[order], sc.period)
-        msrs = solve_msrs(build_service_tables(sc, cfg))
+        msrs = solve_msrs(build_chunk_tables([sc], cfg)[0])
         assert_msrs_relabels(relabelled, order, msrs, cfg)
 
 
 def assert_msrs_relabels(relabelled, order, msrs, cfg):
     """msrs on `relabelled`, whose vehicle k is `msrs`'s vehicle order[k], pairs the same vehicles."""
-    again = solve_msrs(build_service_tables(relabelled, cfg))
+    again = solve_msrs(build_chunk_tables([relabelled], cfg)[0])
     assert {order[a]: order[r] for a, r in again.pairing.items()} == msrs.pairing
     assert again.total_service == pytest.approx(msrs.total_service, rel=1e-12)
 
@@ -965,7 +997,7 @@ class TestScalingBenchmark:
         timings = {}
         for n in (25, 50, 100, 200):
             sc = generate(ScenarioSpec(n_vehicles=n, seed=77))
-            tables = build_service_tables(sc, cfg)
+            tables = build_chunk_tables([sc], cfg)[0]
             t0 = time.perf_counter()
             solve_msrs(tables)
             timings[n] = time.perf_counter() - t0

@@ -11,7 +11,7 @@ import relaysched.service as service_module
 from relaysched.channel import RadioConfig, default_radio_config, rb_share, unit_rate
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
-from relaysched.scheduler import ServiceTables, build_service_tables
+from relaysched.scheduler import ServiceTables, build_chunk_tables
 from relaysched.service import (
     Period,
     QuadratureSpec,
@@ -171,7 +171,7 @@ class TestServiceV2I:
     def test_zero_share(self):
         # more vehicles than cellular RBs: nobody gets a direct share
         cfg = default_radio_config(k_lte=2)
-        tables = build_service_tables(generate(ScenarioSpec(n_vehicles=3, seed=1)), cfg)
+        tables = build_chunk_tables([generate(ScenarioSpec(n_vehicles=3, seed=1))], cfg)[0]
         assert tables.v2i.shape == (3,) and not tables.v2i.any()
 
     def test_symmetric_crossing_doubles_half_period(self, bs, cfg, quad):
