@@ -109,21 +109,22 @@ def default_radio_config(
     )
 
 
-def unit_rate(model: PathLossModel, p_tx_dbm: float, noise_dbm: float, d2):
+def unit_rate(model: PathLossModel, p_tx_dbm: float, noise_dbm: float, d2, out=None):
     """Per-RB rate log2(1+SNR) at squared distance `d2` (m**2, scalar or array); no RB share applied.
 
     Every rate and service amount in the package is computed here.  The
     model is given in dB, but the SNR 10**((p_tx - noise - loss(d)) / 10) is
     evaluated as exp(c + k*ln(max(d2, min_distance**2))), with k = -slope/20
     and c = (p_tx - noise - reference_loss)*ln(10)/10
-    + (slope/20)*ln(distance_divisor**2), in place in one new array, so
-    callers never take a square root.  Distances are not checked: callers
-    derive them from validated vehicle states.
+    + (slope/20)*ln(distance_divisor**2), in place in one array, so callers
+    never take a square root.  That array is a new one, or `out`, a float
+    array of d2's shape, which may be `d2` itself.  Distances are not
+    checked: callers derive them from validated vehicle states.
     """
     k = -model.slope / 20.0
     c = ((p_tx_dbm - noise_dbm - model.reference_loss) * (math.log(10.0) / 10.0)
          - k * math.log(model.distance_divisor**2))
-    x = np.maximum(d2, model.min_distance**2, out=np.empty(np.shape(d2)))
+    x = np.maximum(d2, model.min_distance**2, out=np.empty(np.shape(d2)) if out is None else out)
     np.log(x, out=x)
     np.multiply(k, x, out=x)
     np.add(c, x, out=x)

@@ -28,11 +28,19 @@ estimate embedded in it disagree by more than the tolerance is bisected in
 u, and its value is its halves' sum.  A `run --seed 7 --n 100` trial takes
 16.4 rate evaluations per link.  A link's value is its pieces summed in
 order of u.
+
+The kernel holds each level's panels node-major: the integrand at the 15
+nodes of P panels is a (15, P) array, so every operation runs along
+contiguous rows of length P.  Its two (15, P) arrays are views of a buffer
+each thread keeps across calls, of at most 8192 panels (about 2 MB).
+Fresh arrays of that size (260 KB each for an N=100 msrs block) go back to
+the OS when a call ends, and the next call page-faults them in again.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +96,48 @@ _WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276
 _QK15 = 0.5 * np.stack([1.0 + np.concatenate([-_XGK, _XGK[-2::-1]]),
                         np.concatenate([_WGK, _WGK[-2::-1]]),
                         np.concatenate([_WG, _WG[-2::-1]])])
-_NODES, _KRONROD, _GAUSS = _QK15  # contiguous rows, indexed once
+_NODES, _KRONROD, _GAUSS = _QK15[:, :, None]  # (15, 1) columns, broadcast along the panels
+
+_WORKSPACE_PANELS = 8192  # two (15, P) float arrays: about 2 MB per thread
+_workspace = threading.local()
+_ROW_ADDS_FROM = 256  # panels from which `_node_sum` adds rows
+
+
+def _node_arrays(panels: int) -> np.ndarray:
+    """Two contiguous (15, `panels`) float arrays for one level's node values.
+
+    Up to `_WORKSPACE_PANELS` panels they are views of a buffer this thread
+    keeps across calls.  Fresh temporaries of this size are handed back to
+    the OS by malloc when a call ends, and every call would page-fault them
+    in again.  A larger level gets fresh arrays, so a huge batch keeps no
+    memory.  The views must not outlive the level that takes them.
+    """
+    if panels > _WORKSPACE_PANELS:
+        return np.empty((2, 15, panels))
+    buffer = getattr(_workspace, "buffer", None)
+    if buffer is None:
+        buffer = _workspace.buffer = np.empty(2 * 15 * _WORKSPACE_PANELS)
+    return buffer[:2 * 15 * panels].reshape(2, 15, panels)
+
+
+def _node_sum(f: np.ndarray) -> np.ndarray:
+    """Sums of the 15 rows of `f`, in the order numpy's pairwise sum takes a length-15 axis.
+
+    That is ((f0 + f1) + (f2 + f3)) + ((f4 + f5) + (f6 + f7)), then f8 to
+    f14 one at a time: the bits of `f.T.copy().sum(axis=1)`.  Below about
+    250 columns that one reduce is the faster form; above, 14 adds along
+    contiguous rows are (2-vCPU Xeon, numpy 2.4).
+    """
+    if f.shape[1] < _ROW_ADDS_FROM:
+        return f.T.copy().sum(axis=1)
+    total = f[0] + f[1]
+    total += f[2] + f[3]
+    right = f[4] + f[5]
+    right += f[6] + f[7]
+    total += right
+    for row in f[8:]:
+        total += row
+    return total
 
 
 def _asinh_step(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -111,11 +160,12 @@ def _pieces(motions: np.ndarray, min_distance: float, duration: float):
 
     `motions` are (ax, ay, bx, by) rows with |b| > 0.  Returns `link`, the row
     of `motions` each piece belongs to (a link's pieces come in ascending u),
-    (P, 4) rows of (u_lo, u_width, s, s**2 - d_min**2), and `scale` = s/|b|,
+    (P, 4) rows of (u_lo, u_width, s, s**2 - d_min**2), the transpose of a
+    contiguous (4, P) array, and `scale` = s/|b|,
     so that dt = scale*cosh(u) du.  A link that never comes within
     `min_distance` is one piece, and `link` is then None: piece k is link k.
     """
-    ax, ay, bx, by = motions.T
+    ax, ay, bx, by = np.ascontiguousarray(motions.T)
     speed = np.hypot(bx, by)
     d_min = np.abs(ax * by - ay * bx) / speed
     s = np.maximum(d_min, min_distance)
@@ -141,8 +191,8 @@ def _pieces(motions: np.ndarray, min_distance: float, duration: float):
         widths = widths[keep]
         s, d_min, speed = s[link], d_min[link], speed[link]
     # s*s - d_min*d_min rounds to at most fl(s*s) <= fl((s*cosh)**2), so d**2 >= 0
-    rows = np.stack([lo, widths, s, s * s - d_min * d_min], axis=1)
-    return link, rows, s / speed
+    rows = np.stack([lo, widths, s, s * s - d_min * d_min])
+    return link, rows.T, s / speed
 
 
 def unit_service_batch(
@@ -172,14 +222,16 @@ def unit_service_batch(
     right half's, so each piece is summed along its own bisection tree, and
     a link's value does not depend on the other links of its batch.
 
-    A call costs about 80 us on 12 links (2-vCPU Xeon, numpy 2.4), mostly
-    numpy's fixed cost per array operation, so the bookkeeping that a batch
-    does not need is skipped: the quadrature when no link moves (an empty
-    batch, or a held-still fleet's), the static-link rate when no link is
-    static, the clamp cuts when no link comes within `min_distance` (every V2I
-    batch), and the failed-panel flags when every panel converged.  Every
-    value still takes the same arithmetic in the same order, so the results
-    are the same bits either way.  Callers should batch what they can.
+    A call costs about 80 us on 12 V2I links and 1 ms on the 2175 V2V links
+    of an N=100 msrs block (2-vCPU Xeon, numpy 2.4).  A small call is
+    mostly numpy's fixed cost per array operation, so the bookkeeping that
+    a batch does not need is skipped: the quadrature when no link moves (an
+    empty batch, or a held-still fleet's), the static-link rate when no link
+    is static, the clamp cuts when no link comes within `min_distance`
+    (every V2I batch), and the failed-panel flags when every panel
+    converged.  Every value still takes the same arithmetic in the same
+    order, so the results are the same bits either way.  Callers should
+    batch what they can.
     """
     motions = np.asarray(motions, dtype=float).reshape(-1, 4)
     duration = period.duration
@@ -198,40 +250,42 @@ def unit_service_batch(
         motions = motions[moving]
     link, pieces, scale = _pieces(motions, model.min_distance, duration)
 
-    def integrand(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # rate * cosh(u) at fractions x of each panel's u-range; the rate
-        # takes d**2 = d_min**2 + (s*sinh(u))**2 = (s*cosh(u))**2 - (s**2 - d_min**2)
-        cosh = rows[:, 1:2] * x
-        cosh += rows[:, 0:1]
-        np.cosh(cosh, out=cosh)
-        d2 = rows[:, 2:3] * cosh
-        d2 *= d2
-        d2 -= rows[:, 3:4]
-        rate = unit_rate(model, p_tx_dbm, noise_dbm, d2)
-        rate *= cosh
-        return rate
-
-    # Level by level: `rows` holds this level's panels, laid out as the
-    # pieces are, and `owner` their pieces (None at level 0, where panel k
-    # is piece k).  A split panel's halves come next level as two adjacent
-    # rows, left then right.  The weighted sums are taken per row, not as a
-    # matrix product, whose blocking could depend on the batch.
-    rows, owner = pieces, None
+    # Level by level: `panels` holds this level's panels node-major, as
+    # rows (u_lo, u_width, s, s**2 - d_min**2) whose columns are laid out
+    # as the pieces are, and `owner` their pieces (None at level 0, where
+    # panel k is piece k).  A split panel's halves come next level as two
+    # adjacent columns, left then right.  The node values are (15, P), so
+    # every operation runs along contiguous P-long rows.  The weighted sums
+    # take numpy's pairwise order (`_node_sum`), not a matrix product, whose
+    # blocking could depend on the batch.
+    panels, owner = pieces.T, None
     levels = []
     for level in range(quad.max_refinements + 1):
-        f = integrand(rows, _NODES)
-        h = rows[:, 1] * (scale if owner is None else scale[owner])  # dt/du's constant factor
-        kronrod = (f * _KRONROD).sum(axis=1) * h
-        gauss = (f * _GAUSS).sum(axis=1) * h
+        lo, width, s, c = panels
+        cosh, f = _node_arrays(panels.shape[1])
+        # f = rate * cosh(u) at the nodes of each panel's u-range; the rate
+        # takes d**2 = d_min**2 + (s*sinh(u))**2 = (s*cosh(u))**2 - (s**2 - d_min**2)
+        np.multiply(width, _NODES, out=cosh)
+        cosh += lo
+        np.cosh(cosh, out=cosh)
+        np.multiply(s, cosh, out=f)
+        f *= f
+        f -= c
+        unit_rate(model, p_tx_dbm, noise_dbm, f, out=f)
+        f *= cosh
+        h = width * (scale if owner is None else scale[owner])  # dt/du's constant factor
+        # the weighted node values go where cosh was
+        kronrod = _node_sum(np.multiply(f, _KRONROD, out=cosh)) * h
+        gauss = _node_sum(np.multiply(f, _GAUSS, out=cosh)) * h
         tol = quad.relative_tolerance * np.maximum(np.abs(kronrod), _ABS_FLOOR)
         split = ~(np.abs(kronrod - gauss) <= tol)
         levels.append((kronrod, split))
         if level == quad.max_refinements or not split.any():
             break
         owner = np.flatnonzero(split) if owner is None else owner[split]
-        rows, owner = np.repeat(rows[split], 2, axis=0), np.repeat(owner, 2)
-        rows[:, 1] *= 0.5
-        rows[1::2, 0] += rows[1::2, 1]
+        panels, owner = np.repeat(panels[:, split], 2, axis=1), np.repeat(owner, 2)
+        panels[1] *= 0.5
+        panels[0, 1::2] += panels[1, 1::2]
 
     # what still fails at the last level keeps its K15; then fold the halves
     # back into their panels, deepest level first

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import Vehicle, db_rate, motion_rows, rate_v2i, rate_v2v
 
+import relaysched
+import relaysched.experiments as experiments_module
 import relaysched.service as service_module
 from relaysched.channel import RadioConfig, default_radio_config, rb_share, unit_rate
+from relaysched.experiments import ExperimentConfig, cmd_run
 from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import ServiceTables, build_chunk_tables
@@ -18,6 +27,8 @@ from relaysched.service import (
     unit_service_batch,
     _ABS_FLOOR,
     _QK15,
+    _ROW_ADDS_FROM,
+    _node_sum,
     _pieces,
 )
 
@@ -306,24 +317,31 @@ class TestBatchIntegrator:
         assert alone_ok.all() and mixed_ok.all()
 
 
+def kronrod_args(cfg, period, max_refinements, links=31):
+    """Kernel arguments over a parked link, `links` seeded passing links, and
+    the close pass and the overtake both ways, at a 1e-14 tolerance.
+
+    The links have one to three pieces and stop bisecting at different
+    depths; every one meets the default 1e-6 within one bisection, so the
+    tight tolerance spreads them.
+    """
+    gen = Xoshiro256StarStar(43)
+    pairs = [(Vehicle(0, 120.0, 1.75, 0.0, 0.0), Vehicle(1, 180.0, 5.25, 0.0, 0.0))]
+    for k in range(links - 1):
+        tx = Vehicle(0, gen.uniform(-450, 450), 1.75, gen.uniform(4, 35), 0.0)
+        rx = Vehicle(1, gen.uniform(-450, 450), 5.25, gen.uniform(4, 35), math.pi)
+        pairs.append((tx, rx))
+    for tx, rx in (close_pass(), overtake()):
+        pairs += [(tx, rx), (rx, tx)]
+    quad = QuadratureSpec(relative_tolerance=1e-14, max_refinements=max_refinements)
+    return (relative_rows(pairs), cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period,
+            quad)
+
+
 class TestAdaptiveKronrod:
     @pytest.mark.parametrize("max_refinements", [0, 3, 12])
     def test_matches_recursive_oracle(self, cfg, period, max_refinements):
-        # parked, passing, 3.5 m close-passing and overtaking links (one to
-        # three pieces) stop bisecting at different depths; every one meets
-        # the default 1e-6 within one bisection, so a tighter tolerance
-        # spreads them
-        gen = Xoshiro256StarStar(43)
-        links = [(Vehicle(0, 120.0, 1.75, 0.0, 0.0), Vehicle(1, 180.0, 5.25, 0.0, 0.0))]
-        for k in range(30):
-            tx = Vehicle(0, gen.uniform(-450, 450), 1.75, gen.uniform(4, 35), 0.0)
-            rx = Vehicle(1, gen.uniform(-450, 450), 5.25, gen.uniform(4, 35), math.pi)
-            links.append((tx, rx))
-        for tx, rx in (close_pass(), overtake()):
-            links += [(tx, rx), (rx, tx)]
-        motions = motion_rows([a for a, _ in links]) - motion_rows([b for _, b in links])
-        quad = QuadratureSpec(relative_tolerance=1e-14, max_refinements=max_refinements)
-        args = (motions, cfg.v2v_model, cfg.p_vn_per_rb, cfg.noise_v2v_per_rb, period, quad)
+        args = kronrod_args(cfg, period, max_refinements)
         got, got_ok = unit_service_batch(*args)
         want, want_ok = recursive_service_batch(*args)
         assert np.array_equal(got, want) and np.array_equal(got_ok, want_ok)
@@ -375,9 +393,9 @@ class TestAdaptiveKronrod:
         real = service_module.unit_rate
         nodes = []
 
-        def counting(model, p_tx_dbm, noise_dbm, d2):
+        def counting(model, p_tx_dbm, noise_dbm, d2, out=None):
             nodes.append(np.size(d2))
-            return real(model, p_tx_dbm, noise_dbm, d2)
+            return real(model, p_tx_dbm, noise_dbm, d2, out=out)
 
         monkeypatch.setattr(service_module, "unit_rate", counting)
         pairs = [link() for link in links]
@@ -388,6 +406,131 @@ class TestAdaptiveKronrod:
         assert not converged.any()
         failing, clamped = 1 + 2 * (overtake in links), overtake in links
         assert sum(nodes) == 15 * (failing * (2 ** (max_refinements + 1) - 1) + clamped)
+
+    @pytest.mark.parametrize("panels", [1, _ROW_ADDS_FROM - 1, _ROW_ADDS_FROM, 3000])
+    def test_node_sum_is_numpys_pairwise_order(self, panels):
+        # both forms, on values spread over 40 decades with zeros among them
+        gen = np.random.default_rng(panels)
+        f = gen.random((15, panels)) * 10.0 ** gen.integers(-20, 20, (15, panels))
+        f[gen.random((15, panels)) < 0.1] = 0.0
+        assert _node_sum(f).tobytes() == f.T.copy().sum(axis=1).tobytes()
+
+
+class TestWorkspace:
+    """The level loop's node arrays are views of a buffer each thread keeps across calls."""
+
+    @pytest.mark.parametrize("cap", [None, 40], ids=["default-cap", "cap-40"])
+    def test_reuse_keeps_every_result(self, cfg, period, monkeypatch, cap):
+        # A, then a larger B, then a smaller C; B's first levels add rows in
+        # `_node_sum`, and with a cap of 40 panels they take fresh arrays.
+        # The test's buffers, sized for its cap, go with its workspace
+        monkeypatch.setattr(service_module, "_workspace", threading.local())
+        if cap is not None:
+            monkeypatch.setattr(service_module, "_WORKSPACE_PANELS", cap)
+        batches = [kronrod_args(cfg, period, 12, links) for links in (6, _ROW_ADDS_FROM + 40, 11)]
+        results = [unit_service_batch(*args) for args in batches]
+        kept = [(values.copy(), converged.copy()) for values, converged in results]
+        unit_service_batch(*kronrod_args(cfg, period, 3, 41))
+        buffer = service_module._workspace.buffer
+        for args, (values, converged), (first_values, first_converged) in zip(
+                batches, results, kept):
+            want, want_ok = recursive_service_batch(*args)
+            assert values.tobytes() == first_values.tobytes() == want.tobytes()
+            assert np.array_equal(converged, want_ok) and np.array_equal(first_converged, want_ok)
+            assert not (np.shares_memory(values, buffer) or np.shares_memory(converged, buffer))
+
+    def test_each_thread_has_its_own_buffer(self, cfg, period):
+        # more threads than cores integrate different batches at once, with
+        # frequent switches; numpy releases the GIL inside its loops, so a
+        # shared buffer would mix their node values
+        batches = [kronrod_args(cfg, period, 12, links) for links in (21, 41, 61, 81)]
+        want = [recursive_service_batch(*args)[0].tobytes() for args in batches]
+        got = [[] for _ in batches]
+        buffers = [None] * len(batches)
+
+        def integrate(k):
+            for _ in range(10):
+                got[k].append(unit_service_batch(*batches[k])[0].tobytes())
+            buffers[k] = service_module._workspace.buffer
+
+        threads = [threading.Thread(target=integrate, args=(k,)) for k in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[w] * 10 for w in want]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(buffers, 2))
+
+
+def dispatches_x86_v4() -> bool:
+    """Whether numpy runs its X86_V4 (AVX-512) kernels in this process."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+def dispatch_report() -> dict:
+    """What the dispatch-level test compares between two processes.
+
+    `kernel`: per refinement cap, whether the kernel equals the recursive
+    oracle to the bit on the `kronrod_args` links, and then on a batch
+    large enough for `_node_sum` to add rows.  `pairings`: the msrs
+    and irrs pairings of `run --seed 7 --trials 4 --n 100`, in call order.
+    """
+    cfg, period = default_radio_config(), Period(5.0)
+    kernel = []
+    for max_refinements, links in ((0, 31), (3, 31), (12, 31), (12, _ROW_ADDS_FROM + 40)):
+        args = kronrod_args(cfg, period, max_refinements, links)
+        got, got_ok = unit_service_batch(*args)
+        want, want_ok = recursive_service_batch(*args)
+        kernel.append(got.tobytes() == want.tobytes() and np.array_equal(got_ok, want_ok))
+    pairings = []
+
+    def recording(solve):
+        def solve_and_record(*args):
+            schedule = solve(*args)
+            pairings.append([solve.__name__, sorted(schedule.pairing.items())])
+            return schedule
+        return solve_and_record
+
+    real = experiments_module.solve_msrs, experiments_module.solve_irrs
+    experiments_module.solve_msrs, experiments_module.solve_irrs = map(recording, real)
+    try:
+        cmd_run(ExperimentConfig(seed=7, trials=4, n_vehicles=100, workers=1))
+    finally:
+        experiments_module.solve_msrs, experiments_module.solve_irrs = real
+    return {"x86_v4": dispatches_x86_v4(), "kernel": kernel,
+            "pairings": json.loads(json.dumps(pairings))}
+
+
+class TestDispatchLevel:
+    """The kernel's hand-written pairwise sums do not depend on numpy's SIMD level."""
+
+    @pytest.mark.skipif(not dispatches_x86_v4(), reason="numpy does not dispatch X86_V4 here")
+    def test_without_avx512_matches_this_process(self):
+        # a child process runs as on an AVX2-only CPU; the package and the
+        # test modules come from where this process found them
+        paths = [str(Path(relaysched.__file__).parents[1]), str(Path(__file__).parent),
+                 os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        code = "import json, test_service; print(json.dumps(test_service.dispatch_report()))"
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, timeout=300)
+        assert child.returncode == 0, child.stderr
+        got = json.loads(child.stdout.splitlines()[-1])
+        want = dispatch_report()
+        assert want["x86_v4"] and not got["x86_v4"]
+        assert got["kernel"] == want["kernel"] == [True] * 4
+        assert got["pairings"] == want["pairings"] and len(want["pairings"]) == 8
 
 
 def relative_rows(pairs):
