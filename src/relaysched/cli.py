@@ -28,7 +28,7 @@ from .experiments import (
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int,
-                        help="master seed (required here or in the config file; "
+                        help="master seed, 0..2**64-1 (required here or in the config file; "
                              "runs are never wall-clock seeded)")
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--policies", help="comma-separated subset of msrs,irrs,noncoop,optimal")

@@ -1,11 +1,12 @@
 """Batch experiment harness: seeded trials, sweeps, metrics and CSV/JSON output.
 
 A run is fully determined by its config (including the master seed): per-trial
-seeds are derived from the master seed with splitmix64 in a fixed order, each
-trial generates its scenario and runs the requested policies, and rows are
-sorted by (policy, seed) before emission.  Trials run in chunks of
-`CHUNK_TRIALS`, which share their kernel calls; neither the chunks nor worker
-processes change anything but wall time, never results or output bytes.
+seeds are derived from the master seed with splitmix64 in a fixed order, and
+rows are sorted by (policy, seed) before emission.  Trials run in chunks of
+`CHUNK_TRIALS`: a chunk generates its scenarios and builds, in shared kernel
+calls, only the table sets its requested policies read; then each trial runs
+those policies on its tables, one row per policy.  Neither the chunks nor
+worker processes change anything but wall time, never results or output bytes.
 
 Outputs per run directory:
 
@@ -30,9 +31,9 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .channel import PathLossModel, RadioConfig, default_radio_config, rb_share
+from .channel import PathLossModel, RadioConfig, default_radio_config
 from .rng import split_seeds
-from .scenario import Scenario, ScenarioSpec, generate
+from .scenario import ScenarioSpec, generate
 from .scheduler import (
     BRUTE_FORCE_VEHICLE_CAP,
     ServiceTables,
@@ -93,6 +94,9 @@ class ExperimentConfig:
         repeated = sorted({p for p in self.policies if self.policies.count(p) > 1})
         if repeated:
             raise ValueError(f"policies listed more than once: {repeated}")
+        if self.seed is not None and not 0 <= self.seed < 2**64:
+            # split_seeds reads the seed modulo 2**64, so one outside would alias one inside
+            raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.oracle_cap < 0:
@@ -260,81 +264,70 @@ CHUNK_TRIALS = 8
 def _run_chunk(args) -> list[MetricsRow]:
     """Consecutive trials, each (seed, n_vehicles, speed_range), sharing their kernel calls.
 
-    Module-level so worker pools can pickle it.  The chunk's scenarios are
-    generated first.  Then one `build_chunk_tables` call integrates every
-    direct link of the chunk, a second one gives the chunk's rate tables (the
-    service tables of its fleets held still) and, when `optimal` is
-    requested, one `require_every_pair` call integrates every V2V pair of
-    the trials the oracle accepts.  Each trial's `tables_ms` is an equal
-    share of these builds.  A link's value does not depend on its batch, so
-    a trial's rows are the same whatever chunk it runs in.
+    Module-level so worker pools can pickle it.  After the chunk's scenarios,
+    one `build_chunk_tables` call integrates every direct link of the chunk.
+    Only when irrs is requested does a second one build its rate tables (the
+    fleets held still), and only when `optimal` is does one
+    `require_every_pair` call integrate the V2V pairs of the trials within
+    the oracle cap.  Each trial's `tables_ms` is an equal share of these
+    builds.  A link's value does not depend on its batch, so neither do rows.
     """
     config, trials = args
     specs = [config.scenario_spec(*trial) for trial in trials]
     scenarios = [generate(spec) for spec in specs]
     t0 = time.perf_counter()
     tables = build_chunk_tables(scenarios, config.radio, quad=config.quad)
-    rates = build_chunk_tables([sc.held_still() for sc in scenarios], config.radio)
+    rates = [None] * len(trials)
+    if "irrs" in config.policies:
+        rates = build_chunk_tables([sc.held_still() for sc in scenarios], config.radio)
     if "optimal" in config.policies:
-        require_every_pair([t for t, sc in zip(tables, scenarios) if sc.n <= config.oracle_cap])
+        require_every_pair([t for t in tables if t.n <= config.oracle_cap])
     tables_ms = 1000.0 * (time.perf_counter() - t0) / len(trials)
-    return [row for trial in zip(specs, scenarios, tables, rates)
+    return [row for trial in zip(specs, tables, rates)
             for row in _run_trial(config, *trial, tables_ms)]
 
 
-def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, scenario: Scenario,
-               tables: ServiceTables, rates: ServiceTables, tables_ms: float) -> list[MetricsRow]:
-    """All requested policies on one trial's scenario, in the config's policy order.
+def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, tables: ServiceTables,
+               rates: ServiceTables | None, tables_ms: float) -> list[MetricsRow]:
+    """All requested policies on one trial's tables, in the config's policy order.
 
-    The policies share the trial's service tables, passed positionally as
-    the first argument, where `perfbench/tracing.py` reads the fleet size;
-    irrs also decides on the trial's rate tables, `rates`, which the chunk
-    has built.  A policy's timing includes the V2V amounts it computes on
-    demand; with the oracle the chunk has integrated every service pair, so
-    only irrs's rate pairs are left to a policy.
+    Each policy takes the service tables as its first positional argument,
+    where `perfbench/tracing.py` reads the fleet size; irrs also decides on
+    `rates`.  A policy's timing includes the V2V amounts it computes on
+    demand.  The notes every row shares are read after the policies, whose
+    V2V reads can add to `tables.unconverged`.
     """
-    schedules = {}
-    timings = {}
-    notes = {}
+    n = tables.n
+    runs, opt = [], None
     for policy in config.policies:
         t0 = time.perf_counter()
+        note = ""
         if policy == "msrs":
-            schedules[policy] = solve_msrs(tables)
+            sched = solve_msrs(tables)
         elif policy == "irrs":
-            schedules[policy] = solve_irrs(tables, rates)
+            sched = solve_irrs(tables, rates)
         elif policy == "noncoop":
-            schedules[policy] = solve_noncooperative(tables)
-        elif policy == "optimal":
-            if scenario.n > config.oracle_cap:
-                schedules[policy] = None
-                notes[policy] = f"refused: n_vehicles={scenario.n} exceeds oracle cap {config.oracle_cap}"
-            else:
-                schedules[policy] = solve_optimal_bruteforce(tables, cap=config.oracle_cap)
-        timings[policy] = 1000.0 * (time.perf_counter() - t0)
+            sched = solve_noncooperative(tables)
+        elif n <= config.oracle_cap:
+            sched = opt = solve_optimal_bruteforce(tables, cap=config.oracle_cap)
+        else:
+            sched, note = None, f"refused: n_vehicles={n} exceeds oracle cap {config.oracle_cap}"
+        runs.append((policy, sched, 1000.0 * (time.perf_counter() - t0), note))
 
-    starved = ""
-    if scenario.n and rb_share(config.radio.k_lte, scenario.n) == 0:
-        # every direct share is 0, so every policy totals 0
-        starved = f"no direct RBs: n_vehicles={scenario.n} exceeds k_lte={config.radio.k_lte}"
-    unconverged = ""
-    if tables.unconverged:
-        unconverged = f"quadrature not converged on {tables.unconverged} links"
-
-    opt = schedules.get("optimal")
+    # with more vehicles than cellular RBs every direct share, and so every total, is 0
+    k_lte = config.radio.k_lte
+    shared = (f"no direct RBs: n_vehicles={n} exceeds k_lte={k_lte}" if n > k_lte else "",
+              f"quadrature not converged on {tables.unconverged} links" if tables.unconverged else "")
     rows = []
-    for policy in config.policies:
-        sched = schedules[policy]
-        note = "; ".join(part for part in (notes.get(policy, ""), starved, unconverged) if part)
-        if sched is None:
-            rows.append(MetricsRow(policy, spec.seed, scenario.n, spec.speed_range, None,
-                                   None, timings[policy], note, tables_ms))
-            continue
-        validate_schedule(sched, scenario.n)
-        loss = None
-        if opt is not None and opt.total_service > 0:
-            loss = (opt.total_service - sched.total_service) / opt.total_service
-        rows.append(MetricsRow(policy, spec.seed, scenario.n, spec.speed_range,
-                               sched.total_service, loss, timings[policy], note, tables_ms))
+    for policy, sched, ms, note in runs:
+        total = loss = None
+        if sched is not None:
+            validate_schedule(sched, n)
+            total = sched.total_service
+            if opt is not None and opt.total_service > 0:
+                loss = (opt.total_service - total) / opt.total_service
+        rows.append(MetricsRow(policy, spec.seed, n, spec.speed_range, total, loss, ms,
+                               "; ".join(filter(None, (note, *shared))), tables_ms))
     return rows
 
 
@@ -351,7 +344,8 @@ def _run_points(config: ExperimentConfig, points: list[tuple[int | None, tuple |
     if config.workers == 1:
         results = [_run_chunk(chunk) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a pool forks all its workers at its first submit, so no more than there are chunks
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(chunks))) as pool:
             results = list(pool.map(_run_chunk, chunks))
     rows = [row for chunk_rows in results for row in chunk_rows]
     rows.sort(key=lambda r: (r.policy, r.seed))

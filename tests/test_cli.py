@@ -110,9 +110,13 @@ class TestRunCommand:
         (["run"], '{"sweep": {"n_values": []}}', "error: n_values must not be empty"),
         (["run"], '{"sweep": {"speed_values": []}}', "error: speed_values must not be empty"),
         (["run"], '{"run": {"oracle_cap": -5}}', "error: oracle_cap must be >= 0, got -5"),
+        (["run"], '{"run": {"seed": -1}}', "error: seed must be in 0..2**64-1, got -1"),
+        (["sweep-n"], '{"run": {"seed": 18446744073709551616}}',
+         "error: seed must be in 0..2**64-1, got 18446744073709551616"),
     ], ids=["nan-tolerance", "float-fleet-size", "string-lane-offset", "nan-path-loss",
             "zero-distance-divisor", "infinite-coverage", "nan-lane-offset", "infinite-period",
-            "zero-period", "no-policies", "no-fleet-sizes", "no-speeds", "negative-oracle-cap"])
+            "zero-period", "no-policies", "no-fleet-sizes", "no-speeds", "negative-oracle-cap",
+            "negative-seed", "seed-2**64"])
     def test_bad_config_value_fails_cleanly(self, tmp_path, capsys, command, text, message):
         # these used to run with no link converging, die in a TypeError
         # traceback, or fail later with a message that names no config key

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import relaysched.experiments as experiments_module
 import relaysched.scheduler as scheduler_module
 from relaysched.experiments import (
     CHUNK_TRIALS,
@@ -229,6 +230,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="^oracle_cap must be >= 0, got -5$"):
             ExperimentConfig(seed=1, oracle_cap=-5)
         assert ExperimentConfig(seed=1, oracle_cap=0).oracle_cap == 0
+
+    def test_rejects_seed_outside_64_bits(self):
+        # seeds are read modulo 2**64, so -1 and 2**64 would alias 2**64 - 1 and 0
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"^seed must be in 0\.\.2\*\*64-1, got {seed}$"):
+                ExperimentConfig(seed=seed)
+        with pytest.raises(ValueError, match="got -1$"):
+            config_from_doc({"run": {"seed": -1}})
+        assert ExperimentConfig(seed=0).seed == 0
+        assert ExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_rejects_bad_sweep_points(self):
         # a bad point fails when the config is built, before any trial runs
@@ -486,6 +497,50 @@ class TestChunks:
             assert alone == {r.policy: r.note for r in rows if r.seed == seed}
             notes[seed] = alone["msrs"]
         assert len({note for note in notes.values() if note}) > 2
+
+    @pytest.mark.parametrize("policies", [("msrs", "noncoop"), ("optimal", "noncoop", "msrs")])
+    def test_rate_tables_only_for_irrs(self, monkeypatch, policies):
+        real = scheduler_module.unit_service_batch
+        rate_calls = []
+
+        def counting(motions, model, p_tx, noise, period, *args, **kwargs):
+            if period == Period(1.0):  # a held-still fleet's: its rate tables'
+                rate_calls.append(len(motions))
+            return real(motions, model, p_tx, noise, period, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "unit_service_batch", counting)
+        without = self.results(cmd_run(ExperimentConfig(seed=4, trials=3, n_vehicles=10,
+                                                        policies=policies)))
+        assert rate_calls == []
+        with_irrs = self.results(cmd_run(ExperimentConfig(seed=4, trials=3, n_vehicles=10,
+                                                          policies=policies + ("irrs",))))
+        assert rate_calls[0] == 30  # the chunk's direct rates
+        assert without == {key: with_irrs[key] for key in without}
+
+    def test_never_more_workers_than_chunks(self, monkeypatch):
+        # a process pool forks all its workers at its first submit; this one
+        # records its size and maps in this process
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments_module, "ProcessPoolExecutor", InProcess)
+        one = rows_to_csv(cmd_run(small_config(trials=1, workers=64)))
+        assert one == rows_to_csv(cmd_run(small_config(trials=1)))
+        cmd_run(small_config(trials=19, workers=2))  # chunks of 8, 8 and 3
+        cmd_run(small_config(trials=19, workers=64))
+        assert sizes == [1, 2, 3]
 
 
 class TestBenchmarkTracer:
