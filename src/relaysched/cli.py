@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .experiments import (
     ExperimentConfig,
@@ -21,6 +22,7 @@ from .experiments import (
     cmd_sweep_speed,
     config_from_doc,
     load_config_file,
+    master_seed,
     write_outputs,
 )
 
@@ -87,6 +89,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _build_config(args)
+        master_seed(config)
+        # the output directory exists before any trial runs, and only for a valid config
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"{args.out}: cannot create output directory ({exc.strerror})") from None
         rows = {"run": cmd_run, "sweep-n": cmd_sweep_n, "sweep-speed": cmd_sweep_speed}[
             args.command
         ](config)

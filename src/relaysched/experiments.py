@@ -21,11 +21,12 @@ identical bytes.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import sys
 import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import UnionType
@@ -261,6 +262,30 @@ def config_from_doc(doc: dict, overrides: dict | None = None) -> ExperimentConfi
 CHUNK_TRIALS = 8
 
 
+@functools.cache
+def _keep_heap_pages() -> None:
+    """Keep freed heap pages in this process, so kernel calls stop faulting them back in.
+
+    By default glibc adapts two thresholds as the process frees memory: blocks
+    above the mmap threshold are mmapped, and the heap top goes back to the
+    system once more than the trim threshold of it is free.  Each V2V kernel
+    call frees its temporaries, the heap top was trimmed, and the next call
+    faulted the pages in again: about 87 minor faults per N=100 trial.  This
+    fixes the mmap threshold at 4 MB and the trim threshold at 8 MB, so the
+    process keeps up to 8 MB of free heap.  It sets both: setting either one
+    stops the adaptation, which leaves the other at its 128 KB start, and
+    arrays above 128 KB would then be mmapped and faulted in on every call.
+    Where an array lives changes no value.  Runs once per process, pool
+    workers included; without glibc's `mallopt` it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def _run_chunk(args) -> list[MetricsRow]:
     """Consecutive trials, each (seed, n_vehicles, speed_range), sharing their kernel calls.
 
@@ -272,6 +297,7 @@ def _run_chunk(args) -> list[MetricsRow]:
     the oracle cap.  Each trial's `tables_ms` is an equal share of these
     builds.  A link's value does not depend on its batch, so neither do rows.
     """
+    _keep_heap_pages()
     config, trials = args
     specs = [config.scenario_spec(*trial) for trial in trials]
     scenarios = [generate(spec) for spec in specs]
@@ -331,11 +357,16 @@ def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, tables: ServiceTabl
     return rows
 
 
-def _run_points(config: ExperimentConfig, points: list[tuple[int | None, tuple | None]]) -> list[MetricsRow]:
-    """Run `config.trials` seeded trials at every (n_vehicles, speed_range) point."""
+def master_seed(config: ExperimentConfig) -> int:
+    """The config's master seed; ValueError when it has none."""
     if config.seed is None:
         raise ValueError("a master seed is required (wall-clock seeding is not supported)")
-    seeds = split_seeds(config.seed, len(points) * config.trials)
+    return config.seed
+
+
+def _run_points(config: ExperimentConfig, points: list[tuple[int | None, tuple | None]]) -> list[MetricsRow]:
+    """Run `config.trials` seeded trials at every (n_vehicles, speed_range) point."""
+    seeds = split_seeds(master_seed(config), len(points) * config.trials)
     trials = []
     for p, (n_vehicles, speed_range) in enumerate(points):
         for k in range(config.trials):
@@ -344,6 +375,8 @@ def _run_points(config: ExperimentConfig, points: list[tuple[int | None, tuple |
     if config.workers == 1:
         results = [_run_chunk(chunk) for chunk in chunks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imported only for a pool
+
         # a pool forks all its workers at its first submit, so no more than there are chunks
         with ProcessPoolExecutor(max_workers=min(config.workers, len(chunks))) as pool:
             results = list(pool.map(_run_chunk, chunks))

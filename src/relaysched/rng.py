@@ -10,7 +10,9 @@ small published algorithms with fully pinned integer arithmetic:
 * xoshiro256** -- the draw generator behind scenario synthesis.
 
 Uniform doubles are derived from the top 53 bits of each 64-bit output:
-``(word >> 11) * 2**-53``, giving values in [0, 1).
+``(word >> 11) * 2**-53``, giving values in [0, 1).  `next_u64s` draws many
+words in one loop, which is how scenario synthesis takes its 3N words; it is
+the one place the xoshiro step is written, and the one-word draws call it.
 """
 
 from __future__ import annotations
@@ -37,28 +39,31 @@ def split_seeds(seed: int, count: int) -> list[int]:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
     """xoshiro256** generator, seeded through splitmix64 as its authors advise."""
 
     def __init__(self, seed: int):
         self._s = split_seeds(seed, 4)
 
-    def next_u64(self) -> int:
+    def next_u64s(self, count: int) -> list[int]:
+        """The stream's next `count` 64-bit words, drawn in one loop over local ints."""
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
+        out = []
+        for _ in range(count):
+            r = (s1 * 5) & _MASK64
+            out.append((((r << 7) | (r >> 57)) * 9) & _MASK64)  # rotl(s1 * 5, 7) * 9
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64  # rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
-        return result
+        return out
+
+    def next_u64(self) -> int:
+        return self.next_u64s(1)[0]
 
     def random(self) -> float:
         """Uniform double in [0, 1)."""

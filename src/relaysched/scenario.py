@@ -88,20 +88,27 @@ class ScenarioSpec:
 
 
 def generate(spec: ScenarioSpec) -> Scenario:
-    """Draw a scenario from the spec; same spec (and seed) -> identical motion bytes."""
-    gen = Xoshiro256StarStar(spec.seed)
+    """Draw a scenario from the spec; same spec (and seed) -> identical motion bytes.
+
+    The 3N words are drawn in one call, and row i reads words 3i..3i+2 as its
+    (direction, x, speed) uniforms.  The columns take the scalar draws' IEEE
+    steps: ``lo + (hi - lo) * u``, then ``speed * cos(heading)`` and
+    ``speed * sin(heading)`` with the heading's cosine and sine from `math`.
+    """
+    words = Xoshiro256StarStar(spec.seed).next_u64s(3 * spec.n_vehicles)
+    u = (np.array(words, dtype=np.uint64).reshape(-1, 3) >> np.uint64(11)) * 2.0**-53
+    forward = u[:, 0] < 0.5
+    x_lo, x_hi = -spec.coverage_radius, spec.coverage_radius
     lo, hi = spec.speed_range
-    rows = []
-    for _ in range(spec.n_vehicles):
-        forward = gen.random() < 0.5
-        x = gen.uniform(-spec.coverage_radius, spec.coverage_radius)
-        speed = gen.uniform(lo, hi)
-        heading = 0.0 if forward else math.pi
-        y = spec.lane_offsets[0] if forward else spec.lane_offsets[1]
-        # sin(pi) is 1.2e-16, not 0: a backward vehicle keeps that tiny vy
-        rows.append((x, y, speed * math.cos(heading), speed * math.sin(heading)))
+    speed = lo + (hi - lo) * u[:, 2]
+    motion = np.empty((spec.n_vehicles, 4))
+    motion[:, 0] = x_lo + (x_hi - x_lo) * u[:, 1]
+    motion[:, 1] = np.where(forward, *spec.lane_offsets)
+    # sin(pi) is 1.2e-16, not 0: a backward vehicle keeps that tiny vy
+    motion[:, 2] = speed * np.where(forward, math.cos(0.0), math.cos(math.pi))
+    motion[:, 3] = speed * np.where(forward, math.sin(0.0), math.sin(math.pi))
     return Scenario(
         bs=np.array([0.0, -spec.bs_offset, 0.0, 0.0]),
-        motion=np.array(rows, dtype=float).reshape(-1, 4),
+        motion=motion,
         period=Period(spec.period_duration),
     )

@@ -293,10 +293,9 @@ def solve_msrs(tables: ServiceTables) -> Schedule:
     """
     n = tables.n
     # descending direct amount, ties by ascending id
-    v2i = tables.v2i.tolist()
-    order = sorted(range(n), key=lambda i: (-v2i[i], i))
+    rows = np.argsort(-tables.v2i, kind="stable")[:, None]
+    order = rows[:, 0].tolist()
     cap = _aided_cap(n, tables.k_dsrc)
-    rows = np.array(order, dtype=int)[:, None]
     # every candidate count pairs all vehicles against the `cap` weakest at most;
     # count n_av reads the block's first n - n_av rows and last n_av columns
     block = tables.v2v(rows, rows[n - cap:, 0])

@@ -33,8 +33,11 @@ The kernel holds each level's panels node-major: the integrand at the 15
 nodes of P panels is a (15, P) array, so every operation runs along
 contiguous rows of length P.  Its two (15, P) arrays are views of a buffer
 each thread keeps across calls, of at most 8192 panels (about 2 MB).
-Fresh arrays of that size (260 KB each for an N=100 msrs block) go back to
-the OS when a call ends, and the next call page-faults them in again.
+Under glibc's default thresholds, fresh arrays of that size (260 KB each for
+an N=100 msrs block) are mmapped, go back to the OS when a call ends, and
+the next call page-faults them in again.  The batch harness also fixes those
+thresholds (`experiments._keep_heap_pages`), so that the kernel's smaller
+temporaries keep their heap pages between calls too.
 """
 
 from __future__ import annotations
@@ -107,10 +110,10 @@ def _node_arrays(panels: int) -> np.ndarray:
     """Two contiguous (15, `panels`) float arrays for one level's node values.
 
     Up to `_WORKSPACE_PANELS` panels they are views of a buffer this thread
-    keeps across calls.  Fresh temporaries of this size are handed back to
-    the OS by malloc when a call ends, and every call would page-fault them
-    in again.  A larger level gets fresh arrays, so a huge batch keeps no
-    memory.  The views must not outlive the level that takes them.
+    keeps across calls.  Under glibc's default thresholds, fresh temporaries
+    of this size are handed back to the OS by malloc when a call ends, and
+    every call would page-fault them in again.  A larger level gets fresh
+    arrays.  The views must not outlive the level that takes them.
     """
     if panels > _WORKSPACE_PANELS:
         return np.empty((2, 15, panels))

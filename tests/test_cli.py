@@ -30,9 +30,11 @@ class TestRunCommand:
         assert echo["seed"] == 3 and echo["n_vehicles"] == 5
 
     def test_seed_is_mandatory(self, tmp_path, capsys):
-        code = run_cli(["run", "--out", str(tmp_path)])
+        out = tmp_path / "res"
+        code = run_cli(["run", "--out", str(out)])
         assert code == 1
         assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_policy_fails_cleanly(self, tmp_path, capsys):
         code = run_cli(["run", "--seed", "1", "--policies", "nonsense",
@@ -144,6 +146,20 @@ class TestRunCommand:
         assert run_cli(["run", "--seed", "1", "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {path}: {reason}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub, reason", [
+        ("", os.strerror(errno.EEXIST)), ("sub", os.strerror(errno.ENOTDIR)),
+    ], ids=["file", "under-a-file"])
+    def test_unusable_out_fails_before_the_run(self, tmp_path, capsys, sub, reason):
+        # both used to raise from write_outputs, after every trial had run
+        path = tmp_path / "taken"
+        path.write_text("")
+        out = path / sub  # "" leaves the path as it is
+        assert run_cli(["run", "--seed", "1", "--trials", "1", "--n", "5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {out}: cannot create output directory ({reason})"]
+        assert captured.out == ""
 
     def test_timing_lines_include_the_table_build(self, tmp_path, capsys):
         out = tmp_path / "res"

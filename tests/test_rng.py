@@ -56,6 +56,14 @@ class TestXoshiro:
             gen = Xoshiro256StarStar(seed)
             assert [gen.next_u64() for _ in range(16)] == reference_xoshiro(seed, 16)
 
+    def test_bulk_draws_continue_the_stream(self):
+        for seed in (0, 7, 2**63):
+            for k in (0, 1, 5, 300):
+                gen = Xoshiro256StarStar(seed)
+                words = gen.next_u64s(k)
+                assert gen.next_u64s(0) == []
+                assert words + [gen.next_u64(), gen.next_u64()] == reference_xoshiro(seed, k + 2)
+
     def test_uniform_derivation(self):
         gen_bits = Xoshiro256StarStar(99)
         gen_floats = Xoshiro256StarStar(99)
