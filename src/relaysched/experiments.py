@@ -24,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import platform
 import sys
 import time
 from collections import defaultdict
@@ -276,8 +277,11 @@ def _keep_heap_pages() -> None:
     stops the adaptation, which leaves the other at its 128 KB start, and
     arrays above 128 KB would then be mmapped and faulted in on every call.
     Where an array lives changes no value.  Runs once per process, pool
-    workers included; without glibc's `mallopt` it does nothing.
+    workers included.  It does nothing off glibc: `ctypes.CDLL(None)` itself
+    raises TypeError on Windows, and other C libraries may lack `mallopt`.
     """
+    if platform.libc_ver()[0] != "glibc":
+        return
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):

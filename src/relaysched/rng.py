@@ -11,13 +11,18 @@ small published algorithms with fully pinned integer arithmetic:
 
 Uniform doubles are derived from the top 53 bits of each 64-bit output:
 ``(word >> 11) * 2**-53``, giving values in [0, 1).  `next_u64s` draws many
-words in one loop, which is how scenario synthesis takes its 3N words; it is
-the one place the xoshiro step is written, and the one-word draws call it.
+words in one loop; it is the one place the xoshiro step is written, and the
+one-word draws call it.  `uniforms` turns such a run of words into a float64
+array with the same bits as `random`, which is how scenario synthesis takes
+its 3N draws.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+_UNIT = 2.0**-53  # a word's top 53 bits times this: a double in [0, 1)
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
@@ -67,7 +72,12 @@ class Xoshiro256StarStar:
 
     def random(self) -> float:
         """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return (self.next_u64() >> 11) * _UNIT
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next `count` draws of `random`, bit for bit, as a float64 array."""
+        words = np.array(self.next_u64s(count), dtype=np.uint64)
+        return (words >> np.uint64(11)) * _UNIT
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()

@@ -90,13 +90,12 @@ class ScenarioSpec:
 def generate(spec: ScenarioSpec) -> Scenario:
     """Draw a scenario from the spec; same spec (and seed) -> identical motion bytes.
 
-    The 3N words are drawn in one call, and row i reads words 3i..3i+2 as its
-    (direction, x, speed) uniforms.  The columns take the scalar draws' IEEE
+    The 3N uniforms are drawn in one call, and row i reads draws 3i..3i+2 as
+    its (direction, x, speed).  The columns take the scalar draws' IEEE
     steps: ``lo + (hi - lo) * u``, then ``speed * cos(heading)`` and
     ``speed * sin(heading)`` with the heading's cosine and sine from `math`.
     """
-    words = Xoshiro256StarStar(spec.seed).next_u64s(3 * spec.n_vehicles)
-    u = (np.array(words, dtype=np.uint64).reshape(-1, 3) >> np.uint64(11)) * 2.0**-53
+    u = Xoshiro256StarStar(spec.seed).uniforms(3 * spec.n_vehicles).reshape(-1, 3)
     forward = u[:, 0] < 0.5
     x_lo, x_hi = -spec.coverage_radius, spec.coverage_radius
     lo, hi = spec.speed_range

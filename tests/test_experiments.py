@@ -570,6 +570,28 @@ class TestChunks:
                               text=True, check=True)
         assert float(done.stdout) < 5
 
+    @pytest.mark.parametrize("libc, failure", [
+        ("", TypeError),  # Windows: CDLL(None) fails on its name
+        ("glibc", OSError),
+        ("glibc", AttributeError),  # a C library without mallopt
+    ], ids=["off-glibc", "no-library", "no-mallopt"])
+    def test_runs_where_mallopt_is_missing(self, monkeypatch, libc, failure):
+        opened = []
+
+        def missing(name):
+            opened.append(name)
+            raise failure("no mallopt")
+
+        want = rows_to_csv(cmd_run(small_config(trials=2)))
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: (libc, ""))
+        monkeypatch.setattr(experiments_module.ctypes, "CDLL", missing)
+        experiments_module._keep_heap_pages.cache_clear()
+        try:
+            assert rows_to_csv(cmd_run(small_config(trials=2))) == want
+        finally:
+            experiments_module._keep_heap_pages.cache_clear()
+        assert opened == ([None] if libc == "glibc" else [])
+
 
 class TestBenchmarkTracer:
     """The benchmark's tracer wraps the policies by name in `experiments` and reads `args[0].n`."""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import numpy as np
+
 from relaysched.rng import Xoshiro256StarStar, split_seeds, splitmix64_next
 
 M64 = (1 << 64) - 1
@@ -72,6 +74,16 @@ class TestXoshiro:
             f = gen_floats.random()
             assert f == (word >> 11) * 2.0**-53
             assert 0.0 <= f < 1.0
+
+    def test_bulk_uniforms_are_the_scalar_draws(self):
+        for seed in (0, 99, 2**63):
+            for k in (0, 1, 5, 300):
+                gen, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+                got = gen.uniforms(k)
+                assert got.dtype == np.float64 and got.shape == (k,)
+                want = np.array([scalar.random() for _ in range(k)], dtype=np.float64)
+                assert got.tobytes() == want.tobytes()
+                assert gen.next_u64() == scalar.next_u64()
 
     def test_uniform_range(self):
         gen = Xoshiro256StarStar(5)
