@@ -6,7 +6,7 @@
 
 Defaults come from the built-in config; a JSON config file (--config) overrides
 them and explicit flags override the file.  Exit code 0 on success, 1 when a
-run cannot be configured.
+run cannot be configured or its outputs cannot be written.
 """
 
 from __future__ import annotations
@@ -98,10 +98,13 @@ def main(argv: list[str] | None = None) -> int:
         rows = {"run": cmd_run, "sweep-n": cmd_sweep_n, "sweep-speed": cmd_sweep_speed}[
             args.command
         ](config)
+        try:
+            write_outputs(rows, config, args.out)
+        except OSError as exc:  # a failed open names its file, a failed write none
+            raise ValueError(f"{exc.filename or args.out}: cannot write outputs ({exc.strerror})") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_outputs(rows, config, args.out)
     print(f"wrote {len(rows)} rows to {args.out}/metrics.csv")
     return 0
 

@@ -21,10 +21,7 @@ identical bytes.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
-import platform
 import sys
 import time
 from collections import defaultdict
@@ -263,33 +260,6 @@ def config_from_doc(doc: dict, overrides: dict | None = None) -> ExperimentConfi
 CHUNK_TRIALS = 8
 
 
-@functools.cache
-def _keep_heap_pages() -> None:
-    """Keep freed heap pages in this process, so kernel calls stop faulting them back in.
-
-    By default glibc adapts two thresholds as the process frees memory: blocks
-    above the mmap threshold are mmapped, and the heap top goes back to the
-    system once more than the trim threshold of it is free.  Each V2V kernel
-    call frees its temporaries, the heap top was trimmed, and the next call
-    faulted the pages in again: about 87 minor faults per N=100 trial.  This
-    fixes the mmap threshold at 4 MB and the trim threshold at 8 MB, so the
-    process keeps up to 8 MB of free heap.  It sets both: setting either one
-    stops the adaptation, which leaves the other at its 128 KB start, and
-    arrays above 128 KB would then be mmapped and faulted in on every call.
-    Where an array lives changes no value.  Runs once per process, pool
-    workers included.  It does nothing off glibc: `ctypes.CDLL(None)` itself
-    raises TypeError on Windows, and other C libraries may lack `mallopt`.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
-
-
 def _run_chunk(args) -> list[MetricsRow]:
     """Consecutive trials, each (seed, n_vehicles, speed_range), sharing their kernel calls.
 
@@ -301,7 +271,6 @@ def _run_chunk(args) -> list[MetricsRow]:
     the oracle cap.  Each trial's `tables_ms` is an equal share of these
     builds.  A link's value does not depend on its batch, so neither do rows.
     """
-    _keep_heap_pages()
     config, trials = args
     specs = [config.scenario_spec(*trial) for trial in trials]
     scenarios = [generate(spec) for spec in specs]

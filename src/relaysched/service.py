@@ -31,19 +31,22 @@ order of u.
 
 The kernel holds each level's panels node-major: the integrand at the 15
 nodes of P panels is a (15, P) array, so every operation runs along
-contiguous rows of length P.  Its two (15, P) arrays are views of a buffer
-each thread keeps across calls, of at most 8192 panels (about 2 MB).
-Under glibc's default thresholds, fresh arrays of that size (260 KB each for
-an N=100 msrs block) are mmapped, go back to the OS when a call ends, and
-the next call page-faults them in again.  The batch harness also fixes those
-thresholds (`experiments._keep_heap_pages`), so that the kernel's smaller
-temporaries keep their heap pages between calls too.
+contiguous rows of length P.  Importing this module fixes glibc's mmap and
+trim thresholds (4 and 8 MB) once per process (`_keep_heap_pages`); off
+glibc it does nothing.  Under glibc's default thresholds, a level's fresh
+(15, P) arrays (260 KB each for an N=100 msrs block) were mmapped and went
+back to the OS when a call ended, about 300 minor faults per `run-n100`
+trial, and the heap top was trimmed once the call's smaller temporaries
+were freed, another 87-122.  The next call page-faulted them all in again.
+Both thresholds are set, because setting either one switches off glibc's
+adaptation and leaves the other at 128 KB.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-import threading
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,26 +104,37 @@ _QK15 = 0.5 * np.stack([1.0 + np.concatenate([-_XGK, _XGK[-2::-1]]),
                         np.concatenate([_WG, _WG[-2::-1]])])
 _NODES, _KRONROD, _GAUSS = _QK15[:, :, None]  # (15, 1) columns, broadcast along the panels
 
-_WORKSPACE_PANELS = 8192  # two (15, P) float arrays: about 2 MB per thread
-_workspace = threading.local()
 _ROW_ADDS_FROM = 256  # panels from which `_node_sum` adds rows
 
 
-def _node_arrays(panels: int) -> np.ndarray:
-    """Two contiguous (15, `panels`) float arrays for one level's node values.
+def _keep_heap_pages() -> None:
+    """Keep freed heap pages in this process, so kernel calls stop faulting them back in.
 
-    Up to `_WORKSPACE_PANELS` panels they are views of a buffer this thread
-    keeps across calls.  Under glibc's default thresholds, fresh temporaries
-    of this size are handed back to the OS by malloc when a call ends, and
-    every call would page-fault them in again.  A larger level gets fresh
-    arrays.  The views must not outlive the level that takes them.
+    By default glibc adapts two thresholds as the process frees memory: blocks
+    above the mmap threshold are mmapped, and the heap top goes back to the
+    system once more than the trim threshold of it is free.  Each V2V kernel
+    call frees its temporaries, the heap top was trimmed, and the next call
+    faulted the pages in again: about 87 minor faults per N=100 trial.  This
+    fixes the mmap threshold at 4 MB and the trim threshold at 8 MB, so the
+    process keeps up to 8 MB of free heap.  It sets both: setting either one
+    stops the adaptation, which leaves the other at its 128 KB start, and
+    arrays above 128 KB would then be mmapped and faulted in on every call.
+    Where an array lives changes no value.  Called once, when this module is
+    imported, so every process that integrates sets it, pool workers
+    included.  It does nothing off glibc: `ctypes.CDLL(None)` itself raises
+    TypeError on Windows, and other C libraries may lack `mallopt`.
     """
-    if panels > _WORKSPACE_PANELS:
-        return np.empty((2, 15, panels))
-    buffer = getattr(_workspace, "buffer", None)
-    if buffer is None:
-        buffer = _workspace.buffer = np.empty(2 * 15 * _WORKSPACE_PANELS)
-    return buffer[:2 * 15 * panels].reshape(2, 15, panels)
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_heap_pages()
 
 
 def _node_sum(f: np.ndarray) -> np.ndarray:
@@ -265,7 +279,7 @@ def unit_service_batch(
     levels = []
     for level in range(quad.max_refinements + 1):
         lo, width, s, c = panels
-        cosh, f = _node_arrays(panels.shape[1])
+        cosh, f = np.empty((2, 15, panels.shape[1]))
         # f = rate * cosh(u) at the nodes of each panel's u-range; the rate
         # takes d**2 = d_min**2 + (s*sinh(u))**2 = (s*cosh(u))**2 - (s**2 - d_min**2)
         np.multiply(width, _NODES, out=cosh)

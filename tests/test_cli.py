@@ -161,6 +161,18 @@ class TestRunCommand:
             f"error: {out}: cannot create output directory ({reason})"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("name", ["metrics.csv", "summary.csv", "config_echo.json"])
+    def test_unwritable_output_fails_cleanly(self, tmp_path, capsys, name):
+        # a directory where an output file goes used to end the run in a traceback
+        out = tmp_path / "res"
+        (out / name).mkdir(parents=True)
+        assert run_cli(["run", "--seed", "1", "--trials", "1", "--n", "12",
+                        "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {out / name}: cannot write outputs ({os.strerror(errno.EISDIR)})"]
+        assert captured.out == ""
+
     def test_timing_lines_include_the_table_build(self, tmp_path, capsys):
         out = tmp_path / "res"
         assert run_cli(["run", "--seed", "3", "--trials", "3", "--n", "5",

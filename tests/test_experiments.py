@@ -550,16 +550,36 @@ class TestChunks:
 
     @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                         reason="counts the page faults of glibc's heap on Linux")
-    def test_trials_keep_their_heap_pages(self):
-        # glibc used to trim the heap top after each kernel call, and the next
-        # call faulted the pages in again: about 87 faults per N=100 trial
-        script = (
+    @pytest.mark.parametrize("trials", [
+        # the runner: glibc used to trim the heap top after each kernel call,
+        # and the next call faulted the pages in again, about 87 per trial
+        "from relaysched.experiments import ExperimentConfig, cmd_run\n"
+        "def trials(seed):\n"
+        "    cmd_run(ExperimentConfig(seed=seed, trials=4, n_vehicles=100))\n",
+        # tables built without the runner: about 100 per trial when only the
+        # runner fixed the heap thresholds, not the kernel's import
+        "from relaysched.channel import default_radio_config\n"
+        "from relaysched.scenario import ScenarioSpec, generate\n"
+        "from relaysched.scheduler import build_chunk_tables, solve_irrs, solve_msrs\n"
+        "def trials(seed):\n"
+        "    fleets = [generate(ScenarioSpec(n_vehicles=100, seed=4 * seed + k))\n"
+        "              for k in range(4)]\n"
+        "    cfg = default_radio_config()\n"
+        "    tables = build_chunk_tables(fleets, cfg)\n"
+        "    rates = build_chunk_tables([sc.held_still() for sc in fleets], cfg)\n"
+        "    for table, rate in zip(tables, rates):\n"
+        "        solve_msrs(table)\n"
+        "        solve_irrs(table, rate)\n",
+    ], ids=["runner", "no-runner"])
+    def test_trials_keep_their_heap_pages(self, trials):
+        # `trials(seed)` runs 4 N=100 trials; a child process with none of
+        # the variables that tune glibc's malloc runs a warm-up round, then 8
+        script = trials + (
             "import resource\n"
-            "from relaysched.experiments import ExperimentConfig, cmd_run\n"
-            "cmd_run(ExperimentConfig(seed=0, trials=4, n_vehicles=100))\n"
+            "trials(0)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "for k in range(8):\n"
-            "    cmd_run(ExperimentConfig(seed=1 + k, trials=4, n_vehicles=100))\n"
+            "    trials(1 + k)\n"
             "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 32)\n"
         )
         env = {key: value for key, value in os.environ.items()
@@ -569,28 +589,6 @@ class TestChunks:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, check=True)
         assert float(done.stdout) < 5
-
-    @pytest.mark.parametrize("libc, failure", [
-        ("", TypeError),  # Windows: CDLL(None) fails on its name
-        ("glibc", OSError),
-        ("glibc", AttributeError),  # a C library without mallopt
-    ], ids=["off-glibc", "no-library", "no-mallopt"])
-    def test_runs_where_mallopt_is_missing(self, monkeypatch, libc, failure):
-        opened = []
-
-        def missing(name):
-            opened.append(name)
-            raise failure("no mallopt")
-
-        want = rows_to_csv(cmd_run(small_config(trials=2)))
-        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: (libc, ""))
-        monkeypatch.setattr(experiments_module.ctypes, "CDLL", missing)
-        experiments_module._keep_heap_pages.cache_clear()
-        try:
-            assert rows_to_csv(cmd_run(small_config(trials=2))) == want
-        finally:
-            experiments_module._keep_heap_pages.cache_clear()
-        assert opened == ([None] if libc == "glibc" else [])
 
 
 class TestBenchmarkTracer:

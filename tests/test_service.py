@@ -4,9 +4,9 @@ import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -416,56 +416,25 @@ class TestAdaptiveKronrod:
         assert _node_sum(f).tobytes() == f.T.copy().sum(axis=1).tobytes()
 
 
-class TestWorkspace:
-    """The level loop's node arrays are views of a buffer each thread keeps across calls."""
+class TestHeapPages:
+    """Importing the kernel's module fixes glibc's heap thresholds, and nothing where it cannot."""
 
-    @pytest.mark.parametrize("cap", [None, 40], ids=["default-cap", "cap-40"])
-    def test_reuse_keeps_every_result(self, cfg, period, monkeypatch, cap):
-        # A, then a larger B, then a smaller C; B's first levels add rows in
-        # `_node_sum`, and with a cap of 40 panels they take fresh arrays.
-        # The test's buffers, sized for its cap, go with its workspace
-        monkeypatch.setattr(service_module, "_workspace", threading.local())
-        if cap is not None:
-            monkeypatch.setattr(service_module, "_WORKSPACE_PANELS", cap)
-        batches = [kronrod_args(cfg, period, 12, links) for links in (6, _ROW_ADDS_FROM + 40, 11)]
-        results = [unit_service_batch(*args) for args in batches]
-        kept = [(values.copy(), converged.copy()) for values, converged in results]
-        unit_service_batch(*kronrod_args(cfg, period, 3, 41))
-        buffer = service_module._workspace.buffer
-        for args, (values, converged), (first_values, first_converged) in zip(
-                batches, results, kept):
-            want, want_ok = recursive_service_batch(*args)
-            assert values.tobytes() == first_values.tobytes() == want.tobytes()
-            assert np.array_equal(converged, want_ok) and np.array_equal(first_converged, want_ok)
-            assert not (np.shares_memory(values, buffer) or np.shares_memory(converged, buffer))
+    @pytest.mark.parametrize("libc, failure", [
+        ("", TypeError),  # Windows: CDLL(None) fails on its name
+        ("glibc", OSError),
+        ("glibc", AttributeError),  # a C library without mallopt
+    ], ids=["off-glibc", "no-library", "no-mallopt"])
+    def test_runs_where_mallopt_is_missing(self, monkeypatch, libc, failure):
+        opened = []
 
-    def test_each_thread_has_its_own_buffer(self, cfg, period):
-        # more threads than cores integrate different batches at once, with
-        # frequent switches; numpy releases the GIL inside its loops, so a
-        # shared buffer would mix their node values
-        batches = [kronrod_args(cfg, period, 12, links) for links in (21, 41, 61, 81)]
-        want = [recursive_service_batch(*args)[0].tobytes() for args in batches]
-        got = [[] for _ in batches]
-        buffers = [None] * len(batches)
+        def missing(name):
+            opened.append(name)
+            raise failure("no mallopt")
 
-        def integrate(k):
-            for _ in range(10):
-                got[k].append(unit_service_batch(*batches[k])[0].tobytes())
-            buffers[k] = service_module._workspace.buffer
-
-        threads = [threading.Thread(target=integrate, args=(k,)) for k in range(len(batches))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert got == [[w] * 10 for w in want]
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(buffers, 2))
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: (libc, ""))
+        monkeypatch.setattr(service_module.ctypes, "CDLL", missing)
+        assert service_module._keep_heap_pages() is None
+        assert opened == ([None] if libc == "glibc" else [])
 
 
 def dispatches_x86_v4() -> bool:
