@@ -22,9 +22,11 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import UnionType
@@ -439,11 +441,32 @@ def config_echo(config: ExperimentConfig) -> str:
 
 
 def write_outputs(rows: list[MetricsRow], config: ExperimentConfig, out_dir: str | Path) -> None:
+    """Write metrics.csv, summary.csv and config_echo.json into out_dir: all three or none.
+
+    Each file is written under a temporary name first, and all three are
+    renamed into place only once every write has succeeded.  On an OSError
+    the temporaries and any file already renamed are removed, and the error
+    is raised again naming the output, not its temporary.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(rows_to_csv(rows), encoding="utf-8")
-    (out / "summary.csv").write_text(summarize(rows), encoding="utf-8")
-    (out / "config_echo.json").write_text(config_echo(config), encoding="utf-8")
+    texts = {"metrics.csv": rows_to_csv(rows), "summary.csv": summarize(rows),
+             "config_echo.json": config_echo(config)}
+    made = []  # every path this call may have created
+    try:
+        for name, text in texts.items():
+            made.append(out / f".{name}.tmp")
+            made[-1].write_text(text, encoding="utf-8")
+        for name in texts:
+            os.replace(out / f".{name}.tmp", out / name)
+            made.append(out / name)
+    except OSError as exc:
+        for path in made:
+            with suppress(OSError):
+                path.unlink()
+        if exc.filename is not None:
+            exc.filename = str(out / name)
+        raise
     tables = list({r.seed: r.tables_ms for r in rows}.values())  # one per trial
     if tables:
         print(f"[timing] tables: mean {sum(tables) / len(tables):.2f} ms over {len(tables)} trials",

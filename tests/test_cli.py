@@ -172,6 +172,8 @@ class TestRunCommand:
         assert captured.err.splitlines() == [
             f"error: {out / name}: cannot write outputs ({os.strerror(errno.EISDIR)})"]
         assert captured.out == ""
+        # all three outputs or none: no file written before the failure, no temporary
+        assert [p.name for p in out.iterdir()] == [name]
 
     def test_timing_lines_include_the_table_build(self, tmp_path, capsys):
         out = tmp_path / "res"
