@@ -40,6 +40,7 @@ from .scheduler import (
     ServiceTables,
     build_chunk_tables,
     require_every_pair,
+    require_search_blocks,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,
@@ -257,8 +258,8 @@ def config_from_doc(doc: dict, overrides: dict | None = None) -> ExperimentConfi
 
 
 #: Trials per chunk.  A chunk's direct links take one kernel call, their rates
-#: one more and, with the oracle, its trials' V2V pairs a third; worker pools
-#: map whole chunks, so both paths run the same chunks.
+#: one more, and its trials' V2V pairs and search blocks share a few more;
+#: worker pools map whole chunks, so both paths run the same chunks.
 CHUNK_TRIALS = 8
 
 
@@ -268,10 +269,15 @@ def _run_chunk(args) -> list[MetricsRow]:
     Module-level so worker pools can pickle it.  After the chunk's scenarios,
     one `build_chunk_tables` call integrates every direct link of the chunk.
     Only when irrs is requested does a second one build its rate tables (the
-    fleets held still), and only when `optimal` is does one
-    `require_every_pair` call integrate the V2V pairs of the trials within
-    the oracle cap.  Each trial's `tables_ms` is an equal share of these
-    builds.  A link's value does not depend on its batch, so neither do rows.
+    fleets held still), and `require_search_blocks` integrates their irrs
+    search blocks.  Only when `optimal` is does `require_every_pair`
+    integrate every V2V pair of the trials within the oracle cap, and only
+    when msrs is does `require_search_blocks` integrate the msrs search
+    blocks of the other trials.  These fills share kernel calls of at most
+    about 5000 links, so the searches integrate nothing themselves; irrs's
+    score may still integrate pairs of its pairing outside the msrs block.
+    Each trial's `tables_ms` is an equal share of these builds.  A link's
+    value does not depend on its batch, so neither do rows.
     """
     config, trials = args
     specs = [config.scenario_spec(*trial) for trial in trials]
@@ -281,8 +287,12 @@ def _run_chunk(args) -> list[MetricsRow]:
     rates = [None] * len(trials)
     if "irrs" in config.policies:
         rates = build_chunk_tables([sc.held_still() for sc in scenarios], config.radio)
-    if "optimal" in config.policies:
-        require_every_pair([t for t in tables if t.n <= config.oracle_cap])
+        require_search_blocks(rates)
+    oracle_cap = config.oracle_cap if "optimal" in config.policies else -1
+    require_every_pair([t for t in tables if t.n <= oracle_cap])
+    if "msrs" in config.policies:
+        # the oracle's tables hold every pair already
+        require_search_blocks([t for t in tables if t.n > oracle_cap])
     tables_ms = 1000.0 * (time.perf_counter() - t0) / len(trials)
     return [row for trial in zip(specs, tables, rates)
             for row in _run_trial(config, *trial, tables_ms)]
@@ -416,7 +426,10 @@ def summarize(rows: list[MetricsRow]) -> str:
     for key in sorted(groups):
         policy, n_vehicles, speed_range = key
         members = sorted(groups[key], key=lambda r: r.seed)
-        mean = sum(m.total_service for m in members) / len(members)
+        total = 0.0  # added in seed order, as Python 3.11's `sum` did (3.12's compensates)
+        for m in members:
+            total += m.total_service
+        mean = total / len(members)
         lines.append(
             ",".join(
                 [

@@ -9,8 +9,9 @@ written once, on `ServiceTables`: `direct_sum` for the vehicles that are not
 aided and `two_hop` (read through `benefit`) for the pairs.  Every policy
 searches or scores with it.  The tables have one reader of V2V amounts,
 `v2v`, which integrates a pair when a policy first reads it, unless
-`require_every_pair` has computed every pair of several tables in one
-kernel call beforehand.
+`require_every_pair` (every pair) or `require_search_blocks` (each msrs
+search block) has computed it beforehand for several tables in shared
+kernel calls of at most about 5000 links.
 Four policies are provided, each a function of a scenario's service tables
 (`build_chunk_tables`).  irrs also takes rate tables: the service tables
 of `Scenario.held_still()`, whose links are static over a 1 s period, so
@@ -37,9 +38,11 @@ each amount is the link's instantaneous rate at the period start:
 The sort-select-pair pipeline costs O(N^3 log N) in the fleet size, but the
 bound order leaves about two assignment solves per search on fleets of
 20 to 200 vehicles.  A search gathers one N x min(N/2, k_dsrc) block of V2V
-amounts.  The counts that share one V2V RB share (9 levels at k_dsrc = 25)
-share one two-hop block cut from it, whose column maxima grow one row per
-count, and every count's benefit matrix is a view of its level's block.  The
+amounts (`_search_block`: 2175 distinct links at N=100), which the runner
+integrates for a whole chunk of trials before they run.  The counts that
+share one V2V RB share (9 levels at k_dsrc = 25) share one two-hop block cut
+from it, whose column maxima grow one row per count, and every count's
+benefit matrix is a view of its level's block.  The
 oracle visits every aided set of each count its count bound keeps: with
 default radios usually only the 12 sets of n_av = 1 at N=12, but up to
 2 509 sets, a number that about doubles with every vehicle (hence the cap).
@@ -118,9 +121,11 @@ class ServiceTables:
     V2V pairs are integrated on first read: `v2v_unit` holds NaN for a pair
     nobody has read yet (the diagonal holds 0), and `v2v` computes the
     missing entries among the pairs it reads, stores them on both sides and
-    returns them.  `link` holds the V2V arguments of `unit_service_batch`
-    after the motion rows; each pair's row is the difference of two rows of
-    `motion`, the scenario's vehicle rows.  Without it the table is dense.
+    returns them; `require_every_pair` and `require_search_blocks` compute
+    them ahead of the reads for several tables at once.  `link` holds the
+    V2V arguments of `unit_service_batch` after the motion rows; each pair's
+    row is the difference of two rows of `motion`, the scenario's vehicle
+    rows.  Without it the table is dense.
     `unconverged` counts this table's computed links whose quadrature hit
     its refinement cap.
     """
@@ -166,55 +171,97 @@ class ServiceTables:
     def direct_sum(self, aided) -> float:
         """Direct amounts of every vehicle not aided, summed in ascending id order.
 
-        `aided` holds the aided ids: a pairing (its keys) or a set.
+        `aided` holds the aided ids: a pairing (its keys) or a set.  An
+        aided vehicle adds 0.0, which leaves every partial sum as it is.
         """
-        return sum(x for i, x in enumerate(self.v2i.tolist()) if i not in aided)
+        kept = self.v2i.copy()
+        kept[list(aided)] = 0.0
+        return _left_sum(kept)
+
+
+#: Most links `_fill` puts into one kernel call, whole tables at a time; a
+#: table whose missing links alone are more goes into a call of its own.
+#: Two N=100 search blocks (2 x 2175 links) share a call.  Past the budget
+#: a call's arrays grow with its links: a chunk of 8 such blocks in one call
+#: raised a run's peak memory by about a fifth, and saved no more time.
+_CALL_LINKS = 5000
 
 
 def _fill(requests) -> None:
-    """Compute the missing V2V entries of several tables in one kernel call.
+    """Compute the missing V2V entries of several tables in shared kernel calls.
 
     Each request is (table, rows, cols, missing): broadcastable index arrays
     of pairs and the mask of those whose entries are NaN.  The tables share
     one `link`.  Each table's missing pairs are stacked in ascending (i, j)
-    order, i < j, after the previous table's; each table stores its values on
-    both sides and counts only its own links in `unconverged`.
+    order, i < j, after the previous table's.  A call takes the next tables
+    while its links stay within `_CALL_LINKS`.  `requests` may be an
+    iterator; a table with nothing missing adds no link.
     """
-    pairs, motions = [], []
+    call, links = [], 0
     for t, rows, cols, missing in requests:
         n = t.n
         # one flat key i * N + j per pair, lower id first as in the motion
         # rows; a flat mark drops the repeats and orders them ascending
         mark = np.zeros(n * n, dtype=bool)
         mark[(np.minimum(rows, cols) * n + np.maximum(rows, cols))[missing]] = True
-        i, j = np.divmod(np.flatnonzero(mark), n)
-        pairs.append((t, i, j))
-        motions.append(t.motion.take(i, 0) - t.motion.take(j, 0))
-    link = requests[0][0].link
+        keys = np.flatnonzero(mark)
+        if links and links + len(keys) > _CALL_LINKS:
+            _integrate(call)
+            call, links = [], 0
+        call.append((t, keys))
+        links += len(keys)
+    if links:
+        _integrate(call)
+
+
+def _integrate(call) -> None:
+    """One kernel call for the pairs (table, flat keys) of `call`, stored on both sides of each table.
+
+    Each table counts only its own links in `unconverged`.
+    """
+    call = [(t, *np.divmod(keys, t.n)) for t, keys in call]
     # the module global is looked up per call, so a wrapper installed on it
     # sees every integrated pair
-    values, converged = unit_service_batch(np.concatenate(motions), *link)
+    values, converged = unit_service_batch(
+        np.concatenate([t.motion.take(i, 0) - t.motion.take(j, 0) for t, i, j in call]),
+        *call[0][0].link)
     start = 0
-    for t, i, j in pairs:
+    for t, i, j in call:
         end = start + len(i)
         t.v2v_unit[i, j] = t.v2v_unit[j, i] = values[start:end]
         t.unconverged += int(np.count_nonzero(~converged[start:end]))
         start = end
 
 
-def require_every_pair(tables: list[ServiceTables]) -> None:
-    """Compute every unknown V2V entry of several tables in one kernel call.
+def _require(tables: list[ServiceTables], pairs) -> None:
+    """Compute the missing V2V entries among the pairs `pairs(t)` of each table, in shared calls.
 
-    The tables must share one `link`, as the tables of one
-    `build_chunk_tables` call do.  A link's value does not depend on its
-    batch, so a table holds the same amounts as its own reads would give.
+    `pairs(t)` gives broadcastable (rows, cols) index arrays.  The tables
+    must share one `link`, as the tables of one `build_chunk_tables` call
+    do; when nothing is missing no kernel call is made.  A link's value does
+    not depend on its batch, so a table holds the same amounts as its own
+    reads would give.
     """
     tables = [t for t in tables if t.link is not None]
-    if not tables:
-        return
     if any(t.link != tables[0].link for t in tables):
         raise ValueError("tables filled together must share one V2V link")
-    _fill([(t, np.arange(t.n)[:, None], np.arange(t.n), np.isnan(t.v2v_unit)) for t in tables])
+    # one table's request at a time, so only the pending call's pairs are held
+    _fill((t, rows, cols, np.isnan(t.v2v_unit[rows, cols]))
+          for t in tables for rows, cols in [pairs(t)])
+
+
+def require_every_pair(tables: list[ServiceTables]) -> None:
+    """Compute every unknown V2V entry of several tables in shared kernel calls."""
+    _require(tables, lambda t: (np.arange(t.n)[:, None], np.arange(t.n)))
+
+
+def require_search_blocks(tables: list[ServiceTables]) -> None:
+    """Compute the unknown entries of several tables' msrs search blocks in shared kernel calls.
+
+    `solve_msrs` on one of the tables then finds its whole block
+    (`_search_block`) there and integrates nothing itself.
+    """
+    _require(tables, _search_block)
 
 
 def build_chunk_tables(
@@ -224,9 +271,9 @@ def build_chunk_tables(
 
     Every direct link of every scenario is integrated now, in one
     `unit_service_batch` call; V2V pairs wait for a read, or for
-    `require_every_pair` over any of the returned tables, which share one
-    `link`.  A link's value does not depend on its batch, so each table is
-    the one its scenario would get alone.
+    `require_every_pair` or `require_search_blocks` over any of the returned
+    tables, which share one `link`.  A link's value does not depend on its
+    batch, so each table is the one its scenario would get alone.
     """
     if not scenarios:
         return []
@@ -249,18 +296,41 @@ def build_chunk_tables(
     return tables
 
 
+def _left_sum(values: np.ndarray) -> float:
+    """Sum of a float array added left to right, from 0.0.
+
+    These are the bits of Python 3.11's `sum` of the same floats; from
+    Python 3.12 on, `sum` compensates its roundoff and can give others.
+    `np.add.accumulate` adds in order, unlike the pairwise `np.sum`.
+    """
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
+def _search_block(tables: ServiceTables) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the V2V block an msrs search on `tables` reads.
+
+    The rows are every vehicle by descending direct amount, ties by
+    ascending id, as an (N, 1) column; the columns are the last `cap` of
+    them, the weakest.  Every candidate count pairs all vehicles against
+    the `cap` weakest at most: count n_av reads the block's first
+    N - n_av rows and last n_av columns.
+    """
+    rows = np.argsort(-tables.v2i, kind="stable")[:, None]
+    return rows, rows[tables.n - _aided_cap(tables.n, tables.k_dsrc):, 0]
+
+
 def _partition_total(tables: ServiceTables, pairing: dict[int, int]) -> float:
     """Objective value of a pairing: direct amounts plus paired two-hop amounts.
 
     Summation order is pinned (ascending ids, direct part then relay part) so
     that every policy and re-evaluation reproduces identical floats.
     """
-    direct = float(tables.direct_sum(pairing))
+    direct = tables.direct_sum(pairing)
     if not pairing:
         return direct
     aided = sorted(pairing)
     relays = [pairing[j] for j in aided]
-    return direct + sum(tables.benefit(relays, aided, len(aided)).tolist())
+    return direct + _left_sum(tables.benefit(relays, aided, len(aided)))
 
 
 def _aided_cap(n: int, k_dsrc: int) -> int:
@@ -289,16 +359,15 @@ def solve_msrs(tables: ServiceTables) -> Schedule:
     relays among the rest; rows that win no aided vehicle stay common vehicles.
     The counts are solved best bound first, so the search stops at the first
     count whose bound cannot beat the best total.  The largest total wins,
-    the smallest n_av among equal totals.
+    the smallest n_av among equal totals.  The search reads its V2V amounts
+    in one `v2v` read of its `_search_block`, which integrates nothing when
+    `require_search_blocks` has filled the block.
     """
     n = tables.n
-    # descending direct amount, ties by ascending id
-    rows = np.argsort(-tables.v2i, kind="stable")[:, None]
+    rows, cols = _search_block(tables)
     order = rows[:, 0].tolist()
-    cap = _aided_cap(n, tables.k_dsrc)
-    # every candidate count pairs all vehicles against the `cap` weakest at most;
-    # count n_av reads the block's first n - n_av rows and last n_av columns
-    block = tables.v2v(rows, rows[n - cap:, 0])
+    cap = len(cols)
+    block = tables.v2v(rows, cols)
     direct = tables.v2i[rows]
     # kept[k]: the summed direct amounts of the k strongest vehicles
     kept = np.concatenate(([0.0], np.cumsum(direct)))
@@ -386,7 +455,10 @@ def solve_optimal_bruteforce(tables: ServiceTables, cap: int = BRUTE_FORCE_VEHIC
             av_set = set(av)
             direct = tables.direct_sum(av_set)
             rest = [i for i in ids if i not in av_set]
-            bound = direct + sum(max(w[r][a] for r in rest) for a in av)
+            most = 0.0  # each aided vehicle's largest benefit, added in order
+            for a in av:
+                most += max(w[r][a] for r in rest)
+            bound = direct + most
             if bound <= best_total:
                 continue
             for rvs in itertools.combinations(rest, n_av):

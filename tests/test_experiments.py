@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relaysched.experiments as experiments_module
@@ -22,6 +23,7 @@ from relaysched.experiments import (
     DEFAULT_SPEED_VALUES,
     POLICIES,
     ExperimentConfig,
+    MetricsRow,
     _run_chunk,
     cmd_run,
     cmd_sweep_n,
@@ -393,6 +395,15 @@ class TestSweeps:
         exact_mean = (rows[0].total_service + rows[1].total_service) / 2
         assert lines[1].split(",")[-1] == format(exact_mean, ".12g")
 
+    @pytest.mark.parametrize("totals,mean", [((0.1, 0.2, 0.3), "0.2"), ((1.0, 1e100, -1e100), "0")],
+                             ids=["tenths", "cancelling"])
+    def test_summary_means_add_in_seed_order(self, totals, mean):
+        # the totals are added in seed order from 0.0, as Python 3.11's sum()
+        # did; 3.12's compensated sum() would give 1.0 for the cancelling
+        # ones, and 0.6 rather than 0.6000000000000001 for the tenths
+        rows = [MetricsRow("msrs", seed, 3, (4.0, 4.0), total) for seed, total in enumerate(totals)]
+        assert summarize(rows[::-1]).splitlines()[1] == f"msrs,3,4,4,3,{mean}"
+
     def test_speed_sweep_points(self):
         cfg = small_config(trials=1, policies=("msrs",), speed_values=(5.0, 25.0))
         rows = cmd_sweep_speed(cfg)
@@ -437,11 +448,13 @@ class TestChunks:
                 for r in rows}
 
     @pytest.mark.parametrize("n_vehicles,policies", [
-        (12, ALL), (40, ("msrs", "irrs", "noncoop")),
-    ], ids=["n12-optimal", "n40"])
+        (12, ALL), (40, ("msrs", "irrs", "noncoop")), (100, ("msrs", "irrs", "noncoop")),
+    ], ids=["n12-optimal", "n40", "n100"])
     def test_trial_results_do_not_depend_on_the_chunk(self, n_vehicles, policies):
         # 3 trials are one short chunk; of 11 trials, the same first 3 seeds
-        # run in a full chunk of 8
+        # run in a full chunk of 8.  At N=100 two search blocks share a kernel
+        # call, so the third trial's blocks go alone in the short chunk and
+        # with the fourth trial's in the full one
         cfg = ExperimentConfig(seed=5, trials=3, n_vehicles=n_vehicles, policies=policies)
         short = self.results(cmd_run(cfg))
         full = self.results(cmd_run(ExperimentConfig(seed=5, trials=11, n_vehicles=n_vehicles,
@@ -483,14 +496,13 @@ class TestChunks:
                                   quad=QuadratureSpec(max_refinements=0))
         rows = cmd_sweep_n(config)
         # one direct-link call per chunk; the chunk's one pairs call holds the
-        # 3 x 45 pairs of the N=10 trials; only the refused N=14 trials'
-        # msrs integrates its own pairs, 7 x 7 + 21 of them each
-        assert calls == [("v2i", 58), ("v2v", 135), ("v2v", 70), ("v2v", 70),
+        # 3 x 45 pairs of the N=10 trials; one more holds the msrs blocks of
+        # the refused N=14 trials, 7 x 7 + 21 pairs each
+        assert calls == [("v2i", 58), ("v2v", 135), ("v2v", 140),
                          ("v2i", 14), ("v2v", 70)]
-        # the rate tables: one direct-rate call per chunk, then each irrs
-        # takes its block's rates, 5 x 5 + 10 pairs at N=10
-        assert rate_calls == [("v2i", 58), *[("v2v", 35)] * 3, ("v2v", 70), ("v2v", 70),
-                              ("v2i", 14), ("v2v", 70)]
+        # the rate tables: one direct-rate call per chunk, then one for the
+        # irrs blocks, 5 x 5 + 10 rate pairs at N=10 and 7 x 7 + 21 at N=14
+        assert rate_calls == [("v2i", 58), ("v2v", 3 * 35 + 2 * 70), ("v2i", 14), ("v2v", 70)]
         refused = [r for r in rows if r.policy == "optimal" and r.n_vehicles == 14]
         assert len(refused) == 3 and all(r.total_service is None for r in refused)
         assert all(r.note.startswith("refused: n_vehicles=14 exceeds oracle cap 12; ")
@@ -502,6 +514,47 @@ class TestChunks:
             assert alone == {r.policy: r.note for r in rows if r.seed == seed}
             notes[seed] = alone["msrs"]
         assert len({note for note in notes.values() if note}) > 2
+
+    @pytest.mark.parametrize("n_vehicles,policies", [
+        (12, ALL), (100, ("msrs", "irrs", "noncoop")), (200, ("msrs", "irrs", "noncoop")),
+    ], ids=["n12-optimal", "n100", "n200"])
+    def test_searches_find_their_blocks_filled(self, monkeypatch, n_vehicles, policies):
+        # the chunk integrates every msrs and irrs search block before any
+        # policy runs, so neither search makes a kernel call.  irrs scores its
+        # pairing on the service tables, and integrates only those pairs of it
+        # that lie outside the msrs block (some at N=200, none with the oracle)
+        real = scheduler_module.unit_service_batch
+        running, calls, scored = [None], [], []
+
+        def counting(motions, model, p_tx, noise, period, *args, **kwargs):
+            if running[0] is not None:
+                calls.append((running[0], period))
+            return real(motions, model, p_tx, noise, period, *args, **kwargs)
+
+        def watched(name, solve):
+            def run(tables, *rest):
+                unknown = np.isnan(tables.v2v_unit)
+                running[0] = name
+                try:
+                    sched = solve(tables, *rest)
+                finally:
+                    running[0] = None
+                scored.append((sched.pairing, set(zip(*np.nonzero(unknown & ~np.isnan(tables.v2v_unit))))))
+                return sched
+            return run
+
+        monkeypatch.setattr(scheduler_module, "unit_service_batch", counting)
+        for name in ("msrs", "irrs", "noncoop"):
+            solve = f"solve_{'noncooperative' if name == 'noncoop' else name}"
+            monkeypatch.setattr(experiments_module, solve, watched(name, getattr(experiments_module, solve)))
+        config = ExperimentConfig(seed=1, n_vehicles=n_vehicles, policies=policies)
+        rows = _run_chunk((config, [(seed, None, None) for seed in range(8)]))
+        assert len(scored) == 8 * 3 and all(r.total_service is not None for r in rows)
+        assert all(name == "irrs" and period == Period(5.0) for name, period in calls)
+        for pairing, integrated in scored:
+            assert integrated <= {p for a, r in pairing.items() for p in ((a, r), (r, a))}
+        if "optimal" in policies:
+            assert calls == []
 
     @pytest.mark.parametrize("policies", [("msrs", "noncoop"), ("optimal", "noncoop", "msrs")])
     def test_rate_tables_only_for_irrs(self, monkeypatch, policies):

@@ -32,11 +32,13 @@ from relaysched.scheduler import (
     ServiceTables,
     build_chunk_tables,
     require_every_pair,
+    require_search_blocks,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,
     solve_optimal_bruteforce,
     validate_schedule,
+    _left_sum,
     _partition_total,
 )
 from relaysched.service import Period, QuadratureSpec, unit_service_batch
@@ -120,6 +122,18 @@ class TestEvaluateSchedule:
         s = Schedule({1: 0})
         validate_schedule(s, 4)
         assert _partition_total(tables, s.pairing) == pytest.approx(20.0, rel=1e-12)
+
+    def test_sums_add_left_to_right(self):
+        # from 0.0 and in id order, the bits of Python 3.11's sum(); 3.12's
+        # compensated sum() gives 0.6 for the tenths and 1.0 for the others
+        tenths = ServiceTables(np.array([0.1, 0.2, 0.3]), np.zeros((3, 3)), 25)
+        assert tenths.direct_sum(()).hex() == ((0.1 + 0.2) + 0.3).hex() == (0.6000000000000001).hex()
+        assert tenths.direct_sum({1}) == 0.1 + 0.3 and tenths.direct_sum({0: 1, 2: 1}) == 0.2
+        cancelling = ServiceTables(np.array([1.0, 1e100, -1e100]), np.zeros((3, 3)), 25)
+        assert cancelling.direct_sum(()) == 0.0 and cancelling.direct_sum({1}) == -1e100 + 1.0
+        assert _left_sum(np.array([0.1, 0.2, 0.3])).hex() == (0.6000000000000001).hex()
+        assert _left_sum(np.array([])) == 0.0
+        assert type(_partition_total(ServiceTables(np.array([]), np.zeros((0, 0)), 25), {})) is float
 
     def test_invalid_schedule_rejected(self):
         # vehicle 0 is both aided and its own relay
@@ -242,13 +256,14 @@ class TestDemandDrivenTables:
         # a chunk of 8 oracle trials integrates its 8 x 12 direct links in one
         # call and its 8 x 66 pairs in one more, before any policy runs; the
         # policies then find every pair in their service tables.  The rate
-        # tables take the chunk's 96 direct rates in one call, and each irrs
-        # its block's 6 x 6 + 15 pairs.  Each trial's rows keep the config order
+        # tables take the chunk's 96 direct rates in one call, and the 8 irrs
+        # blocks' 6 x 6 + 15 pairs in one more.  Each trial's rows keep the
+        # config order
         config = ExperimentConfig(seed=1, trials=8, n_vehicles=12,
                                   policies=("msrs", "irrs", "noncoop", "optimal"))
         rows = _run_chunk((config, [(seed, None, None) for seed in range(9, 17)]))
         assert links == [96, 528]
-        assert rate_links == [96] + [51] * 8
+        assert rate_links == [96, 408]
         assert [r.policy for r in rows] == list(config.policies) * 8
         assert [r.seed for r in rows[::4]] == list(range(9, 17))
         assert all(r.total_service is not None for r in rows)
@@ -284,6 +299,32 @@ class TestDemandDrivenTables:
             with pytest.raises(ValueError, match="share one period"):
                 build_chunk_tables([scs[0], generate(ScenarioSpec(3, seed=4, period_duration=4.0))],
                                    cfg)
+
+    def test_fill_calls_keep_to_the_link_budget(self, cfg, links, monkeypatch):
+        # search blocks of 2175 links at N=100, 51 at N=12, 4675 at N=200 and
+        # 590 at N=40 go into kernel calls whole and in table order while a
+        # call stays within the budget; a block past it takes a call alone.
+        # Each table holds the bits of its own msrs search's reads
+        sizes = (100, 100, 100, 12, 200, 40)
+        fleets = [generate(ScenarioSpec(n_vehicles=n, seed=s)) for s, n in enumerate(sizes)]
+        tables = build_chunk_tables(fleets, cfg)
+        require_search_blocks(tables)
+        assert scheduler_module._CALL_LINKS == 5000
+        assert links == [sum(sizes), 2 * 2175, 2175 + 51, 4675, 590]
+        for sc, filled in zip(fleets, tables):
+            alone = build_chunk_tables([sc], cfg)[0]
+            assert solve_msrs(filled) == solve_msrs(alone)
+            assert filled.v2v_unit.tobytes() == alone.v2v_unit.tobytes()
+        # every pair of two N=100 fleets: 4950 each, one call each
+        del links[:]
+        require_every_pair(build_chunk_tables(fleets[:2], cfg))
+        assert links == [200, 4950, 4950]
+        # under a budget of 100 links: 66 + 66 do not fit, and 190 goes alone
+        monkeypatch.setattr(scheduler_module, "_CALL_LINKS", 100)
+        del links[:]
+        small = [generate(ScenarioSpec(n_vehicles=n, seed=s)) for s, n in enumerate((12, 12, 20, 3, 3))]
+        require_every_pair(build_chunk_tables(small, cfg))
+        assert links == [50, 66, 66, 190, 6]
 
     def test_refused_oracle_leaves_the_pairs_lazy(self, links, rate_links):
         # above the cap the oracle integrates nothing, so msrs requires only
