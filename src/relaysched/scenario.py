@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Xoshiro256StarStar
+from .rng import uniforms
 from .service import Period
 
 #: Sanity cap on configured vehicle speeds (m/s); speed sweeps stay below it.
@@ -90,12 +90,14 @@ class ScenarioSpec:
 def generate(spec: ScenarioSpec) -> Scenario:
     """Draw a scenario from the spec; same spec (and seed) -> identical motion bytes.
 
-    The 3N uniforms are drawn in one call, and row i reads draws 3i..3i+2 as
-    its (direction, x, speed).  The columns take the scalar draws' IEEE
-    steps: ``lo + (hi - lo) * u``, then ``speed * cos(heading)`` and
-    ``speed * sin(heading)`` with the heading's cosine and sine from `math`.
+    The 3N uniforms are drawn in one `rng.uniforms` call, which looks the
+    seed's xoshiro256** stream up in GF(2) tables 512 words at a time, with
+    the bits of one `Xoshiro256StarStar.random` call per draw.  Row i reads
+    draws 3i..3i+2 as its (direction, x, speed).  The columns take the scalar
+    draws' IEEE steps: ``lo + (hi - lo) * u``, then ``speed * cos(heading)``
+    and ``speed * sin(heading)`` with the heading's cosine and sine from `math`.
     """
-    u = Xoshiro256StarStar(spec.seed).uniforms(3 * spec.n_vehicles).reshape(-1, 3)
+    u = uniforms(spec.seed, 3 * spec.n_vehicles).reshape(-1, 3)
     forward = u[:, 0] < 0.5
     x_lo, x_hi = -spec.coverage_radius, spec.coverage_radius
     lo, hi = spec.speed_range

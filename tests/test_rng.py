@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from relaysched.rng import Xoshiro256StarStar, split_seeds, splitmix64_next
+from relaysched.rng import (
+    _BLOCK,
+    Xoshiro256StarStar,
+    _s1_run,
+    _tables,
+    split_seeds,
+    splitmix64_next,
+    uniforms,
+)
 
 M64 = (1 << 64) - 1
 
@@ -76,14 +84,14 @@ class TestXoshiro:
             assert 0.0 <= f < 1.0
 
     def test_bulk_uniforms_are_the_scalar_draws(self):
-        for seed in (0, 99, 2**63):
-            for k in (0, 1, 5, 300):
-                gen, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
-                got = gen.uniforms(k)
+        # up to three blocks of table lookups, cut at and next to the block edges
+        for seed in (0, 99, 2**63, 2**64 - 1):
+            for k in (0, 1, 5, 300, 511, 512, 513, 3 * 512 + 7):
+                got = uniforms(seed, k)
                 assert got.dtype == np.float64 and got.shape == (k,)
+                scalar = Xoshiro256StarStar(seed)
                 want = np.array([scalar.random() for _ in range(k)], dtype=np.float64)
                 assert got.tobytes() == want.tobytes()
-                assert gen.next_u64() == scalar.next_u64()
 
     def test_uniform_range(self):
         gen = Xoshiro256StarStar(5)
@@ -95,3 +103,22 @@ class TestXoshiro:
         a = [Xoshiro256StarStar(1234).random() for _ in range(5)]
         b = [Xoshiro256StarStar(1234).random() for _ in range(5)]
         assert a == b
+
+
+class TestTables:
+    def test_rows_are_the_basis_states_runs(self):
+        table, jump = _tables()
+        assert table.shape == (256, _BLOCK) and jump.shape == (256, 4)
+        for b in (0, 1, 63, 64, 100, 127, 128, 170, 191, 192, 230, 255):
+            basis = [0, 0, 0, 0]
+            basis[b // 64] = 1 << (b % 64)
+            s1s, after = _s1_run(tuple(basis), _BLOCK)
+            assert table[b].tolist() == s1s
+            assert jump[b].tolist() == list(after)
+
+    def test_built_once_and_not_grown(self):
+        table, jump = _tables()
+        uniforms(8, 300_000)
+        again = _tables()
+        assert again[0] is table and again[1] is jump and _tables.cache_info().misses == 1
+        assert table.shape == (256, _BLOCK) and jump.shape == (256, 4)

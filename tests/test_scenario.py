@@ -52,7 +52,7 @@ class TestGenerate:
         digest = hashlib.sha256(motion.astype("<f8").tobytes()).hexdigest()
         assert digest == "9f33329ebf897c2a5777cceeb97aa70ce39b1569da4d9f8cf089e2bd04c9deb4"
 
-    @pytest.mark.parametrize("n", [0, 1, 12, 100])
+    @pytest.mark.parametrize("n", [0, 1, 12, 100, 171, 342])
     def test_rows_of_the_drawn_records(self, n):
         for seed in range(20):
             spec = ScenarioSpec(n_vehicles=n, seed=seed)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -453,6 +454,8 @@ def dispatch_report() -> dict:
     oracle to the bit on the `kronrod_args` links, and then on a batch
     large enough for `_node_sum` to add rows.  `pairings`: the msrs
     and irrs pairings of `run --seed 7 --trials 4 --n 100`, in call order.
+    `generate`: the sha256 of a 600-word fleet's motion, drawn through the
+    integer ufuncs of `rng.uniforms` (two table blocks).
     """
     cfg, period = default_radio_config(), Period(5.0)
     kernel = []
@@ -476,12 +479,14 @@ def dispatch_report() -> dict:
         cmd_run(ExperimentConfig(seed=7, trials=4, n_vehicles=100, workers=1))
     finally:
         experiments_module.solve_msrs, experiments_module.solve_irrs = real
+    motion = generate(ScenarioSpec(n_vehicles=200, seed=7)).motion
     return {"x86_v4": dispatches_x86_v4(), "kernel": kernel,
-            "pairings": json.loads(json.dumps(pairings))}
+            "pairings": json.loads(json.dumps(pairings)),
+            "generate": hashlib.sha256(motion.astype("<f8").tobytes()).hexdigest()}
 
 
 class TestDispatchLevel:
-    """The kernel's hand-written pairwise sums do not depend on numpy's SIMD level."""
+    """The kernel's pairwise sums and the fleet draws do not depend on numpy's SIMD level."""
 
     @pytest.mark.skipif(not dispatches_x86_v4(), reason="numpy does not dispatch X86_V4 here")
     def test_without_avx512_matches_this_process(self):
@@ -500,6 +505,7 @@ class TestDispatchLevel:
         assert want["x86_v4"] and not got["x86_v4"]
         assert got["kernel"] == want["kernel"] == [True] * 4
         assert got["pairings"] == want["pairings"] and len(want["pairings"]) == 8
+        assert got["generate"] == want["generate"]
 
 
 def relative_rows(pairs):
