@@ -39,6 +39,7 @@ from .scheduler import (
     BRUTE_FORCE_VEHICLE_CAP,
     ServiceTables,
     build_chunk_tables,
+    plan_searches,
     require_every_pair,
     require_search_blocks,
     solve_irrs,
@@ -264,7 +265,7 @@ CHUNK_TRIALS = 8
 
 
 def _run_chunk(args) -> list[MetricsRow]:
-    """Consecutive trials, each (seed, n_vehicles, speed_range), sharing their kernel calls.
+    """Consecutive trials, each (seed, n_vehicles, speed_range), sharing kernel and array calls.
 
     Module-level so worker pools can pickle it.  After the chunk's scenarios,
     one `build_chunk_tables` call integrates every direct link of the chunk.
@@ -276,37 +277,47 @@ def _run_chunk(args) -> list[MetricsRow]:
     blocks of the other trials.  These fills share kernel calls of at most
     about 5000 links, so the searches integrate nothing themselves; irrs's
     score may still integrate pairs of its pairing outside the msrs block.
-    Each trial's `tables_ms` is an equal share of these builds.  A link's
-    value does not depend on its batch, so neither do rows.
+    Last, one `plan_searches` call plans every search the trials will run:
+    msrs's on the service tables and irrs's on the rate tables.  Each
+    trial's `tables_ms` is an equal share of these builds and plans.  A
+    link's value does not depend on its batch, nor a plan on the tables
+    planned with it, so neither do rows.
     """
     config, trials = args
     specs = [config.scenario_spec(*trial) for trial in trials]
     scenarios = [generate(spec) for spec in specs]
     t0 = time.perf_counter()
     tables = build_chunk_tables(scenarios, config.radio, quad=config.quad)
-    rates = [None] * len(trials)
+    rates = []
     if "irrs" in config.policies:
         rates = build_chunk_tables([sc.held_still() for sc in scenarios], config.radio)
         require_search_blocks(rates)
     oracle_cap = config.oracle_cap if "optimal" in config.policies else -1
     require_every_pair([t for t in tables if t.n <= oracle_cap])
-    if "msrs" in config.policies:
+    searched = tables if "msrs" in config.policies else []
+    if searched:
         # the oracle's tables hold every pair already
         require_search_blocks([t for t in tables if t.n > oracle_cap])
+    plans = plan_searches(searched + rates)
     tables_ms = 1000.0 * (time.perf_counter() - t0) / len(trials)
-    return [row for trial in zip(specs, tables, rates)
+    none = [None] * len(trials)
+    return [row for trial in zip(specs, tables, rates or none, plans[:len(searched)] or none,
+                                 plans[len(searched):] or none)
             for row in _run_trial(config, *trial, tables_ms)]
 
 
 def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, tables: ServiceTables,
-               rates: ServiceTables | None, tables_ms: float) -> list[MetricsRow]:
+               rates: ServiceTables | None, plan: tuple | None, rate_plan: tuple | None,
+               tables_ms: float) -> list[MetricsRow]:
     """All requested policies on one trial's tables, in the config's policy order.
 
     Each policy takes the service tables as its first positional argument,
     where `perfbench/tracing.py` reads the fleet size; irrs also decides on
-    `rates`.  A policy's timing includes the V2V amounts it computes on
-    demand.  The notes every row shares are read after the policies, whose
-    V2V reads can add to `tables.unconverged`.
+    `rates`.  msrs searches by `plan`, and irrs by `rate_plan`, the
+    trial's entries of its chunk's `plan_searches`.  A policy's timing
+    includes the V2V amounts it computes on demand, but not its plan.  The
+    notes every row shares are read after the policies, whose V2V reads can
+    add to `tables.unconverged`.
     """
     n = tables.n
     runs, opt = [], None
@@ -314,9 +325,9 @@ def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, tables: ServiceTabl
         t0 = time.perf_counter()
         note = ""
         if policy == "msrs":
-            sched = solve_msrs(tables)
+            sched = solve_msrs(tables, plan)
         elif policy == "irrs":
-            sched = solve_irrs(tables, rates)
+            sched = solve_irrs(tables, rates, rate_plan)
         elif policy == "noncoop":
             sched = solve_noncooperative(tables)
         elif n <= config.oracle_cap:

@@ -23,7 +23,8 @@ each amount is the link's instantaneous rate at the period start:
                              search the aided-vehicle count for the best total:
                              counts are solved best bound first, until no
                              bound can beat the best total; among equal
-                             totals the smallest count wins.
+                             totals the smallest count wins.  With no direct
+                             amounts the all-direct schedule wins unsolved.
 * `solve_irrs`            -- the identical pipeline driven by instantaneous
                              rates at the period start; the returned schedule
                              is still scored by the service tables.
@@ -37,11 +38,14 @@ each amount is the link's instantaneous rate at the period start:
 
 The sort-select-pair pipeline costs O(N^3 log N) in the fleet size, but the
 bound order leaves about two assignment solves per search on fleets of
-20 to 200 vehicles.  A search gathers one N x min(N/2, k_dsrc) block of V2V
+20 to 200 vehicles.  A search reads one N x min(N/2, k_dsrc) block of V2V
 amounts (`_search_block`: 2175 distinct links at N=100), which the runner
-integrates for a whole chunk of trials before they run.  The counts that
-share one V2V RB share (9 levels at k_dsrc = 25) share one two-hop block cut
-from it, whose column maxima grow one row per count, and every count's
+integrates for a whole chunk of trials before they run.  `plan_searches`
+then computes each search's plan: the vehicle order, the bound of every
+aided count and the benefit matrices, in array calls shared by the tables
+of one fleet size and k_dsrc.  The counts that share one V2V RB share (9
+levels at k_dsrc = 25) share one two-hop block cut from the stacked
+blocks, whose column maxima grow one row per count, and every count's
 benefit matrix is a view of its level's block.  The
 oracle visits every aided set of each count its count bound keeps: with
 default radios usually only the 12 sets of n_av = 1 at N=12, but up to
@@ -258,10 +262,11 @@ def require_every_pair(tables: list[ServiceTables]) -> None:
 def require_search_blocks(tables: list[ServiceTables]) -> None:
     """Compute the unknown entries of several tables' msrs search blocks in shared kernel calls.
 
-    `solve_msrs` on one of the tables then finds its whole block
-    (`_search_block`) there and integrates nothing itself.
+    `plan_searches` (or `solve_msrs` without a plan) on one of the tables
+    then finds its whole block (`_search_block`) there and integrates
+    nothing itself.
     """
-    _require(tables, _search_block)
+    _require(tables, lambda t: _search_block(t, _search_order(t.v2i)))
 
 
 def build_chunk_tables(
@@ -306,17 +311,20 @@ def _left_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
-def _search_block(tables: ServiceTables) -> tuple[np.ndarray, np.ndarray]:
+def _search_order(v2i: np.ndarray) -> np.ndarray:
+    """Vehicles by descending direct amount, ties by ascending id, along the last axis."""
+    return np.argsort(-v2i, axis=-1, kind="stable")
+
+
+def _search_block(tables: ServiceTables, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of the V2V block an msrs search on `tables` reads.
 
-    The rows are every vehicle by descending direct amount, ties by
-    ascending id, as an (N, 1) column; the columns are the last `cap` of
-    them, the weakest.  Every candidate count pairs all vehicles against
-    the `cap` weakest at most: count n_av reads the block's first
-    N - n_av rows and last n_av columns.
+    The rows are every vehicle in `_search_order`, as an (N, 1) column; the
+    columns are the last `cap` of them, the weakest.  Every candidate count
+    pairs all vehicles against the `cap` weakest at most: count n_av reads
+    the block's first N - n_av rows and last n_av columns.
     """
-    rows = np.argsort(-tables.v2i, kind="stable")[:, None]
-    return rows, rows[tables.n - _aided_cap(tables.n, tables.k_dsrc):, 0]
+    return order[:, None], order[tables.n - _aided_cap(tables.n, tables.k_dsrc):]
 
 
 def _partition_total(tables: ServiceTables, pairing: dict[int, int]) -> float:
@@ -352,42 +360,97 @@ def _can_beat(bound: float, incumbent: float) -> bool:
     return not bound + 1e-9 * (1.0 + abs(bound)) <= incumbent
 
 
-def solve_msrs(tables: ServiceTables) -> Schedule:
-    """Service-integral-driven schedule: sort, select, pair, search the AV count.
+def plan_searches(tables: list[ServiceTables]) -> list[tuple[list[int], list[tuple]] | None]:
+    """The msrs search plan of each of several tables, sharing array calls among equal shapes.
 
-    For each count n_av the n_av weakest vehicles are aided and paired with
-    relays among the rest; rows that win no aided vehicle stay common vehicles.
-    The counts are solved best bound first, so the search stops at the first
-    count whose bound cannot beat the best total.  The largest total wins,
-    the smallest n_av among equal totals.  The search reads its V2V amounts
-    in one `v2v` read of its `_search_block`, which integrates nothing when
-    `require_search_blocks` has filled the block.
+    A plan is (order, counts): `order` lists the vehicles by descending
+    direct amount, ties by ascending id, and `counts` holds each aided count
+    as (bound, n_av, benefit), best bound first and the smaller count first
+    among equal bounds.  `benefit` is the two-hop block of the count's share
+    level, whose first N - n_av rows and last n_av columns are the count's
+    benefit matrix (`order`'s rows against its weakest vehicles), and
+    `bound` is the direct amounts of the N - n_av strongest vehicles plus
+    that matrix's column maxima.  The tables of one (N, k_dsrc) are planned
+    together: each table's block is read through `v2v`, which integrates
+    any pair still missing, and every other step is one array call over the
+    stacked tables.  A plan does not depend on the tables planned with it.
+    A table with no direct amounts gets None: `solve_msrs` needs no plan
+    there.
     """
-    n = tables.n
-    rows, cols = _search_block(tables)
-    order = rows[:, 0].tolist()
-    cap = len(cols)
-    block = tables.v2v(rows, cols)
-    direct = tables.v2i[rows]
-    # kept[k]: the summed direct amounts of the k strongest vehicles
-    kept = np.concatenate(([0.0], np.cumsum(direct)))
-    counts = []
-    k, share = tables.k_dsrc, 0
+    plans = [None] * len(tables)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, t in enumerate(tables):
+        if t.v2i.any():
+            groups.setdefault((t.n, t.k_dsrc), []).append(i)
+    for members in groups.values():
+        for i, plan in zip(members, _plan_group([tables[i] for i in members])):
+            plans[i] = plan
+    return plans
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new first axis; one array becomes a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _plan_group(group: list[ServiceTables]) -> list[tuple[list[int], list[tuple]]]:
+    """`plan_searches` for B tables of one fleet size and one k_dsrc, as (B, ...) arrays."""
+    n, k = group[0].n, group[0].k_dsrc
+    cap = _aided_cap(n, k)
+    v2i = _stack([t.v2i for t in group])
+    order = _search_order(v2i)
+    direct = v2i[np.arange(len(group))[:, None], order][:, :, None]
+    block = _stack([t.v2v(*_search_block(t, rows)) for t, rows in zip(group, order)])
+    # sums[i]: each table's column maxima summed over count cap - i's columns
+    sums = np.empty((cap, len(group)))
+    levels, level_of = [], []
+    share = 0
     for n_av in range(cap, 0, -1):
         if k // n_av != share:
             # the counts first..n_av share one V2V RB share and so one
             # two-hop block: the rows of count first, the columns of n_av
             share = k // n_av
             first = k // (share + 1) + 1
-            w = tables.two_hop(block[: n - first, cap - n_av:], direct[: n - first], n_av)
+            w = group[0].two_hop(block[:, : n - first, cap - n_av:], direct[:, : n - first], n_av)
+            levels.append(w)
             # column maxima bound the matching
-            peak = w[: n - n_av].max(axis=0)
+            peak = np.maximum.reduce(w[:, : n - n_av], axis=1)
         else:
             # one more row for each smaller count of the level
-            np.maximum(peak, w[n - n_av - 1], out=peak)
-        counts.append((kept[n - n_av] + peak[-n_av:].sum(), n_av, w))
-    counts.sort(key=lambda c: (-c[0], c[1]))
+            np.maximum(peak, w[:, n - n_av - 1], out=peak)
+        np.add.reduce(peak[:, -n_av:], axis=1, out=sums[cap - n_av])
+        level_of.append(len(levels) - 1)
+    # count n_av's bound adds the direct amounts of the N - n_av strongest
+    # vehicles, the running sum's entry N - n_av - 1
+    bounds = np.cumsum(direct[:, :, 0], axis=1)[:, n - cap - 1:n - 1] + sums.T
+    plans = []
+    for t, (rows, row_bounds) in enumerate(zip(order.tolist(), bounds.tolist())):
+        mine = [w[t] for w in levels]
+        counts = [(bound, cap - i, mine[level])
+                  for i, (bound, level) in enumerate(zip(row_bounds, level_of))]
+        counts.sort(key=lambda count: (-count[0], count[1]))
+        plans.append((rows, counts))
+    return plans
+
+
+def solve_msrs(tables: ServiceTables, plan: tuple | None = None) -> Schedule:
+    """Service-integral-driven schedule: sort, select, pair, search the AV count.
+
+    For each count n_av the n_av weakest vehicles are aided and paired with
+    relays among the rest; rows that win no aided vehicle stay common vehicles.
+    The counts are solved best bound first, so the search stops at the first
+    count whose bound cannot beat the best total.  The largest total wins,
+    the smallest n_av among equal totals.  `plan` is the tables' entry of
+    `plan_searches`; without one the search plans `[tables]` itself.  When
+    every direct amount is 0 no total can beat the all-direct 0, and ties
+    keep the smaller count, so the search returns the all-direct schedule
+    without planning or solving.
+    """
     best = Schedule({}, _partition_total(tables, {}))
+    if not tables.v2i.any():
+        return best
+    order, counts = _plan_group([tables])[0] if plan is None else plan
+    n = tables.n
     for bound, n_av, w in counts:
         # the incumbent only rises and the bounds only fall, so no later count
         # can win either
@@ -402,15 +465,16 @@ def solve_msrs(tables: ServiceTables) -> Schedule:
     return best
 
 
-def solve_irrs(tables: ServiceTables, rates: ServiceTables) -> Schedule:
+def solve_irrs(tables: ServiceTables, rates: ServiceTables, plan: tuple | None = None) -> Schedule:
     """Rate-driven schedule: decisions use the period-start `rates`, scoring uses `tables`.
 
     The pipeline is identical to `solve_msrs` but every decision quantity is
     the instantaneous rate at the period start (the service tables of
-    `Scenario.held_still()`).  The chosen pairing is then scored with the
-    mobile-service tables so totals are comparable across policies.
+    `Scenario.held_still()`); `plan` is the plan of `rates`, if any.  The
+    chosen pairing is then scored with the mobile-service tables so totals
+    are comparable across policies.
     """
-    pairing = solve_msrs(rates).pairing
+    pairing = solve_msrs(rates, plan).pairing
     return Schedule(pairing, _partition_total(tables, pairing))
 
 

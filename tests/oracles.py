@@ -12,6 +12,8 @@ something the package computes faster, kept here as an oracle.
   (`db_rate`), not through the package's `unit_rate`, so they check it
   rather than repeat it.
 * `brute_force_assignment`: the assignment optimum by enumeration.
+* `search_plan`: one table's msrs search plan, bounded on its own, as the
+  search did before plans were computed for many tables at once.
 * `pairs_respect_direct_order` and `aided_are_weakest`: structural
   predicates on schedules.
 """
@@ -159,6 +161,38 @@ def brute_force_assignment(w: BenefitMatrix, cap: int = _BRUTE_FORCE_CAP) -> Ass
             best = s
             best_perm = perm
     return Assignment(dict(enumerate(best_perm)), best)
+
+
+# --- one table's search plan -----------------------------------------------
+
+
+def search_plan(tables) -> tuple[list[int], list[tuple]]:
+    """`plan_searches([tables])[0]`, computed for this one table with 1-D and 2-D arrays.
+
+    The vehicles by descending direct amount (ties by id), and every aided
+    count as (bound, n_av, share-level block), best bound first.  The
+    counts of one V2V RB share take their two-hop amounts from one block,
+    whose column maxima grow one row per smaller count.
+    """
+    n, k = tables.n, tables.k_dsrc
+    rows = np.argsort(-tables.v2i, kind="stable")[:, None]
+    cap = min(n // 2, k)
+    block = tables.v2v(rows, rows[n - cap:, 0])
+    direct = tables.v2i[rows]
+    kept = np.concatenate(([0.0], np.cumsum(direct)))
+    counts = []
+    share = 0
+    for n_av in range(cap, 0, -1):
+        if k // n_av != share:
+            share = k // n_av
+            first = k // (share + 1) + 1
+            w = tables.two_hop(block[: n - first, cap - n_av:], direct[: n - first], n_av)
+            peak = w[: n - n_av].max(axis=0)
+        else:
+            np.maximum(peak, w[n - n_av - 1], out=peak)
+        counts.append((kept[n - n_av] + peak[-n_av:].sum(), n_av, w))
+    counts.sort(key=lambda c: (-c[0], c[1]))
+    return rows[:, 0].tolist(), counts
 
 
 # --- schedule predicates ------------------------------------------------------

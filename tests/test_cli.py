@@ -4,6 +4,9 @@ import errno
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +189,19 @@ class TestRunCommand:
         # the table time stays out of the output files
         for name in ("metrics.csv", "summary.csv", "config_echo.json"):
             assert "tables" not in (out / name).read_text()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_from_the_source_tree(self, tmp_path):
+        # a checkout that was never installed runs the CLI with src/ on the path
+        out = tmp_path / "res"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-m", "relaysched", "run", "--seed", "1",
+                               "--trials", "1", "--n", "4", "--out", str(out)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config_echo.json", "metrics.csv", "summary.csv"]
 
 
 class TestSweepCommands:

@@ -284,15 +284,23 @@ class TestCmdRun:
         msrs = [r for r in rows if r.policy == "msrs"][0]
         assert msrs.total_service is not None and msrs.loss_ratio is None
 
-    def test_no_direct_rbs_noted_on_every_row(self):
-        # 30 vehicles share 10 cellular RBs: every direct share and every total is 0
+    def test_no_direct_rbs_noted_on_every_row(self, monkeypatch):
+        # 30 vehicles share 10 cellular RBs: every direct share and every
+        # total is 0, so msrs and irrs return the all-direct schedule unsolved
         cfg = config_from_doc({
             "scenario": {"n_vehicles": 30},
             "radio": {"k_lte": 10},
             "run": {"seed": 3, "trials": 2,
                     "policies": ["msrs", "irrs", "noncoop", "optimal"]},
         })
+        solves, plans = [], []
+        real_solve, real_plan = scheduler_module.solve_max_assignment, scheduler_module._plan_group
+        monkeypatch.setattr(scheduler_module, "solve_max_assignment",
+                            lambda w: solves.append(w) or real_solve(w))
+        monkeypatch.setattr(scheduler_module, "_plan_group",
+                            lambda group: plans.append(group) or real_plan(group))
         rows = cmd_run(cfg)
+        assert solves == [] and plans == []
         starved = "no direct RBs: n_vehicles=30 exceeds k_lte=10"
         assert len(rows) == 8 and all(r.note.endswith(starved) for r in rows)
         assert all(r.total_service == 0.0 for r in rows if r.policy != "optimal")
@@ -447,18 +455,23 @@ class TestChunks:
         return {(r.policy, r.seed): (hexed(r.total_service), hexed(r.loss_ratio), r.note)
                 for r in rows}
 
-    @pytest.mark.parametrize("n_vehicles,policies", [
-        (12, ALL), (40, ("msrs", "irrs", "noncoop")), (100, ("msrs", "irrs", "noncoop")),
-    ], ids=["n12-optimal", "n40", "n100"])
-    def test_trial_results_do_not_depend_on_the_chunk(self, n_vehicles, policies):
+    @pytest.mark.parametrize("sizes,policies", [
+        ((12,), ALL), ((40,), ("msrs", "irrs", "noncoop")), ((100,), ("msrs", "irrs", "noncoop")),
+        ((100, 12, 40), ALL),
+    ], ids=["n12-optimal", "n40", "n100", "mixed-n"])
+    def test_trial_results_do_not_depend_on_the_chunk(self, sizes, policies):
+        # one trial per sweep point, the fleet sizes cycling through `sizes`:
         # 3 trials are one short chunk; of 11 trials, the same first 3 seeds
         # run in a full chunk of 8.  At N=100 two search blocks share a kernel
         # call, so the third trial's blocks go alone in the short chunk and
-        # with the fourth trial's in the full one
-        cfg = ExperimentConfig(seed=5, trials=3, n_vehicles=n_vehicles, policies=policies)
-        short = self.results(cmd_run(cfg))
-        full = self.results(cmd_run(ExperimentConfig(seed=5, trials=11, n_vehicles=n_vehicles,
-                                                     policies=policies)))
+        # with the fourth trial's in the full one.  A mixed chunk plans its
+        # searches in one group per fleet size
+        def run(trials):
+            n_values = tuple(sizes[k % len(sizes)] for k in range(trials))
+            return self.results(cmd_sweep_n(ExperimentConfig(seed=5, trials=1, n_values=n_values,
+                                                             policies=policies)))
+
+        short, full = run(3), run(11)
         assert CHUNK_TRIALS == 8 and len(short) == 3 * len(policies)
         assert short == {key: full[key] for key in short}
 

@@ -18,6 +18,7 @@ from oracles import (
     rate_v2i,
     rate_v2v,
     scenario_of,
+    search_plan,
 )
 
 import relaysched.assignment as assignment_module
@@ -31,6 +32,7 @@ from relaysched.scheduler import (
     Schedule,
     ServiceTables,
     build_chunk_tables,
+    plan_searches,
     require_every_pair,
     require_search_blocks,
     solve_irrs,
@@ -495,13 +497,11 @@ class TestMsrs:
         assert pairs_respect_direct_order(opt, tables.v2i)
 
     def test_aided_count_capped_at_k_dsrc(self, monkeypatch):
-        # more vehicles than cellular RBs: every direct amount is 0, so no
-        # partition beats all-direct and the prune never fires; past k_dsrc
-        # aided vehicles the V2V share is 0 too, so those counts are not tried
-        cfg = default_radio_config(k_lte=10, k_dsrc=3)
+        # past k_dsrc aided vehicles the V2V share is 0 too, so those counts
+        # are neither planned nor solved
+        cfg = default_radio_config(k_dsrc=3)
         sc = generate(ScenarioSpec(n_vehicles=30, seed=4))
         tables = build_chunk_tables([sc], cfg)[0]
-        assert not tables.v2i.any()
         real_solve = scheduler_module.solve_max_assignment
         solves = []
 
@@ -510,10 +510,31 @@ class TestMsrs:
             return real_solve(w)
 
         monkeypatch.setattr(scheduler_module, "solve_max_assignment", counting)
+        _, counts = plan_searches([tables])[0]
+        assert sorted(n_av for _, n_av, _ in counts) == [1, 2, 3]
         sched = solve_msrs(tables)
-        assert 0 < len(solves) <= cfg.k_dsrc
-        assert sched.n_av == 0 and sched.pairing == {}
-        assert sched.total_service == 0.0
+        assert solves and set(solves) <= {1, 2, 3}
+        assert 0 < sched.n_av <= cfg.k_dsrc
+
+    def test_no_direct_amounts_plan_and_solve_nothing(self, monkeypatch):
+        # more vehicles than cellular RBs: every direct amount is 0, so no
+        # total beats the all-direct 0 and ties keep the smaller count
+        cfg = default_radio_config(k_lte=10, k_dsrc=3)
+        sc = generate(ScenarioSpec(n_vehicles=30, seed=4))
+        tables = build_chunk_tables([sc], cfg)[0]
+        rates = build_chunk_tables([sc.held_still()], cfg)[0]
+        assert not tables.v2i.any() and not rates.v2i.any()
+
+        def refuse(*args):
+            raise AssertionError("planned or solved a search with no direct amounts")
+
+        monkeypatch.setattr(scheduler_module, "solve_max_assignment", refuse)
+        monkeypatch.setattr(scheduler_module, "_plan_group", refuse)
+        assert plan_searches([tables, rates]) == [None, None]
+        for sched in (solve_msrs(tables), solve_irrs(tables, rates)):
+            assert sched == Schedule({}, 0.0)
+        # the search blocks stay unread
+        assert np.isnan(tables.v2v_unit).sum() == 30 * 29
 
 
 class TestAssignmentSolves:
@@ -562,22 +583,30 @@ class TestAssignmentSolves:
     def test_one_two_hop_block_per_share_level(self, monkeypatch, cfg):
         # N=100, k_dsrc=25: the 25 counts fall into 9 V2V share levels
         # (25 // n_av = 1, 2, 3, 4, 5, 6, 8, 12, 25), and each level takes
-        # its two-hop amounts once, over the rows of its smallest count and
-        # the columns of its largest; scoring a pairing reads 1-D pairs
+        # its two-hop amounts once for all the tables planned together, over
+        # the rows of its smallest count and the columns of its largest;
+        # scoring a pairing reads 1-D pairs
         real = ServiceTables.two_hop
         blocks = []
 
         def counting(self, unit, direct, n_av):
-            if np.ndim(unit) == 2:
+            if np.ndim(unit) > 1:
                 blocks.append((n_av, np.shape(unit)))
             return real(self, unit, direct, n_av)
 
         monkeypatch.setattr(ServiceTables, "two_hop", counting)
-        sc = generate(ScenarioSpec(n_vehicles=100, seed=7))
-        solve_msrs(build_chunk_tables([sc], cfg)[0])
+        scenarios = [generate(ScenarioSpec(n_vehicles=100, seed=seed)) for seed in (7, 8)]
+        tables = build_chunk_tables(scenarios, cfg)
         last = [25, 12, 8, 6, 5, 4, 3, 2, 1]
         first = [13, 9, 7, 6, 5, 4, 3, 2, 1]
-        assert blocks == [(m, (100 - f, m)) for m, f in zip(last, first)]
+        for planned in ([tables[0]], tables):
+            blocks.clear()
+            plan_searches(planned)
+            assert blocks == [(m, (len(planned), 100 - f, m)) for m, f in zip(last, first)]
+        # a search without a plan plans its own table alone
+        blocks.clear()
+        solve_msrs(tables[0])
+        assert blocks == [(m, (1, 100 - f, m)) for m, f in zip(last, first)]
 
 
 def ascending_partition(tables, solved):
@@ -638,6 +667,9 @@ def per_count_partition(tables, solved):
     n = tables.n
     order, counts = per_count_bounds(tables)
     best = Schedule({}, _partition_total(tables, {}))
+    if not tables.v2i.any():
+        # no total beats the all-direct 0, and ties keep the smaller count
+        return best
     for bound, n_av, w in counts:
         if bound + 1e-9 * (1.0 + abs(bound)) <= best.total_service:
             break
@@ -752,6 +784,36 @@ class TestBestFirstSearch:
         reference_solved = []
         assert ascending_partition(tables, reference_solved) == got
         assert reference_solved == [1, 2]
+
+
+class TestSearchPlans:
+    def test_mixed_tables_plan_as_each_alone(self):
+        # fleets of 0 to 200 vehicles at four k_dsrc, service and held-still
+        # tables shuffled into one call: each (N, k_dsrc) group of 4 tables
+        # is planned in shared array calls, and each plan carries the bits
+        # of its table planned alone.  A fleet of 0 has no direct amounts,
+        # so no plan
+        tables = []
+        for k_dsrc in (1, 7, 25, 200):
+            cfg = default_radio_config(k_dsrc=k_dsrc)
+            for n in (0, 1, 2, 3, 12, 20, 100, 200):
+                scenarios = [generate(ScenarioSpec(n_vehicles=n, seed=n * k_dsrc + s)) for s in (1, 2)]
+                tables += build_chunk_tables(scenarios, cfg)
+                tables += build_chunk_tables([sc.held_still() for sc in scenarios], cfg)
+        mixed = [tables[i] for i in np.random.default_rng(0).permutation(len(tables))]
+        plans = plan_searches(mixed)
+        assert len(plans) == len(mixed) == 128
+        assert [t.n for t, plan in zip(mixed, plans) if plan is None] == [0] * 16
+        for t, plan in zip(mixed, plans):
+            if plan is None:
+                continue
+            order, counts = plan
+            want_order, want = search_plan(t)
+            assert order == want_order
+            assert ([(float(b).hex(), n_av) for b, n_av, _ in counts]
+                    == [(float(b).hex(), n_av) for b, n_av, _ in want])
+            for (_, _, a), (_, _, b) in zip(counts, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestIrrs:
