@@ -189,12 +189,6 @@ def _canonical_match(w: np.ndarray) -> np.ndarray:
     n_rows, n_cols = w.shape
     if n_cols == 0:
         return np.zeros(0, dtype=int)
-    if np.all(w == w.flat[0]):
-        # every matching is optimal; largest rows first, per ascending column.
-        # The general path returns the same rows, but at N > k_lte every
-        # benefit is 0 and msrs solves an all-zero matrix at every count,
-        # where it would cost 0.5 to 1 ms per 275 x 25 matrix.
-        return np.arange(n_rows - 1, n_rows - 1 - n_cols, -1)
     peak = float(w.max())
     cost = peak - w
     match, u, v = _rect_min_assign(cost)

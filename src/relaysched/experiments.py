@@ -41,7 +41,6 @@ from .scheduler import (
     build_chunk_tables,
     plan_searches,
     require_every_pair,
-    require_search_blocks,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,
@@ -268,20 +267,18 @@ def _run_chunk(args) -> list[MetricsRow]:
     """Consecutive trials, each (seed, n_vehicles, speed_range), sharing kernel and array calls.
 
     Module-level so worker pools can pickle it.  After the chunk's scenarios,
-    one `build_chunk_tables` call integrates every direct link of the chunk.
-    Only when irrs is requested does a second one build its rate tables (the
-    fleets held still), and `require_search_blocks` integrates their irrs
-    search blocks.  Only when `optimal` is does `require_every_pair`
-    integrate every V2V pair of the trials within the oracle cap, and only
-    when msrs is does `require_search_blocks` integrate the msrs search
-    blocks of the other trials.  These fills share kernel calls of at most
-    about 5000 links, so the searches integrate nothing themselves; irrs's
-    score may still integrate pairs of its pairing outside the msrs block.
-    Last, one `plan_searches` call plans every search the trials will run:
-    msrs's on the service tables and irrs's on the rate tables.  Each
-    trial's `tables_ms` is an equal share of these builds and plans.  A
-    link's value does not depend on its batch, nor a plan on the tables
-    planned with it, so neither do rows.
+    one `build_chunk_tables` call integrates every direct link of the chunk,
+    and only when irrs is requested does a second one build its rate tables
+    (the fleets held still).  Only when `optimal` is requested does
+    `require_every_pair` integrate every V2V pair of the trials within the
+    oracle cap.  Last, one `plan_searches` call integrates and plans every
+    search the trials will run: msrs's on the service tables, when msrs is
+    requested, and irrs's on the rate tables.  These fills share kernel
+    calls of at most about 5000 links, so the searches integrate nothing
+    themselves; irrs's score may still integrate pairs of its pairing
+    outside the msrs block.  Each trial's `tables_ms` is an equal share of
+    these builds and plans.  A link's value does not depend on its batch,
+    nor a plan on the tables planned with it, so neither do rows.
     """
     config, trials = args
     specs = [config.scenario_spec(*trial) for trial in trials]
@@ -291,33 +288,24 @@ def _run_chunk(args) -> list[MetricsRow]:
     rates = []
     if "irrs" in config.policies:
         rates = build_chunk_tables([sc.held_still() for sc in scenarios], config.radio)
-        require_search_blocks(rates)
     oracle_cap = config.oracle_cap if "optimal" in config.policies else -1
     require_every_pair([t for t in tables if t.n <= oracle_cap])
-    searched = tables if "msrs" in config.policies else []
-    if searched:
-        # the oracle's tables hold every pair already
-        require_search_blocks([t for t in tables if t.n > oracle_cap])
-    plans = plan_searches(searched + rates)
+    plan_searches((tables if "msrs" in config.policies else []) + rates)
     tables_ms = 1000.0 * (time.perf_counter() - t0) / len(trials)
-    none = [None] * len(trials)
-    return [row for trial in zip(specs, tables, rates or none, plans[:len(searched)] or none,
-                                 plans[len(searched):] or none)
+    return [row for trial in zip(specs, tables, rates or [None] * len(trials))
             for row in _run_trial(config, *trial, tables_ms)]
 
 
 def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, tables: ServiceTables,
-               rates: ServiceTables | None, plan: tuple | None, rate_plan: tuple | None,
-               tables_ms: float) -> list[MetricsRow]:
+               rates: ServiceTables | None, tables_ms: float) -> list[MetricsRow]:
     """All requested policies on one trial's tables, in the config's policy order.
 
     Each policy takes the service tables as its first positional argument,
     where `perfbench/tracing.py` reads the fleet size; irrs also decides on
-    `rates`.  msrs searches by `plan`, and irrs by `rate_plan`, the
-    trial's entries of its chunk's `plan_searches`.  A policy's timing
-    includes the V2V amounts it computes on demand, but not its plan.  The
-    notes every row shares are read after the policies, whose V2V reads can
-    add to `tables.unconverged`.
+    `rates`.  msrs and irrs search by the plans their chunk stored on the
+    tables.  A policy's timing includes the V2V amounts it computes on
+    demand, but not its plan.  The notes every row shares are read after the
+    policies, whose V2V reads can add to `tables.unconverged`.
     """
     n = tables.n
     runs, opt = [], None
@@ -325,9 +313,9 @@ def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, tables: ServiceTabl
         t0 = time.perf_counter()
         note = ""
         if policy == "msrs":
-            sched = solve_msrs(tables, plan)
+            sched = solve_msrs(tables)
         elif policy == "irrs":
-            sched = solve_irrs(tables, rates, rate_plan)
+            sched = solve_irrs(tables, rates)
         elif policy == "noncoop":
             sched = solve_noncooperative(tables)
         elif n <= config.oracle_cap:

@@ -9,9 +9,9 @@ written once, on `ServiceTables`: `direct_sum` for the vehicles that are not
 aided and `two_hop` (read through `benefit`) for the pairs.  Every policy
 searches or scores with it.  The tables have one reader of V2V amounts,
 `v2v`, which integrates a pair when a policy first reads it, unless
-`require_every_pair` (every pair) or `require_search_blocks` (each msrs
-search block) has computed it beforehand for several tables in shared
-kernel calls of at most about 5000 links.
+`require_every_pair` (every pair) or `plan_searches` (each msrs search
+block) has computed it beforehand for several tables in shared kernel
+calls of at most about 5000 links.
 Four policies are provided, each a function of a scenario's service tables
 (`build_chunk_tables`).  irrs also takes rate tables: the service tables
 of `Scenario.held_still()`, whose links are static over a 1 s period, so
@@ -39,14 +39,15 @@ each amount is the link's instantaneous rate at the period start:
 The sort-select-pair pipeline costs O(N^3 log N) in the fleet size, but the
 bound order leaves about two assignment solves per search on fleets of
 20 to 200 vehicles.  A search reads one N x min(N/2, k_dsrc) block of V2V
-amounts (`_search_block`: 2175 distinct links at N=100), which the runner
-integrates for a whole chunk of trials before they run.  `plan_searches`
-then computes each search's plan: the vehicle order, the bound of every
-aided count and the benefit matrices, in array calls shared by the tables
-of one fleet size and k_dsrc.  The counts that share one V2V RB share (9
-levels at k_dsrc = 25) share one two-hop block cut from the stacked
-blocks, whose column maxima grow one row per count, and every count's
-benefit matrix is a view of its level's block.  The
+amounts (`_search_block`: 2175 distinct links at N=100) and searches by its
+table's plan: the vehicle order, the bound of every aided count and the
+benefit matrices.  `plan_searches` integrates the blocks of a whole chunk
+of trials in shared kernel calls, then plans them in array calls shared by
+the tables of one fleet size and k_dsrc, and stores each plan on its table;
+a search on a table without one plans it alone.  The counts that share one
+V2V RB share (9 levels at k_dsrc = 25) share one two-hop block cut from the
+stacked blocks, whose column maxima grow one row per count, and every
+count's benefit matrix is a view of its level's block.  The
 oracle visits every aided set of each count its count bound keeps: with
 default radios usually only the 12 sets of n_av = 1 at N=12, but up to
 2 509 sets, a number that about doubles with every vehicle (hence the cap).
@@ -125,13 +126,14 @@ class ServiceTables:
     V2V pairs are integrated on first read: `v2v_unit` holds NaN for a pair
     nobody has read yet (the diagonal holds 0), and `v2v` computes the
     missing entries among the pairs it reads, stores them on both sides and
-    returns them; `require_every_pair` and `require_search_blocks` compute
-    them ahead of the reads for several tables at once.  `link` holds the
+    returns them; `require_every_pair` and `plan_searches` compute them
+    ahead of the reads for several tables at once.  `link` holds the
     V2V arguments of `unit_service_batch` after the motion rows; each pair's
     row is the difference of two rows of `motion`, the scenario's vehicle
     rows.  Without it the table is dense.
     `unconverged` counts this table's computed links whose quadrature hit
-    its refinement cap.
+    its refinement cap.  `plan` is the table's msrs search plan, once
+    `plan_searches` or a search has made it.
     """
 
     v2i: np.ndarray
@@ -140,6 +142,7 @@ class ServiceTables:
     motion: np.ndarray | None = field(default=None, repr=False, compare=False)
     link: tuple | None = field(default=None, repr=False, compare=False)
     unconverged: int = 0
+    plan: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -195,11 +198,11 @@ def _fill(requests) -> None:
     """Compute the missing V2V entries of several tables in shared kernel calls.
 
     Each request is (table, rows, cols, missing): broadcastable index arrays
-    of pairs and the mask of those whose entries are NaN.  The tables share
-    one `link`.  Each table's missing pairs are stacked in ascending (i, j)
-    order, i < j, after the previous table's.  A call takes the next tables
-    while its links stay within `_CALL_LINKS`.  `requests` may be an
-    iterator; a table with nothing missing adds no link.
+    of pairs and the mask of those whose entries are NaN.  Each table's
+    missing pairs are stacked in ascending (i, j) order, i < j, after the
+    previous table's.  A call takes the next tables while they share its
+    table's `link` and its links stay within `_CALL_LINKS`.  `requests` may
+    be an iterator; a table with nothing missing adds no link.
     """
     call, links = [], 0
     for t, rows, cols, missing in requests:
@@ -209,12 +212,14 @@ def _fill(requests) -> None:
         mark = np.zeros(n * n, dtype=bool)
         mark[(np.minimum(rows, cols) * n + np.maximum(rows, cols))[missing]] = True
         keys = np.flatnonzero(mark)
-        if links and links + len(keys) > _CALL_LINKS:
+        if not len(keys):
+            continue
+        if call and (t.link != call[0][0].link or links + len(keys) > _CALL_LINKS):
             _integrate(call)
             call, links = [], 0
         call.append((t, keys))
         links += len(keys)
-    if links:
+    if call:
         _integrate(call)
 
 
@@ -241,32 +246,18 @@ def _require(tables: list[ServiceTables], pairs) -> None:
     """Compute the missing V2V entries among the pairs `pairs(t)` of each table, in shared calls.
 
     `pairs(t)` gives broadcastable (rows, cols) index arrays.  The tables
-    must share one `link`, as the tables of one `build_chunk_tables` call
-    do; when nothing is missing no kernel call is made.  A link's value does
-    not depend on its batch, so a table holds the same amounts as its own
-    reads would give.
+    share calls as `_fill` packs them, in the order given; when nothing is
+    missing no kernel call is made.  A link's value does not depend on its
+    batch, so a table holds the same amounts as its own reads would give.
     """
-    tables = [t for t in tables if t.link is not None]
-    if any(t.link != tables[0].link for t in tables):
-        raise ValueError("tables filled together must share one V2V link")
     # one table's request at a time, so only the pending call's pairs are held
     _fill((t, rows, cols, np.isnan(t.v2v_unit[rows, cols]))
-          for t in tables for rows, cols in [pairs(t)])
+          for t in tables if t.link is not None for rows, cols in [pairs(t)])
 
 
 def require_every_pair(tables: list[ServiceTables]) -> None:
     """Compute every unknown V2V entry of several tables in shared kernel calls."""
     _require(tables, lambda t: (np.arange(t.n)[:, None], np.arange(t.n)))
-
-
-def require_search_blocks(tables: list[ServiceTables]) -> None:
-    """Compute the unknown entries of several tables' msrs search blocks in shared kernel calls.
-
-    `plan_searches` (or `solve_msrs` without a plan) on one of the tables
-    then finds its whole block (`_search_block`) there and integrates
-    nothing itself.
-    """
-    _require(tables, lambda t: _search_block(t, _search_order(t.v2i)))
 
 
 def build_chunk_tables(
@@ -276,8 +267,8 @@ def build_chunk_tables(
 
     Every direct link of every scenario is integrated now, in one
     `unit_service_batch` call; V2V pairs wait for a read, or for
-    `require_every_pair` or `require_search_blocks` over any of the returned
-    tables, which share one `link`.  A link's value does not depend on its
+    `require_every_pair` or `plan_searches` over any of the returned tables,
+    which share one `link`.  A link's value does not depend on its
     batch, so each table is the one its scenario would get alone.
     """
     if not scenarios:
@@ -360,8 +351,8 @@ def _can_beat(bound: float, incumbent: float) -> bool:
     return not bound + 1e-9 * (1.0 + abs(bound)) <= incumbent
 
 
-def plan_searches(tables: list[ServiceTables]) -> list[tuple[list[int], list[tuple]] | None]:
-    """The msrs search plan of each of several tables, sharing array calls among equal shapes.
+def plan_searches(tables: list[ServiceTables]) -> None:
+    """Plan the msrs search of each of several tables, in shared kernel and array calls.
 
     A plan is (order, counts): `order` lists the vehicles by descending
     direct amount, ties by ascending id, and `counts` holds each aided count
@@ -370,22 +361,22 @@ def plan_searches(tables: list[ServiceTables]) -> list[tuple[list[int], list[tup
     level, whose first N - n_av rows and last n_av columns are the count's
     benefit matrix (`order`'s rows against its weakest vehicles), and
     `bound` is the direct amounts of the N - n_av strongest vehicles plus
-    that matrix's column maxima.  The tables of one (N, k_dsrc) are planned
-    together: each table's block is read through `v2v`, which integrates
-    any pair still missing, and every other step is one array call over the
-    stacked tables.  A plan does not depend on the tables planned with it.
-    A table with no direct amounts gets None: `solve_msrs` needs no plan
-    there.
+    that matrix's column maxima.  The missing entries of every table's
+    search block (`_search_block`) are integrated first, in shared kernel
+    calls in the order the tables are given.  Then the tables of one
+    (N, k_dsrc) are planned together, each step one array call over the
+    stacked tables, and each plan is stored on its table as `plan`.  A plan
+    does not depend on the tables planned with it.  A table with no direct
+    amounts is neither filled nor planned: `solve_msrs` needs no plan there.
     """
-    plans = [None] * len(tables)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, t in enumerate(tables):
-        if t.v2i.any():
-            groups.setdefault((t.n, t.k_dsrc), []).append(i)
-    for members in groups.values():
-        for i, plan in zip(members, _plan_group([tables[i] for i in members])):
-            plans[i] = plan
-    return plans
+    planned = [t for t in tables if t.v2i.any()]
+    _require(planned, lambda t: _search_block(t, _search_order(t.v2i)))
+    groups: dict[tuple[int, int], list[ServiceTables]] = {}
+    for t in planned:
+        groups.setdefault((t.n, t.k_dsrc), []).append(t)
+    for group in groups.values():
+        for t, plan in zip(group, _plan_group(group)):
+            t.plan = plan
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -394,7 +385,7 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _plan_group(group: list[ServiceTables]) -> list[tuple[list[int], list[tuple]]]:
-    """`plan_searches` for B tables of one fleet size and one k_dsrc, as (B, ...) arrays."""
+    """The plans of B tables of one fleet size and one k_dsrc, from (B, ...) arrays."""
     n, k = group[0].n, group[0].k_dsrc
     cap = _aided_cap(n, k)
     v2i = _stack([t.v2i for t in group])
@@ -433,23 +424,25 @@ def _plan_group(group: list[ServiceTables]) -> list[tuple[list[int], list[tuple]
     return plans
 
 
-def solve_msrs(tables: ServiceTables, plan: tuple | None = None) -> Schedule:
+def solve_msrs(tables: ServiceTables) -> Schedule:
     """Service-integral-driven schedule: sort, select, pair, search the AV count.
 
     For each count n_av the n_av weakest vehicles are aided and paired with
     relays among the rest; rows that win no aided vehicle stay common vehicles.
     The counts are solved best bound first, so the search stops at the first
     count whose bound cannot beat the best total.  The largest total wins,
-    the smallest n_av among equal totals.  `plan` is the tables' entry of
-    `plan_searches`; without one the search plans `[tables]` itself.  When
-    every direct amount is 0 no total can beat the all-direct 0, and ties
-    keep the smaller count, so the search returns the all-direct schedule
-    without planning or solving.
+    the smallest n_av among equal totals.  The search follows `tables.plan`,
+    which `plan_searches([tables])` makes first if the tables have none.
+    When every direct amount is 0 no total can beat the all-direct 0, and
+    ties keep the smaller count, so the search returns the all-direct
+    schedule without planning or solving.
     """
     best = Schedule({}, _partition_total(tables, {}))
     if not tables.v2i.any():
         return best
-    order, counts = _plan_group([tables])[0] if plan is None else plan
+    if tables.plan is None:
+        plan_searches([tables])
+    order, counts = tables.plan
     n = tables.n
     for bound, n_av, w in counts:
         # the incumbent only rises and the bounds only fall, so no later count
@@ -465,16 +458,16 @@ def solve_msrs(tables: ServiceTables, plan: tuple | None = None) -> Schedule:
     return best
 
 
-def solve_irrs(tables: ServiceTables, rates: ServiceTables, plan: tuple | None = None) -> Schedule:
+def solve_irrs(tables: ServiceTables, rates: ServiceTables) -> Schedule:
     """Rate-driven schedule: decisions use the period-start `rates`, scoring uses `tables`.
 
     The pipeline is identical to `solve_msrs` but every decision quantity is
     the instantaneous rate at the period start (the service tables of
-    `Scenario.held_still()`); `plan` is the plan of `rates`, if any.  The
-    chosen pairing is then scored with the mobile-service tables so totals
-    are comparable across policies.
+    `Scenario.held_still()`, searched by their own plan).  The chosen
+    pairing is then scored with the mobile-service tables so totals are
+    comparable across policies.
     """
-    pairing = solve_msrs(rates, plan).pairing
+    pairing = solve_msrs(rates).pairing
     return Schedule(pairing, _partition_total(tables, pairing))
 
 

@@ -167,7 +167,7 @@ def brute_force_assignment(w: BenefitMatrix, cap: int = _BRUTE_FORCE_CAP) -> Ass
 
 
 def search_plan(tables) -> tuple[list[int], list[tuple]]:
-    """`plan_searches([tables])[0]`, computed for this one table with 1-D and 2-D arrays.
+    """The `plan` that `plan_searches([tables])` stores, computed alone with 1-D and 2-D arrays.
 
     The vehicles by descending direct amount (ties by id), and every aided
     count as (bound, n_av, share-level block), best bound first.  The

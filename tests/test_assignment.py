@@ -190,6 +190,15 @@ class TestInvariants:
             assert got.total == best
             assert tuple(got.match[c] for c in range(cols)) == expected
 
+    @pytest.mark.parametrize("rows,cols,value", [
+        (1, 1, 1.0), (3, 2, 1.0), (4, 4, 1.0), (6, 3, 2.5), (275, 25, 0.0),
+    ], ids=["1x1", "3x2", "4x4", "6x3-2.5", "275x25-zero"])
+    def test_constant_matrix_takes_the_largest_rows(self, rows, cols, value):
+        # every matching of a constant matrix is optimal: column 0 takes the
+        # last row, column 1 the one before, and so on
+        w = np.full((rows, cols), value)
+        assert np.array_equal(_canonical_match(w), np.arange(rows - 1, rows - 1 - cols, -1))
+
 
 # --- reference tie-break: re-solve the remaining assignment per candidate row ---
 

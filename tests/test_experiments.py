@@ -569,6 +569,31 @@ class TestChunks:
         if "optimal" in policies:
             assert calls == []
 
+    @pytest.mark.parametrize("config,command", [
+        (ExperimentConfig(seed=4, trials=3, n_values=(0, 10, 14), policies=ALL), cmd_sweep_n),
+        (ExperimentConfig(seed=3, trials=9, n_vehicles=100), cmd_run),
+        (ExperimentConfig(seed=3, trials=2, n_vehicles=40, policies=("irrs", "noncoop")), cmd_run),
+    ], ids=["mixed-n-optimal", "n100", "irrs-only"])
+    def test_no_policy_plans_a_search(self, monkeypatch, config, command):
+        # each chunk's `plan_searches` plans every search its trials run and
+        # stores the plans on the tables, so no policy plans one itself
+        real_group, real_plan = scheduler_module._plan_group, experiments_module.plan_searches
+        planning, groups = [False], []
+
+        def chunk_plans(tables):
+            planning[0] = True
+            try:
+                real_plan(tables)
+            finally:
+                planning[0] = False
+
+        monkeypatch.setattr(scheduler_module, "_plan_group",
+                            lambda group: groups.append(planning[0]) or real_group(group))
+        monkeypatch.setattr(experiments_module, "plan_searches", chunk_plans)
+        rows = command(config)
+        assert groups and all(groups)
+        assert all(r.total_service is not None for r in rows if r.policy != "optimal")
+
     @pytest.mark.parametrize("policies", [("msrs", "noncoop"), ("optimal", "noncoop", "msrs")])
     def test_rate_tables_only_for_irrs(self, monkeypatch, policies):
         real = scheduler_module.unit_service_batch

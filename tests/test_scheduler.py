@@ -34,7 +34,6 @@ from relaysched.scheduler import (
     build_chunk_tables,
     plan_searches,
     require_every_pair,
-    require_search_blocks,
     solve_irrs,
     solve_msrs,
     solve_noncooperative,
@@ -291,16 +290,36 @@ class TestDemandDrivenTables:
             assert calls[-1] == 16
             for tables, got in zip(chunk, apart):
                 assert got.v2v_unit.tobytes() == tables.v2v_unit.tobytes()
-            # tables of another period, radio or quadrature do not
-            for other in (build_chunk_tables([generate(ScenarioSpec(5, seed=1, period_duration=4.0))],
-                                             cfg)[0],
-                          build_chunk_tables(scs[:1], default_radio_config(p_vn_per_rb_dbm=23.0))[0],
-                          build_chunk_tables(scs[:1], cfg, QuadratureSpec(max_refinements=3))[0]):
-                with pytest.raises(ValueError, match="share one V2V link"):
-                    require_every_pair([chunk[0], other])
             with pytest.raises(ValueError, match="share one period"):
                 build_chunk_tables([scs[0], generate(ScenarioSpec(3, seed=4, period_duration=4.0))],
                                    cfg)
+
+    @pytest.mark.parametrize("fill,pairs", [(require_every_pair, (10, 6)), (plan_searches, (7, 5))],
+                             ids=["every-pair", "search-blocks"])
+    def test_tables_of_other_links_fill_in_separate_calls(self, cfg, links, fill, pairs):
+        # fleets of 5 and 4 (10 and 6 pairs; search blocks of 2 x 3 + 1 and
+        # 2 x 2 + 1): a table of another period, radio or quadrature starts a
+        # new kernel call, and so does the first table's link when it comes
+        # back.  Each table holds the bits it gets alone
+        five, four = (generate(ScenarioSpec(n_vehicles=n, seed=s)) for n, s in ((5, 1), (4, 3)))
+
+        def tables():
+            return [build_chunk_tables([five], cfg)[0], build_chunk_tables([four], cfg)[0],
+                    build_chunk_tables([generate(ScenarioSpec(5, seed=1, period_duration=4.0))],
+                                       cfg)[0],
+                    build_chunk_tables([five], default_radio_config(p_vn_per_rb_dbm=23.0))[0],
+                    build_chunk_tables([five], cfg, QuadratureSpec(max_refinements=3))[0],
+                    build_chunk_tables([four], cfg)[0]]
+
+        together = tables()
+        del links[:]
+        fill(together)
+        assert links == [sum(pairs)] + [pairs[0]] * 3 + [pairs[1]]
+        for got, alone in zip(together, tables()):
+            fill([alone])
+            assert got.v2v_unit.tobytes() == alone.v2v_unit.tobytes()
+            assert got.unconverged == alone.unconverged
+            assert solve_msrs(got) == solve_msrs(alone)
 
     def test_fill_calls_keep_to_the_link_budget(self, cfg, links, monkeypatch):
         # search blocks of 2175 links at N=100, 51 at N=12, 4675 at N=200 and
@@ -310,7 +329,7 @@ class TestDemandDrivenTables:
         sizes = (100, 100, 100, 12, 200, 40)
         fleets = [generate(ScenarioSpec(n_vehicles=n, seed=s)) for s, n in enumerate(sizes)]
         tables = build_chunk_tables(fleets, cfg)
-        require_search_blocks(tables)
+        plan_searches(tables)
         assert scheduler_module._CALL_LINKS == 5000
         assert links == [sum(sizes), 2 * 2175, 2175 + 51, 4675, 590]
         for sc, filled in zip(fleets, tables):
@@ -510,7 +529,8 @@ class TestMsrs:
             return real_solve(w)
 
         monkeypatch.setattr(scheduler_module, "solve_max_assignment", counting)
-        _, counts = plan_searches([tables])[0]
+        plan_searches([tables])
+        _, counts = tables.plan
         assert sorted(n_av for _, n_av, _ in counts) == [1, 2, 3]
         sched = solve_msrs(tables)
         assert solves and set(solves) <= {1, 2, 3}
@@ -530,7 +550,8 @@ class TestMsrs:
 
         monkeypatch.setattr(scheduler_module, "solve_max_assignment", refuse)
         monkeypatch.setattr(scheduler_module, "_plan_group", refuse)
-        assert plan_searches([tables, rates]) == [None, None]
+        plan_searches([tables, rates])
+        assert tables.plan is None and rates.plan is None
         for sched in (solve_msrs(tables), solve_irrs(tables, rates)):
             assert sched == Schedule({}, 0.0)
         # the search blocks stay unread
@@ -567,7 +588,7 @@ class TestAssignmentSolves:
         needing_solve = []
 
         def counting_solve(w):
-            if w.cols and not np.all(w.values == w.values.flat[0]):
+            if w.cols:
                 needing_solve.append(w.values.shape)
             return real_solve(w)
 
@@ -603,9 +624,9 @@ class TestAssignmentSolves:
             blocks.clear()
             plan_searches(planned)
             assert blocks == [(m, (len(planned), 100 - f, m)) for m, f in zip(last, first)]
-        # a search without a plan plans its own table alone
+        # a search on a table without a plan plans it alone
         blocks.clear()
-        solve_msrs(tables[0])
+        solve_msrs(build_chunk_tables(scenarios[:1], cfg)[0])
         assert blocks == [(m, (1, 100 - f, m)) for m, f in zip(last, first)]
 
 
@@ -801,7 +822,8 @@ class TestSearchPlans:
                 tables += build_chunk_tables(scenarios, cfg)
                 tables += build_chunk_tables([sc.held_still() for sc in scenarios], cfg)
         mixed = [tables[i] for i in np.random.default_rng(0).permutation(len(tables))]
-        plans = plan_searches(mixed)
+        plan_searches(mixed)
+        plans = [t.plan for t in mixed]
         assert len(plans) == len(mixed) == 128
         assert [t.n for t, plan in zip(mixed, plans) if plan is None] == [0] * 16
         for t, plan in zip(mixed, plans):
@@ -814,6 +836,28 @@ class TestSearchPlans:
                     == [(float(b).hex(), n_av) for b, n_av, _ in want])
             for (_, _, a), (_, _, b) in zip(counts, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_unplanned_table_is_planned_once(self, cfg, monkeypatch):
+        # the first search on a table without a plan plans it and stores the
+        # plan; the next search reuses it and returns an equal schedule.
+        # irrs plans its rate tables alone, never the service tables
+        real = scheduler_module._plan_group
+        planned = []
+        monkeypatch.setattr(scheduler_module, "_plan_group",
+                            lambda group: planned.append(group) or real(group))
+        sc = generate(ScenarioSpec(n_vehicles=40, seed=3))
+        tables = build_chunk_tables([sc], cfg)[0]
+        rates = build_chunk_tables([sc.held_still()], cfg)[0]
+        for solve, args, searched in ((solve_msrs, (tables,), tables),
+                                      (solve_irrs, (tables, rates), rates)):
+            planned.clear()
+            assert searched.plan is None
+            first = solve(*args)
+            plan = searched.plan
+            assert plan is not None
+            assert len(planned) == 1 and len(planned[0]) == 1 and planned[0][0] is searched
+            assert solve(*args) == first
+            assert len(planned) == 1 and searched.plan is plan
 
 
 class TestIrrs:
