@@ -6,13 +6,16 @@
 
 Defaults come from the built-in config; a JSON config file (--config) overrides
 them and explicit flags override the file.  Exit code 0 on success, 1 when a
-run cannot be configured or its outputs cannot be written.
+run cannot be configured or its outputs cannot be written.  A run that
+succeeds prints one `[timing]` line to stderr: its trial count and the wall
+time of its trials and writes together.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .experiments import (
@@ -95,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"{args.out}: cannot create output directory ({exc.strerror})") from None
+        t0 = time.perf_counter()
         rows = {"run": cmd_run, "sweep-n": cmd_sweep_n, "sweep-speed": cmd_sweep_speed}[
             args.command
         ](config)
@@ -105,6 +109,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    seconds = time.perf_counter() - t0
+    trials = len({row.seed for row in rows})
+    print(f"[timing] {args.command}: {trials} trials in {seconds:.3f} s, "
+          f"{1000.0 * seconds / trials:.2f} ms per trial", file=sys.stderr)
     print(f"wrote {len(rows)} rows to {args.out}/metrics.csv")
     return 0
 

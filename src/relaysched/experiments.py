@@ -13,18 +13,12 @@ Outputs per run directory:
 * ``metrics.csv``     -- one row per (policy, trial); deterministic bytes.
 * ``summary.csv``     -- exact arithmetic means per (policy, sweep point).
 * ``config_echo.json``-- the resolved config, for provenance; deterministic.
-
-Wall-clock timings are kept on the in-memory rows and printed to stderr; they
-are deliberately left out of the files so that identical configs produce
-identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
-import time
 from collections import defaultdict
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -134,9 +128,7 @@ class MetricsRow:
     speed_range: tuple[float, float]
     total_service: float | None
     loss_ratio: float | None = None
-    wall_time_ms: float = 0.0
     note: str = ""
-    tables_ms: float = 0.0  # the trial's share of its chunk's table build, before any policy runs
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -276,14 +268,12 @@ def _run_chunk(args) -> list[MetricsRow]:
     requested, and irrs's on the rate tables.  These fills share kernel
     calls of at most about 5000 links, so the searches integrate nothing
     themselves; irrs's score may still integrate pairs of its pairing
-    outside the msrs block.  Each trial's `tables_ms` is an equal share of
-    these builds and plans.  A link's value does not depend on its batch,
+    outside the msrs block.  A link's value does not depend on its batch,
     nor a plan on the tables planned with it, so neither do rows.
     """
     config, trials = args
     specs = [config.scenario_spec(*trial) for trial in trials]
     scenarios = [generate(spec) for spec in specs]
-    t0 = time.perf_counter()
     tables = build_chunk_tables(scenarios, config.radio, quad=config.quad)
     rates = []
     if "irrs" in config.policies:
@@ -291,26 +281,23 @@ def _run_chunk(args) -> list[MetricsRow]:
     oracle_cap = config.oracle_cap if "optimal" in config.policies else -1
     require_every_pair([t for t in tables if t.n <= oracle_cap])
     plan_searches((tables if "msrs" in config.policies else []) + rates)
-    tables_ms = 1000.0 * (time.perf_counter() - t0) / len(trials)
     return [row for trial in zip(specs, tables, rates or [None] * len(trials))
-            for row in _run_trial(config, *trial, tables_ms)]
+            for row in _run_trial(config, *trial)]
 
 
 def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, tables: ServiceTables,
-               rates: ServiceTables | None, tables_ms: float) -> list[MetricsRow]:
+               rates: ServiceTables | None) -> list[MetricsRow]:
     """All requested policies on one trial's tables, in the config's policy order.
 
     Each policy takes the service tables as its first positional argument,
     where `perfbench/tracing.py` reads the fleet size; irrs also decides on
     `rates`.  msrs and irrs search by the plans their chunk stored on the
-    tables.  A policy's timing includes the V2V amounts it computes on
-    demand, but not its plan.  The notes every row shares are read after the
-    policies, whose V2V reads can add to `tables.unconverged`.
+    tables.  The notes every row shares are read after the policies, whose
+    V2V reads can add to `tables.unconverged`.
     """
     n = tables.n
     runs, opt = [], None
     for policy in config.policies:
-        t0 = time.perf_counter()
         note = ""
         if policy == "msrs":
             sched = solve_msrs(tables)
@@ -322,22 +309,22 @@ def _run_trial(config: ExperimentConfig, spec: ScenarioSpec, tables: ServiceTabl
             sched = opt = solve_optimal_bruteforce(tables, cap=config.oracle_cap)
         else:
             sched, note = None, f"refused: n_vehicles={n} exceeds oracle cap {config.oracle_cap}"
-        runs.append((policy, sched, 1000.0 * (time.perf_counter() - t0), note))
+        runs.append((policy, sched, note))
 
     # with more vehicles than cellular RBs every direct share, and so every total, is 0
     k_lte = config.radio.k_lte
     shared = (f"no direct RBs: n_vehicles={n} exceeds k_lte={k_lte}" if n > k_lte else "",
               f"quadrature not converged on {tables.unconverged} links" if tables.unconverged else "")
     rows = []
-    for policy, sched, ms, note in runs:
+    for policy, sched, note in runs:
         total = loss = None
         if sched is not None:
             validate_schedule(sched, n)
             total = sched.total_service
             if opt is not None and opt.total_service > 0:
                 loss = (opt.total_service - total) / opt.total_service
-        rows.append(MetricsRow(policy, spec.seed, n, spec.speed_range, total, loss, ms,
-                               "; ".join(filter(None, (note, *shared))), tables_ms))
+        rows.append(MetricsRow(policy, spec.seed, n, spec.speed_range, total, loss,
+                               "; ".join(filter(None, (note, *shared)))))
     return rows
 
 
@@ -479,15 +466,3 @@ def write_outputs(rows: list[MetricsRow], config: ExperimentConfig, out_dir: str
         if exc.filename is not None:
             exc.filename = str(out / name)
         raise
-    tables = list({r.seed: r.tables_ms for r in rows}.values())  # one per trial
-    if tables:
-        print(f"[timing] tables: mean {sum(tables) / len(tables):.2f} ms over {len(tables)} trials",
-              file=sys.stderr)
-    by_policy: dict[str, list[float]] = {}
-    for r in rows:
-        by_policy.setdefault(r.policy, []).append(r.wall_time_ms)
-    for policy, times in sorted(by_policy.items()):
-        print(
-            f"[timing] {policy}: mean {sum(times) / len(times):.2f} ms over {len(times)} trials",
-            file=sys.stderr,
-        )

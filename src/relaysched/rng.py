@@ -7,13 +7,15 @@ small published algorithms with fully pinned integer arithmetic:
 
 * splitmix64 -- used to expand a user seed into generator state and to derive
   independent per-trial seeds in the experiment harness;
-* xoshiro256** -- the draw generator behind scenario synthesis.
+* xoshiro256** -- the draw generator behind scenario synthesis.  Its scalar
+  form, one Python-int step per word, is the test suite's reference
+  (``tests/oracles.py``); no run calls it.
 
 Uniform doubles are derived from the top 53 bits of each 64-bit output:
 ``(word >> 11) * 2**-53``, giving values in [0, 1).
 
 The xoshiro step is written once, in `_s1_run`, with plain XORs, shifts and
-masks, so it runs on Python ints (the generator's one-word draws) and on
+masks, so it runs on Python ints (the reference's one-word draws) and on
 uint64 arrays alike, one lane per state.  The ``**`` scrambler is written
 once too, in `_scramble`.  The step is linear over GF(2): every bit of the
 state after k steps, and of s1 before step k, is the XOR of the seed state's
@@ -95,7 +97,11 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
-    """The first `count` draws of `Xoshiro256StarStar(seed).random`, bit for bit, as float64."""
+    """The first `count` draws of the xoshiro256** stream of `seed` as float64 in [0, 1).
+
+    The bits are those of `count` calls of the scalar reference's `random`
+    (``tests/oracles.py``): the top 53 bits of each scrambled word times 2**-53.
+    """
     table, jump = _tables()
     state = np.array(split_seeds(seed, 4), dtype="<u8")
     s1 = np.empty(count, dtype=np.uint64)
@@ -108,24 +114,3 @@ def uniforms(seed: int, count: int) -> np.ndarray:
         s1[start:start + _BLOCK] = np.bitwise_xor.reduce(table[bits, :count - start], axis=0)
     return (_scramble(s1) >> 11) * _UNIT
 
-
-class Xoshiro256StarStar:
-    """xoshiro256** generator, seeded through splitmix64 as its authors advise."""
-
-    def __init__(self, seed: int):
-        self._s = split_seeds(seed, 4)
-
-    def next_u64s(self, count: int) -> list[int]:
-        """The stream's next `count` 64-bit words."""
-        s1s, self._s = _s1_run(self._s, count)
-        return [_scramble(s1) for s1 in s1s]
-
-    def next_u64(self) -> int:
-        return self.next_u64s(1)[0]
-
-    def random(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * _UNIT
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()

@@ -92,10 +92,11 @@ def generate(spec: ScenarioSpec) -> Scenario:
 
     The 3N uniforms are drawn in one `rng.uniforms` call, which looks the
     seed's xoshiro256** stream up in GF(2) tables 512 words at a time, with
-    the bits of one `Xoshiro256StarStar.random` call per draw.  Row i reads
-    draws 3i..3i+2 as its (direction, x, speed).  The columns take the scalar
-    draws' IEEE steps: ``lo + (hi - lo) * u``, then ``speed * cos(heading)``
-    and ``speed * sin(heading)`` with the heading's cosine and sine from `math`.
+    the bits of one scalar draw per uniform (the reference generator in
+    ``tests/oracles.py``).  Row i reads draws 3i..3i+2 as its (direction,
+    x, speed).  The columns take the scalar draws' IEEE steps:
+    ``lo + (hi - lo) * u``, then ``speed * cos(heading)`` and
+    ``speed * sin(heading)`` with the heading's cosine and sine from `math`.
     """
     u = uniforms(spec.seed, 3 * spec.n_vehicles).reshape(-1, 3)
     forward = u[:, 0] < 0.5

@@ -36,9 +36,11 @@ each amount is the link's instantaneous rate at the period start:
                              the rest have their pairings enumerated; only
                              viable at small fleet sizes, used as the oracle.
 
-The sort-select-pair pipeline costs O(N^3 log N) in the fleet size, but the
-bound order leaves about two assignment solves per search on fleets of
-20 to 200 vehicles.  A search reads one N x min(N/2, k_dsrc) block of V2V
+The sort-select-pair pipeline costs O(N^3 log N) in the fleet size while
+N/2 <= k_dsrc, where the aided cap grows with N.  Above that the cap stays
+k_dsrc, and each layer (block integration, plan, assignment search) grows
+about linearly in N.  The bound order leaves about two assignment solves
+per search on fleets of 20 to 200 vehicles.  A search reads one N x min(N/2, k_dsrc) block of V2V
 amounts (`_search_block`: 2175 distinct links at N=100) and searches by its
 table's plan: the vehicle order, the bound of every aided count and the
 benefit matrices.  `plan_searches` integrates the blocks of a whole chunk
@@ -153,13 +155,8 @@ class ServiceTables:
 
         The index arrays broadcast, as in `v2v_unit[rows, cols]`.
         """
-        unit = self.v2v_unit[rows, cols]
-        if self.link is not None:
-            missing = np.isnan(unit)
-            if missing.any():
-                _fill([(self, rows, cols, missing)])
-                unit = self.v2v_unit[rows, cols]
-        return unit
+        _fill([(self, rows, cols)])
+        return self.v2v_unit[rows, cols]
 
     def two_hop(self, unit, direct, n_av: int) -> np.ndarray:
         """Two-hop amounts of relays with direct amounts `direct` over per-RB V2V amounts `unit`.
@@ -195,25 +192,31 @@ _CALL_LINKS = 5000
 
 
 def _fill(requests) -> None:
-    """Compute the missing V2V entries of several tables in shared kernel calls.
+    """Compute the missing V2V entries among the requested pairs, in shared kernel calls.
 
-    Each request is (table, rows, cols, missing): broadcastable index arrays
-    of pairs and the mask of those whose entries are NaN.  Each table's
-    missing pairs are stacked in ascending (i, j) order, i < j, after the
-    previous table's.  A call takes the next tables while they share its
-    table's `link` and its links stay within `_CALL_LINKS`.  `requests` may
-    be an iterator; a table with nothing missing adds no link.
+    Each request is (table, rows, cols): broadcastable index arrays of
+    pairs, whose NaN entries are the missing ones.  Each table's missing
+    pairs are stacked in ascending (i, j) order, i < j, after the previous
+    table's.  A call takes the next tables while they share its table's
+    `link` and its links stay within `_CALL_LINKS`.  `requests` may be an
+    iterator, so only the pending call's pairs are held; a dense table (no
+    `link`) or one with nothing missing adds no link, and when nothing is
+    missing no kernel call is made.  A link's value does not depend on its
+    batch, so a table holds the same amounts as its own reads would give.
     """
     call, links = [], 0
-    for t, rows, cols, missing in requests:
+    for t, rows, cols in requests:
+        if t.link is None:
+            continue
+        missing = np.isnan(t.v2v_unit[rows, cols])
+        if not missing.any():
+            continue
         n = t.n
         # one flat key i * N + j per pair, lower id first as in the motion
         # rows; a flat mark drops the repeats and orders them ascending
         mark = np.zeros(n * n, dtype=bool)
         mark[(np.minimum(rows, cols) * n + np.maximum(rows, cols))[missing]] = True
         keys = np.flatnonzero(mark)
-        if not len(keys):
-            continue
         if call and (t.link != call[0][0].link or links + len(keys) > _CALL_LINKS):
             _integrate(call)
             call, links = [], 0
@@ -242,22 +245,9 @@ def _integrate(call) -> None:
         start = end
 
 
-def _require(tables: list[ServiceTables], pairs) -> None:
-    """Compute the missing V2V entries among the pairs `pairs(t)` of each table, in shared calls.
-
-    `pairs(t)` gives broadcastable (rows, cols) index arrays.  The tables
-    share calls as `_fill` packs them, in the order given; when nothing is
-    missing no kernel call is made.  A link's value does not depend on its
-    batch, so a table holds the same amounts as its own reads would give.
-    """
-    # one table's request at a time, so only the pending call's pairs are held
-    _fill((t, rows, cols, np.isnan(t.v2v_unit[rows, cols]))
-          for t in tables if t.link is not None for rows, cols in [pairs(t)])
-
-
 def require_every_pair(tables: list[ServiceTables]) -> None:
     """Compute every unknown V2V entry of several tables in shared kernel calls."""
-    _require(tables, lambda t: (np.arange(t.n)[:, None], np.arange(t.n)))
+    _fill((t, np.arange(t.n)[:, None], np.arange(t.n)) for t in tables)
 
 
 def build_chunk_tables(
@@ -370,7 +360,7 @@ def plan_searches(tables: list[ServiceTables]) -> None:
     amounts is neither filled nor planned: `solve_msrs` needs no plan there.
     """
     planned = [t for t in tables if t.v2i.any()]
-    _require(planned, lambda t: _search_block(t, _search_order(t.v2i)))
+    _fill((t, *_search_block(t, _search_order(t.v2i))) for t in planned)
     groups: dict[tuple[int, int], list[ServiceTables]] = {}
     for t in planned:
         groups.setdefault((t.n, t.k_dsrc), []).append(t)

@@ -3,6 +3,9 @@
 None of these run in a trial: each is the plain, slow or scalar form of
 something the package computes faster, kept here as an oracle.
 
+* `Xoshiro256StarStar`: the scalar xoshiro256** generator, the tests' RNG
+  and the reference whose draws `rng.uniforms` must reproduce bit for bit;
+  `dispatches_x86_v4` names the numpy SIMD level a run's bits belong to.
 * `Vehicle` records, their motion rows and `scenario_of`, which builds a
   `Scenario` from hand-placed vehicles; `generated_vehicles` replays
   `generate`'s draws into records.
@@ -28,10 +31,44 @@ import numpy as np
 
 from relaysched.assignment import Assignment, BenefitMatrix, _check_tall
 from relaysched.channel import PathLossModel, RadioConfig, rb_share
-from relaysched.rng import Xoshiro256StarStar
+from relaysched.rng import _UNIT, _s1_run, _scramble, split_seeds
 from relaysched.scenario import Scenario, ScenarioSpec
 from relaysched.scheduler import Schedule
 from relaysched.service import Period
+
+# --- random numbers and SIMD dispatch -----------------------------------------
+
+
+class Xoshiro256StarStar:
+    """xoshiro256** generator, seeded through splitmix64 as its authors advise."""
+
+    def __init__(self, seed: int):
+        self._s = split_seeds(seed, 4)
+
+    def next_u64s(self, count: int) -> list[int]:
+        """The stream's next `count` 64-bit words."""
+        s1s, self._s = _s1_run(self._s, count)
+        return [_scramble(s1) for s1 in s1s]
+
+    def next_u64(self) -> int:
+        return self.next_u64s(1)[0]
+
+    def random(self) -> float:
+        """Uniform double in [0, 1)."""
+        return (self.next_u64() >> 11) * _UNIT
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+
+def dispatches_x86_v4() -> bool:
+    """Whether numpy runs its X86_V4 (AVX-512) kernels in this process."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
 
 # --- vehicles and scenarios ---------------------------------------------------
 

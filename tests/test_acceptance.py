@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 from oracles import (
     Vehicle,
+    Xoshiro256StarStar,
     aided_are_weakest,
     brute_force_assignment,
+    dispatches_x86_v4,
     motion_rows,
     pairs_respect_direct_order,
     rate_v2i,
@@ -28,7 +30,6 @@ from oracles import (
 import relaysched
 from relaysched.assignment import BenefitMatrix, solve_max_assignment
 from relaysched.channel import rb_share
-from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import (
     build_chunk_tables,
@@ -291,9 +292,10 @@ class TestCriterion8Determinism:
         same_summary = (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
         elapsed = time.perf_counter() - t0
         ok = same_metrics and same_summary and elapsed < 120.0
+        # output bits hold within one numpy SIMD dispatch level, so the line names it
         line = report(8, "byte-identical sweep output", ok,
                       f"metrics identical={same_metrics}, summary identical={same_summary}; "
-                      f"{elapsed:.0f}s")
+                      f"x86_v4={dispatches_x86_v4()}; {elapsed:.0f}s")
         assert same_metrics, line
         assert same_summary, line
         assert elapsed < 120.0, line

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_assignment
+from oracles import Xoshiro256StarStar, brute_force_assignment
 
 import relaysched.assignment as assignment_module
 import relaysched.scheduler as scheduler_module
@@ -18,7 +18,6 @@ from relaysched.assignment import (
 )
 from relaysched.channel import default_radio_config
 from relaysched.experiments import ExperimentConfig, cmd_sweep_n
-from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import build_chunk_tables, solve_irrs, solve_msrs
 

@@ -178,17 +178,20 @@ class TestRunCommand:
         # all three outputs or none: no file written before the failure, no temporary
         assert [p.name for p in out.iterdir()] == [name]
 
-    def test_timing_lines_include_the_table_build(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, point, trials", [
+        ("run", ["--n", "5"], 3), ("sweep-n", ["--n-values", "3,5"], 2 * 3),
+    ], ids=["run", "sweep-n"])
+    def test_one_timing_line_for_the_whole_run(self, tmp_path, capsys, command, point, trials):
         out = tmp_path / "res"
-        assert run_cli(["run", "--seed", "3", "--trials", "3", "--n", "5",
+        assert run_cli([command, "--seed", "3", "--trials", "3", *point,
                         "--policies", "msrs,noncoop", "--out", str(out)]) == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert [line.split(":")[0] for line in lines] == [
-            "[timing] tables", "[timing] msrs", "[timing] noncoop"]
-        assert re.fullmatch(r"\[timing\] tables: mean \d+\.\d\d ms over 3 trials", lines[0])
-        # the table time stays out of the output files
+        # every trial of every point, counted once however many policies ran on it
+        assert re.fullmatch(rf"\[timing\] {command}: {trials} trials in \d+\.\d{{3}} s, "
+                            r"\d+\.\d\d ms per trial\n", capsys.readouterr().err)
+        # the wall time stays out of the output files
         for name in ("metrics.csv", "summary.csv", "config_echo.json"):
-            assert "tables" not in (out / name).read_text()
+            text = (out / name).read_text()
+            assert not any(word in text for word in ("timing", "_ms", "wall", "per trial"))
 
 
 class TestModuleEntryPoint:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import relaysched.experiments as experiments_module
 import relaysched.scheduler as scheduler_module
 from relaysched.experiments import (
     CHUNK_TRIALS,
+    CSV_HEADER,
     DEFAULT_N_VALUES,
     DEFAULT_SPEED_VALUES,
     POLICIES,
@@ -436,6 +438,21 @@ class TestDeterminism:
 
         parallel = rows_to_csv(cmd_run(dataclasses.replace(cfg, workers=2)))
         assert parallel == first
+
+    def test_rows_hold_the_csv_columns_only(self):
+        # no field of a row, a timing or any other, stays out of metrics.csv
+        names = [f.name for f in fields(MetricsRow)]
+        k = names.index("speed_range")
+        assert names[:k] + ["speed_min_mps", "speed_max_mps"] + names[k + 1:] == CSV_HEADER.split(",")
+
+    def test_write_outputs_prints_nothing(self, tmp_path, capsys):
+        cfg = small_config(trials=2, policies=("msrs", "irrs", "noncoop"))
+        rows = cmd_run(cfg)
+        capsys.readouterr()
+        write_outputs(rows, cfg, tmp_path)
+        assert capsys.readouterr() == ("", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config_echo.json", "metrics.csv", "summary.csv"]
 
     def test_csv_float_format(self):
         rows = cmd_run(small_config(trials=1, policies=("noncoop",)))

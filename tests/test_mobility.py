@@ -4,9 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import Vehicle, base_station, distance_between, distance_to_bs, predict_position
+from oracles import (
+    Vehicle,
+    Xoshiro256StarStar,
+    base_station,
+    distance_between,
+    distance_to_bs,
+    predict_position,
+)
 
-from relaysched.rng import Xoshiro256StarStar
 
 
 def vehicle(x, y, speed, heading, vid=0):

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import numpy as np
+from oracles import Xoshiro256StarStar
 
 from relaysched.rng import (
     _BLOCK,
-    Xoshiro256StarStar,
     _s1_run,
     _tables,
     split_seeds,

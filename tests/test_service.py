@@ -12,14 +12,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import Vehicle, db_rate, motion_rows, rate_v2i, rate_v2v
+from oracles import (
+    Vehicle,
+    Xoshiro256StarStar,
+    db_rate,
+    dispatches_x86_v4,
+    motion_rows,
+    rate_v2i,
+    rate_v2v,
+)
 
 import relaysched
 import relaysched.experiments as experiments_module
 import relaysched.service as service_module
 from relaysched.channel import RadioConfig, default_radio_config, rb_share, unit_rate
 from relaysched.experiments import ExperimentConfig, cmd_run
-from relaysched.rng import Xoshiro256StarStar
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.scheduler import ServiceTables, build_chunk_tables
 from relaysched.service import (
@@ -436,15 +443,6 @@ class TestHeapPages:
         monkeypatch.setattr(service_module.ctypes, "CDLL", missing)
         assert service_module._keep_heap_pages() is None
         assert opened == ([None] if libc == "glibc" else [])
-
-
-def dispatches_x86_v4() -> bool:
-    """Whether numpy runs its X86_V4 (AVX-512) kernels in this process."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return False
-    return bool(__cpu_features__.get("X86_V4"))
 
 
 def dispatch_report() -> dict:
