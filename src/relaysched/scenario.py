@@ -6,7 +6,9 @@ uniformly along x within +/- coverage_radius, one fixed lane y-offset per
 travel direction, headings restricted to 0 (towards +x) or pi.  All draws
 come from the seeded portable generator in `rng`, in a pinned per-vehicle
 order (direction, x, speed), so a spec with the same seed reproduces the same
-scenario on any platform.
+scenario on any platform.  A scenario moves in time one way,
+`Scenario.window(start, duration)`: the same fleet `start` seconds on, over
+a period of its own; `held_still()` parks a fleet for 1 s.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ class Scenario:
     `motion` holds one (x, y, vx, vy) row per vehicle at the period start, in
     vehicle-id order, and `bs` the base station's (x, y, 0, 0) row; both are
     made read-only.  A link's relative motion (`service.unit_service_batch`)
-    is the difference of its ends' rows.
+    is the difference of its ends' rows.  `window` gives the same fleet over
+    another interval of its straight-line motion, `held_still` the same
+    positions parked; both return a new scenario and leave this one as it is.
     """
 
     bs: np.ndarray
@@ -44,6 +48,21 @@ class Scenario:
     @property
     def n(self) -> int:
         return len(self.motion)
+
+    def window(self, start: float, duration: float) -> Scenario:
+        """The same fleet `start` seconds on, over a period of `duration` seconds.
+
+        Each position advances along its velocity, x + start * v, and the
+        velocities and the base station are kept, so `window(a, b)` covers
+        [a, a + b] of this scenario's motion, and `window(0.0, D)` has the
+        motion bytes of every generated fleet.  A negative `start`
+        extrapolates backwards.
+        """
+        if not math.isfinite(start):
+            raise ValueError(f"window start must be finite, got {start}")
+        motion = self.motion.copy()
+        motion[:, :2] += start * motion[:, 2:]
+        return Scenario(self.bs, motion, Period(duration))
 
     def held_still(self) -> Scenario:
         """The same fleet parked at its start positions, over a 1 s period.

@@ -318,8 +318,10 @@ def _partition_total(tables: ServiceTables, pairing: dict[int, int]) -> float:
     if not pairing:
         return direct
     aided = sorted(pairing)
-    relays = [pairing[j] for j in aided]
-    return direct + _left_sum(tables.benefit(relays, aided, len(aided)))
+    # index arrays, so that `benefit`'s mask, read and direct amounts do not
+    # each convert a list
+    relays = np.array([pairing[j] for j in aided])
+    return direct + _left_sum(tables.benefit(relays, np.array(aided), len(aided)))
 
 
 def _aided_cap(n: int, k_dsrc: int) -> int:

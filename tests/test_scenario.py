@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import generated_vehicles, motion_rows
+from oracles import generated_vehicles, motion_rows, predict_position
 
 from relaysched.scenario import ScenarioSpec, generate
 from relaysched.service import Period
@@ -102,3 +102,46 @@ class TestGenerate:
         # an infinite radius used to reach the vehicles as x = nan
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ScenarioSpec(n_vehicles=1, seed=0, **{field: value})
+
+
+class TestWindow:
+    @pytest.mark.parametrize("n", [0, 12, 100, 200])
+    @pytest.mark.parametrize("duration", [5.0, 20.0])
+    def test_window_at_zero_keeps_the_motion_bytes(self, n, duration):
+        # x + 0.0 * v is x, so the whole period's window is the scenario itself
+        for seed in range(10):
+            sc = generate(ScenarioSpec(n_vehicles=n, seed=seed, period_duration=duration))
+            win = sc.window(0.0, duration)
+            assert win.bs is sc.bs and win.period == sc.period
+            assert win.motion.tobytes() == sc.motion.tobytes()
+
+    @pytest.mark.parametrize("start, duration", [(2.5, 2.5), (0.37, 3.1), (5.0, 1.0)])
+    def test_positions_advance_along_the_velocities(self, start, duration):
+        spec = ScenarioSpec(n_vehicles=40, seed=5)
+        win = generate(spec).window(start, duration)
+        fleet = generated_vehicles(spec)
+        want = motion_rows(fleet)
+        want[:, :2] = [predict_position(v, start) for v in fleet]
+        assert win.motion.tobytes() == want.tobytes()
+        assert win.period == Period(duration)
+
+    def test_scenario_unchanged_and_window_read_only(self):
+        sc = generate(ScenarioSpec(n_vehicles=30, seed=2))
+        before = sc.motion.tobytes(), sc.bs.tobytes(), sc.period
+        win = sc.window(1.5, 2.0)
+        assert (sc.motion.tobytes(), sc.bs.tobytes(), sc.period) == before
+        assert win.motion is not sc.motion and not np.shares_memory(win.motion, sc.motion)
+        for rows in (win.motion, win.bs, win.held_still().motion):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 1.0
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_start(self, start):
+        sc = generate(ScenarioSpec(n_vehicles=3, seed=1))
+        with pytest.raises(ValueError, match="^window start must be finite"):
+            sc.window(start, 1.0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+    def test_period_checks_the_duration(self, duration):
+        with pytest.raises(ValueError):
+            generate(ScenarioSpec(n_vehicles=3, seed=1)).window(1.0, duration)

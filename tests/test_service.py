@@ -17,9 +17,11 @@ from oracles import (
     Xoshiro256StarStar,
     db_rate,
     dispatches_x86_v4,
+    generated_vehicles,
     motion_rows,
     rate_v2i,
     rate_v2v,
+    scenario_of,
 )
 
 import relaysched
@@ -27,8 +29,8 @@ import relaysched.experiments as experiments_module
 import relaysched.service as service_module
 from relaysched.channel import RadioConfig, default_radio_config, rb_share, unit_rate
 from relaysched.experiments import ExperimentConfig, cmd_run
-from relaysched.scenario import ScenarioSpec, generate
-from relaysched.scheduler import ServiceTables, build_chunk_tables
+from relaysched.scenario import Scenario, ScenarioSpec, generate
+from relaysched.scheduler import ServiceTables, build_chunk_tables, require_every_pair
 from relaysched.service import (
     Period,
     QuadratureSpec,
@@ -257,14 +259,10 @@ class TestOracleProperties:
             assert s == pytest.approx(dense, rel=1e-5)
 
     def test_period_additivity(self, bs, cfg, quad):
-        v = Vehicle(id=0, x=-100.0, y=1.75, speed=25.0, heading=0.0)
-        (s_full,) = v2i_services([v], bs, cfg, 10, Period(6.0), quad)
-        (s_a,) = v2i_services([v], bs, cfg, 10, Period(3.0), quad)
-        # second half: same trajectory advanced 3 s
-        x3, y3 = v.x + 3.0 * v.speed, v.y
-        v3 = Vehicle(id=0, x=x3, y=y3, speed=v.speed, heading=v.heading)
-        (s_b,) = v2i_services([v3], bs, cfg, 10, Period(3.0), quad)
-        assert s_full == pytest.approx(s_a + s_b, rel=2e-6)
+        # [0, 6 s] against [0, 3 s] plus the same trajectory's [3 s, 6 s]
+        sc = scenario_of([Vehicle(id=0, x=-100.0, y=1.75, speed=25.0, heading=0.0)], bs, 6.0)
+        full, first, second = tables_of([sc, sc.window(0.0, 3.0), sc.window(3.0, 3.0)], cfg, quad)
+        assert full.v2i[0] == pytest.approx(first.v2i[0] + second.v2i[0], rel=2e-6)
 
     def test_nonnegative(self, bs, cfg, period, quad):
         gen = Xoshiro256StarStar(23)
@@ -506,6 +504,14 @@ class TestDispatchLevel:
         assert got["generate"] == want["generate"]
 
 
+def tables_of(scenarios, cfg, quad):
+    """The service tables of scenarios of any periods, one each, every V2V pair integrated."""
+    tables = [t for sc in scenarios for t in build_chunk_tables([sc], cfg, quad)]
+    require_every_pair(tables)
+    assert all(t.unconverged == 0 and not np.isnan(t.v2v_unit).any() for t in tables)
+    return tables
+
+
 def relative_rows(pairs):
     return motion_rows([tx for tx, _ in pairs]) - motion_rows([rx for _, rx in pairs])
 
@@ -589,11 +595,57 @@ class TestPeriodAdditivity:
         t_star = -(ax * bx + ay * by) / (bx * bx + by * by)
         assert 0.0 < t_star < 5.0
 
-        def advanced(v):
-            vx, vy = v.velocity
-            return Vehicle(v.id, v.x + vx * t_star, v.y + vy * t_star, v.speed, v.heading)
+        sc = scenario_of([tx, rx])
+        full, first, second = tables_of([sc, sc.window(0.0, t_star), sc.window(t_star, 5.0 - t_star)],
+                                        cfg, quad)
+        assert full.v2v(0, 1) == pytest.approx(first.v2v(0, 1) + second.v2v(0, 1), rel=1e-6)
+        np.testing.assert_allclose(first.v2i + second.v2i, full.v2i, rtol=1e-6, atol=0.0)
 
-        (full,) = v2v_services([(tx, rx)], cfg, 5, Period(5.0), quad)
-        (first,) = v2v_services([(tx, rx)], cfg, 5, Period(t_star), quad)
-        (second,) = v2v_services([(advanced(tx), advanced(rx))], cfg, 5, Period(5.0 - t_star), quad)
-        assert full == pytest.approx(first + second, rel=1e-6)
+
+def reversed_in_time(sc: Scenario) -> Scenario:
+    """`sc`'s fleet traversed backwards: from the period's end, with every velocity negated."""
+    end = sc.window(sc.period.duration, sc.period.duration)
+    motion = end.motion.copy()
+    motion[:, 2:] *= -1.0
+    return Scenario(end.bs, motion, end.period)
+
+
+class TestWindowTables:
+    """`Scenario.window` through the service tables, every direct and V2V entry."""
+
+    @pytest.mark.parametrize("duration", [5.0, 20.0])
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_generated_fleets_add_over_a_split_period(self, cfg, quad, n, duration):
+        # the worst entry seen on such fleets was 4.2e-8 relative
+        a = 0.37 * duration
+        for seed in (7, 8):
+            sc = generate(ScenarioSpec(n_vehicles=n, seed=seed, period_duration=duration))
+            full, first, second = tables_of(
+                [sc, sc.window(0.0, a), sc.window(a, duration - a)], cfg, quad)
+            np.testing.assert_allclose(first.v2i + second.v2i, full.v2i, rtol=1e-7, atol=0.0)
+            np.testing.assert_allclose(first.v2v_unit + second.v2v_unit, full.v2v_unit,
+                                       rtol=1e-7, atol=0.0)
+
+    @pytest.mark.parametrize("duration", [5.0, 20.0])
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_generated_fleets_reversed_in_time(self, cfg, quad, n, duration):
+        # each link's rate is integrated over the same path, backwards
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=7, period_duration=duration))
+        forward, backward = tables_of([sc, reversed_in_time(sc)], cfg, quad)
+        np.testing.assert_allclose(backward.v2i, forward.v2i, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(backward.v2v_unit, forward.v2v_unit, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_midpoint_fleet_held_still_gives_the_midpoint_rates(self, bs, cfg, quad, n):
+        # a mid-period rate table is the window at D / 2, parked for 1 s
+        dt = 10.0
+        for seed in range(3):
+            spec = ScenarioSpec(n_vehicles=n, seed=seed, period_duration=2 * dt)
+            (mid,) = tables_of([generate(spec).window(dt, 1.0).held_still()], cfg, quad)
+            fleet = generated_vehicles(spec)
+            want = [rate_v2i(v, bs, cfg, n, dt) for v in fleet]
+            np.testing.assert_allclose(mid.v2i, want, rtol=1e-12, atol=0.0)
+            i, j = np.triu_indices(n, 1)
+            want = [rate_v2v(fleet[a], fleet[b], cfg, 1, dt) for a, b in zip(i, j)]
+            np.testing.assert_allclose(rb_share(cfg.k_dsrc, 1) * mid.v2v(i, j), want,
+                                       rtol=1e-12, atol=0.0)
