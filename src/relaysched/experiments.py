@@ -263,13 +263,15 @@ def _run_chunk(args) -> list[MetricsRow]:
     and only when irrs is requested does a second one build its rate tables
     (the fleets held still).  Only when `optimal` is requested does
     `require_every_pair` integrate every V2V pair of the trials within the
-    oracle cap.  Last, one `plan_searches` call integrates and plans every
-    search the trials will run: msrs's on the service tables, when msrs is
-    requested, and irrs's on the rate tables.  These fills share kernel
-    calls of at most about 5000 links, so the searches integrate nothing
-    themselves; irrs's score may still integrate pairs of its pairing
-    outside the msrs block.  A link's value does not depend on its batch,
-    nor a plan on the tables planned with it, so neither do rows.
+    oracle cap.  Last, one `plan_searches` call plans every search the
+    trials will run: msrs's on the service tables, when msrs is requested,
+    and irrs's on the rate tables.  It reads each search's V2V block once
+    and integrates the block's missing pairs, in kernel calls of at most
+    about 5000 links that the tables share.  A search then reads no V2V
+    amount: it scores each count from its benefit matrix.  irrs's score on
+    the service tables may still integrate pairs of its pairing outside the
+    msrs block.  A link's value does not depend on its batch, nor a plan on
+    the tables planned with it, so neither do rows.
     """
     config, trials = args
     specs = [config.scenario_spec(*trial) for trial in trials]

@@ -7,11 +7,12 @@ vehicle receives the two-hop service of its relay pair (the weaker of the
 relay's downlink amount and the relay-to-vehicle amount).  That objective is
 written once, on `ServiceTables`: `direct_sum` for the vehicles that are not
 aided and `two_hop` (read through `benefit`) for the pairs.  Every policy
-searches or scores with it.  The tables have one reader of V2V amounts,
-`v2v`, which integrates a pair when a policy first reads it, unless
-`require_every_pair` (every pair) or `plan_searches` (each msrs search
-block) has computed it beforehand for several tables in shared kernel
-calls of at most about 5000 links.
+searches or scores with it.  V2V amounts are integrated on first need,
+in kernel calls that several tables share (`_in_calls`, at most about
+5000 links each): a policy's read through `v2v` integrates the pairs it
+finds missing, `require_every_pair` every pair of several tables, and
+`plan_searches` the missing entries of each msrs search block, which it
+reads once and fills along with the table.
 Four policies are provided, each a function of a scenario's service tables
 (`build_chunk_tables`).  irrs also takes rate tables: the service tables
 of `Scenario.held_still()`, whose links are static over a 1 s period, so
@@ -40,13 +41,15 @@ The sort-select-pair pipeline costs O(N^3 log N) in the fleet size while
 N/2 <= k_dsrc, where the aided cap grows with N.  Above that the cap stays
 k_dsrc, and each layer (block integration, plan, assignment search) grows
 about linearly in N.  The bound order leaves about two assignment solves
-per search on fleets of 20 to 200 vehicles.  A search reads one N x min(N/2, k_dsrc) block of V2V
-amounts (`_search_block`: 2175 distinct links at N=100) and searches by its
-table's plan: the vehicle order, the bound of every aided count and the
-benefit matrices.  `plan_searches` integrates the blocks of a whole chunk
-of trials in shared kernel calls, then plans them in array calls shared by
-the tables of one fleet size and k_dsrc, and stores each plan on its table;
-a search on a table without one plans it alone.  The counts that share one
+per search on fleets of 20 to 200 vehicles.  A search's plan reads one
+N x min(N/2, k_dsrc) block of V2V amounts (`_gather_search_block`: 2175
+distinct links at N=100), and the search reads none: it follows the
+plan's vehicle order and count bounds, and scores each solved count from
+its benefit matrix.  `plan_searches` gathers the blocks of a whole chunk
+of trials once each, integrates their missing entries in shared kernel
+calls, then plans them in array calls shared by the tables of one fleet
+size and k_dsrc, and stores each plan on its table; a search on a table
+without one plans it alone.  The counts that share one
 V2V RB share (9 levels at k_dsrc = 25) share one two-hop block cut from the
 stacked blocks, whose column maxima grow one row per count, and every
 count's benefit matrix is a view of its level's block.  The
@@ -129,13 +132,14 @@ class ServiceTables:
     nobody has read yet (the diagonal holds 0), and `v2v` computes the
     missing entries among the pairs it reads, stores them on both sides and
     returns them; `require_every_pair` and `plan_searches` compute them
-    ahead of the reads for several tables at once.  `link` holds the
+    for several tables at once.  `link` holds the
     V2V arguments of `unit_service_batch` after the motion rows; each pair's
     row is the difference of two rows of `motion`, the scenario's vehicle
     rows.  Without it the table is dense.
     `unconverged` counts this table's computed links whose quadrature hit
     its refinement cap.  `plan` is the table's msrs search plan, once
-    `plan_searches` or a search has made it.
+    `plan_searches` or a search has made it; while `plan_searches` runs,
+    it holds the table's (order, search block) instead.
     """
 
     v2i: np.ndarray
@@ -153,10 +157,14 @@ class ServiceTables:
     def v2v(self, rows, cols) -> np.ndarray:
         """Per-RB V2V amounts of the pairs `rows` x `cols`, integrating the missing ones first.
 
-        The index arrays broadcast, as in `v2v_unit[rows, cols]`.
+        The index arrays broadcast, as in `v2v_unit[rows, cols]`.  The pairs
+        are gathered once, and again only after missing ones were integrated.
         """
-        _fill([(self, rows, cols)])
-        return self.v2v_unit[rows, cols]
+        got = self.v2v_unit[rows, cols]
+        if np.isnan(got).any():
+            _fill([(self, rows, cols)])
+            got = self.v2v_unit[rows, cols]
+        return got
 
     def two_hop(self, unit, direct, n_av: int) -> np.ndarray:
         """Two-hop amounts of relays with direct amounts `direct` over per-RB V2V amounts `unit`.
@@ -195,52 +203,64 @@ def _fill(requests) -> None:
     """Compute the missing V2V entries among the requested pairs, in shared kernel calls.
 
     Each request is (table, rows, cols): broadcastable index arrays of
-    pairs, whose NaN entries are the missing ones.  Each table's missing
-    pairs are stacked in ascending (i, j) order, i < j, after the previous
-    table's.  A call takes the next tables while they share its table's
-    `link` and its links stay within `_CALL_LINKS`.  `requests` may be an
-    iterator, so only the pending call's pairs are held; a dense table (no
-    `link`) or one with nothing missing adds no link, and when nothing is
-    missing no kernel call is made.  A link's value does not depend on its
-    batch, so a table holds the same amounts as its own reads would give.
+    pairs, whose NaN entries are the missing ones.  `_in_calls` integrates
+    each table's missing pairs in ascending (i, j) order, i < j.
+    `requests` may be an iterator; a dense table (no `link`) or one with
+    nothing missing adds no link.
+    """
+    def pending():
+        for t, rows, cols in requests:
+            missing = np.isnan(t.v2v_unit[rows, cols])
+            if t.link is not None and missing.any():
+                # one flat key i * N + j per pair, lower id first as in the
+                # motion rows; a flat mark drops the repeats and orders them
+                n = t.n
+                mark = np.zeros(n * n, dtype=bool)
+                mark[(np.minimum(rows, cols) * n + np.maximum(rows, cols))[missing]] = True
+                yield (t, *np.divmod(np.flatnonzero(mark), n), None)
+
+    _in_calls(pending())
+
+
+def _in_calls(pending) -> None:
+    """Integrate pending (table, i, j, into) pairs in shared kernel calls, in the order given.
+
+    A call takes the next tables while they share its first table's `link`
+    and its links stay within `_CALL_LINKS`.  `pending` may be an iterator,
+    so only the pending call's pairs are held; when nothing is pending no
+    kernel call is made.  A link's value does not depend on its batch, so
+    a table holds the same amounts as its own reads would give.
     """
     call, links = [], 0
-    for t, rows, cols in requests:
-        if t.link is None:
-            continue
-        missing = np.isnan(t.v2v_unit[rows, cols])
-        if not missing.any():
-            continue
-        n = t.n
-        # one flat key i * N + j per pair, lower id first as in the motion
-        # rows; a flat mark drops the repeats and orders them ascending
-        mark = np.zeros(n * n, dtype=bool)
-        mark[(np.minimum(rows, cols) * n + np.maximum(rows, cols))[missing]] = True
-        keys = np.flatnonzero(mark)
-        if call and (t.link != call[0][0].link or links + len(keys) > _CALL_LINKS):
+    for t, i, j, into in pending:
+        if call and (t.link != call[0][0].link or links + len(i) > _CALL_LINKS):
             _integrate(call)
             call, links = [], 0
-        call.append((t, keys))
-        links += len(keys)
+        call.append((t, i, j, into))
+        links += len(i)
     if call:
         _integrate(call)
 
 
 def _integrate(call) -> None:
-    """One kernel call for the pairs (table, flat keys) of `call`, stored on both sides of each table.
+    """One kernel call for the pairs (table, i, j, into) of `call`, stored on both sides.
 
-    Each table counts only its own links in `unconverged`.
+    `into` is None or (block, mask): the values are also written to the
+    mask's entries of the block, in the pairs' order.  Each table counts
+    only its own links in `unconverged`.
     """
-    call = [(t, *np.divmod(keys, t.n)) for t, keys in call]
     # the module global is looked up per call, so a wrapper installed on it
     # sees every integrated pair
     values, converged = unit_service_batch(
-        np.concatenate([t.motion.take(i, 0) - t.motion.take(j, 0) for t, i, j in call]),
+        np.concatenate([t.motion.take(i, 0) - t.motion.take(j, 0) for t, i, j, _ in call]),
         *call[0][0].link)
     start = 0
-    for t, i, j in call:
+    for t, i, j, into in call:
         end = start + len(i)
         t.v2v_unit[i, j] = t.v2v_unit[j, i] = values[start:end]
+        if into is not None:
+            block, mask = into
+            block[mask] = values[start:end]
         t.unconverged += int(np.count_nonzero(~converged[start:end]))
         start = end
 
@@ -297,17 +317,6 @@ def _search_order(v2i: np.ndarray) -> np.ndarray:
     return np.argsort(-v2i, axis=-1, kind="stable")
 
 
-def _search_block(tables: ServiceTables, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the V2V block an msrs search on `tables` reads.
-
-    The rows are every vehicle in `_search_order`, as an (N, 1) column; the
-    columns are the last `cap` of them, the weakest.  Every candidate count
-    pairs all vehicles against the `cap` weakest at most: count n_av reads
-    the block's first N - n_av rows and last n_av columns.
-    """
-    return order[:, None], order[tables.n - _aided_cap(tables.n, tables.k_dsrc):]
-
-
 def _partition_total(tables: ServiceTables, pairing: dict[int, int]) -> float:
     """Objective value of a pairing: direct amounts plus paired two-hop amounts.
 
@@ -353,16 +362,19 @@ def plan_searches(tables: list[ServiceTables]) -> None:
     level, whose first N - n_av rows and last n_av columns are the count's
     benefit matrix (`order`'s rows against its weakest vehicles), and
     `bound` is the direct amounts of the N - n_av strongest vehicles plus
-    that matrix's column maxima.  The missing entries of every table's
-    search block (`_search_block`) are integrated first, in shared kernel
-    calls in the order the tables are given.  Then the tables of one
-    (N, k_dsrc) are planned together, each step one array call over the
-    stacked tables, and each plan is stored on its table as `plan`.  A plan
-    does not depend on the tables planned with it.  A table with no direct
-    amounts is neither filled nor planned: `solve_msrs` needs no plan there.
+    that matrix's column maxima.  Each table's search block is read once
+    (`_gather_search_block`), and its NaN entries are integrated into the
+    table and the block, in shared kernel calls in the order the tables are
+    given; a block is read only when the fill reaches its table, so the
+    blocks of later tables are not held through earlier calls.  Then the
+    tables of one (N, k_dsrc) are planned together from their blocks, each
+    step one array call over the stacked tables, and each plan is stored on
+    its table as `plan`.  A plan does not depend on the tables planned with
+    it.  A table with no direct amounts is neither filled nor planned:
+    `solve_msrs` needs no plan there.
     """
     planned = [t for t in tables if t.v2i.any()]
-    _fill((t, *_search_block(t, _search_order(t.v2i))) for t in planned)
+    _in_calls(filter(None, map(_gather_search_block, planned)))
     groups: dict[tuple[int, int], list[ServiceTables]] = {}
     for t in planned:
         groups.setdefault((t.n, t.k_dsrc), []).append(t)
@@ -371,19 +383,51 @@ def plan_searches(tables: list[ServiceTables]) -> None:
             t.plan = plan
 
 
+def _gather_search_block(t: ServiceTables):
+    """Read `t`'s msrs search block once, hold it in `t.plan`, and return its missing pairs.
+
+    The block's rows are every vehicle in `_search_order`, its columns the
+    last `cap` of them, the weakest: count n_av reads its first N - n_av
+    rows and last n_av columns.  `t.plan` holds (order, block) until
+    `_plan_group` plans from it.  The missing pairs are returned as
+    `_in_calls` takes them, with the block as their `into`, or None when
+    none is missing.  The weak corner, the last `cap` rows, holds
+    (weak a, weak b) twice, so only its upper triangle adds pairs.
+    """
+    n, order = t.n, _search_order(t.v2i)
+    cap = _aided_cap(n, t.k_dsrc)
+    weak = order[n - cap:]
+    block = t.v2v_unit.take(weak, 1).take(order, 0)
+    t.plan = (order, block)
+    missing = np.isnan(block)
+    missing[n - cap:][np.tri(cap, dtype=bool)] = False
+    if t.link is None or not missing.any():
+        return None
+    flat = missing.ravel()
+    i, j = order.repeat(cap)[flat], np.tile(weak, n)[flat]
+    return t, np.minimum(i, j), np.maximum(i, j), (block, missing)
+
+
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays stacked on a new first axis; one array becomes a view, not a copy."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _plan_group(group: list[ServiceTables]) -> list[tuple[list[int], list[tuple]]]:
-    """The plans of B tables of one fleet size and one k_dsrc, from (B, ...) arrays."""
+    """The plans of B tables of one fleet size and one k_dsrc, from (B, ...) arrays.
+
+    Each table's `plan` holds its (order, search block), filled but for the
+    weak corner's lower triangle, which is mirrored here; no V2V amount is
+    read from the tables.
+    """
     n, k = group[0].n, group[0].k_dsrc
     cap = _aided_cap(n, k)
     v2i = _stack([t.v2i for t in group])
-    order = _search_order(v2i)
+    order = _stack([t.plan[0] for t in group])
     direct = v2i[np.arange(len(group))[:, None], order][:, :, None]
-    block = _stack([t.v2v(*_search_block(t, rows)) for t, rows in zip(group, order)])
+    block = _stack([t.plan[1] for t in group])
+    corner = block[:, n - cap:]
+    np.copyto(corner, corner.transpose(0, 2, 1), where=np.isnan(corner))
     # sums[i]: each table's column maxima summed over count cap - i's columns
     sums = np.empty((cap, len(group)))
     levels, level_of = [], []
@@ -425,6 +469,9 @@ def solve_msrs(tables: ServiceTables) -> Schedule:
     count whose bound cannot beat the best total.  The largest total wins,
     the smallest n_av among equal totals.  The search follows `tables.plan`,
     which `plan_searches([tables])` makes first if the tables have none.
+    A count's total is its direct sum plus the matched entries of its
+    benefit matrix, added in aided-id order: the bits of `_partition_total`,
+    with no V2V read.
     When every direct amount is 0 no total can beat the all-direct 0, and
     ties keep the smaller count, so the search returns the all-direct
     schedule without planning or solving.
@@ -442,9 +489,11 @@ def solve_msrs(tables: ServiceTables) -> Schedule:
         if not _can_beat(bound, best.total_service):
             break
         avs = order[n - n_av:]
-        solved = solve_max_assignment(BenefitMatrix(w[: n - n_av, -n_av:]))
-        pairing = {avs[c]: order[r] for c, r in solved.match.items()}
-        total = _partition_total(tables, pairing)
+        matrix = w[: n - n_av, -n_av:]
+        match = solve_max_assignment(BenefitMatrix(matrix)).match
+        pairing = {avs[c]: order[r] for c, r in match.items()}
+        cols = sorted(match, key=avs.__getitem__)
+        total = tables.direct_sum(pairing) + _left_sum(matrix[[match[c] for c in cols], cols])
         if total > best.total_service or (total == best.total_service and n_av < best.n_av):
             best = Schedule(pairing, total)
     return best

@@ -17,6 +17,9 @@ something the package computes faster, kept here as an oracle.
 * `brute_force_assignment`: the assignment optimum by enumeration.
 * `search_plan`: one table's msrs search plan, bounded on its own, as the
   search did before plans were computed for many tables at once.
+* `scored_search`: the msrs search over a plan, each solved count scored by
+  `_partition_total` from the tables, as the search did before it scored
+  from its benefit matrices.
 * `pairs_respect_direct_order` and `aided_are_weakest`: structural
   predicates on schedules.
 """
@@ -29,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relaysched.assignment import Assignment, BenefitMatrix, _check_tall
+from relaysched.assignment import Assignment, BenefitMatrix, _check_tall, solve_max_assignment
 from relaysched.channel import PathLossModel, RadioConfig, rb_share
 from relaysched.rng import _UNIT, _s1_run, _scramble, split_seeds
 from relaysched.scenario import Scenario, ScenarioSpec
-from relaysched.scheduler import Schedule
+from relaysched.scheduler import Schedule, _partition_total
 from relaysched.service import Period
 
 # --- random numbers and SIMD dispatch -----------------------------------------
@@ -230,6 +233,34 @@ def search_plan(tables) -> tuple[list[int], list[tuple]]:
         counts.append((kept[n - n_av] + peak[-n_av:].sum(), n_av, w))
     counts.sort(key=lambda c: (-c[0], c[1]))
     return rows[:, 0].tolist(), counts
+
+
+def scored_search(tables, plan, solved=None) -> Schedule:
+    """The best-first msrs search over `plan`, each solved count scored by `_partition_total`.
+
+    `plan` is (order, counts) as `search_plan` gives it.  The pairing of a
+    solved count is scored from the tables, not from its benefit matrix.
+    Appends each solved matrix to `solved` when it is given.
+    """
+    n = tables.n
+    order, counts = plan
+    best = Schedule({}, _partition_total(tables, {}))
+    if not tables.v2i.any():
+        # no total beats the all-direct 0, and ties keep the smaller count
+        return best
+    for bound, n_av, w in counts:
+        if bound + 1e-9 * (1.0 + abs(bound)) <= best.total_service:
+            break
+        matrix = w[: n - n_av, -n_av:]
+        if solved is not None:
+            solved.append(matrix)
+        avs = order[n - n_av:]
+        match = solve_max_assignment(BenefitMatrix(matrix)).match
+        pairing = {avs[c]: order[r] for c, r in match.items()}
+        total = _partition_total(tables, pairing)
+        if total > best.total_service or (total == best.total_service and n_av < best.n_av):
+            best = Schedule(pairing, total)
+    return best
 
 
 # --- schedule predicates ------------------------------------------------------

@@ -18,6 +18,7 @@ from oracles import (
     rate_v2i,
     rate_v2v,
     scenario_of,
+    scored_search,
     search_plan,
 )
 
@@ -465,6 +466,79 @@ class TestDemandDrivenTables:
         tables.v2v(every[:, None], every)
         assert tables.v2v_unit.tobytes() == filled.v2v_unit.tobytes()
 
+    @pytest.mark.parametrize("n", [12, 40, 100, 200])
+    def test_block_fill_integrates_each_block_pair_once(self, cfg, links, n):
+        # a fresh table's search block holds N * cap - cap(cap + 1)/2 pairs:
+        # every vehicle against the cap weakest, each pair of weak vehicles
+        # once and none with itself.  A table that require_every_pair filled
+        # integrates nothing, and both plan to the same bits
+        cap = min(n // 2, 25)
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=n))
+        fresh, full = build_chunk_tables([sc, sc], cfg)
+        require_every_pair([full])
+        del links[:]
+        plan_searches([fresh])
+        assert links == [n * cap - cap * (cap + 1) // 2]
+        assert {12: 51, 40: 590, 100: 2175, 200: 4675}[n] == links[0]
+        known = ~np.isnan(fresh.v2v_unit)
+        assert np.count_nonzero(known) == n + 2 * links[0]
+        assert fresh.v2v_unit[known].tobytes() == full.v2v_unit[known].tobytes()
+        plan_searches([full])
+        assert len(links) == 1
+        assert fresh.plan[0] == full.plan[0]
+        for (a, n_av, w), (b, m_av, v) in zip(fresh.plan[1], full.plan[1], strict=True):
+            assert (float(a).hex(), n_av) == (float(b).hex(), m_av)
+            assert w.tobytes() == v.tobytes()
+
+    def test_block_fill_counts_unconverged_links_as_every_pair_fill(self, cfg, monkeypatch):
+        # with no refinement some links fail the tolerance; the block fill
+        # counts exactly those among its pairs that fail when
+        # require_every_pair integrates every pair
+        quad = QuadratureSpec(max_refinements=0)
+        n = 100
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=5))
+        block, every = build_chunk_tables([sc, sc], cfg, quad)
+        direct = every.unconverged
+        real = scheduler_module.unit_service_batch
+        converged = []
+
+        def recording(motions, *link):
+            values, ok = real(motions, *link)
+            converged.append(ok)
+            return values, ok
+
+        monkeypatch.setattr(scheduler_module, "unit_service_batch", recording)
+        require_every_pair([every])
+        # one call, the pairs i < j in ascending order
+        assert len(converged) == 1
+        i, j = np.triu_indices(n, 1)
+        failed = ~converged[0]
+        plan_searches([block])
+        in_block = ~np.isnan(block.v2v_unit[i, j])
+        assert np.count_nonzero(in_block) == 2175
+        assert every.unconverged - direct == np.count_nonzero(failed)
+        assert block.unconverged - direct == np.count_nonzero(failed & in_block) > 0
+
+    def test_v2v_fills_only_when_a_pair_is_missing(self, cfg, monkeypatch):
+        # a read whose pairs are all known makes no fill; a read with a
+        # missing pair makes one and returns the filled bits
+        n = 20
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=41))
+        tables, full = build_chunk_tables([sc, sc], cfg)
+        require_every_pair([full])
+        real = scheduler_module._fill
+        fills = []
+        monkeypatch.setattr(scheduler_module, "_fill",
+                            lambda requests: fills.append(1) or real(requests))
+        rows, cols = np.arange(6)[:, None], np.arange(3)
+        assert full.v2v(rows, cols).tobytes() == full.v2v_unit[rows, cols].tobytes()
+        assert fills == []
+        got = tables.v2v(rows, cols)
+        assert fills == [1] and got.tobytes() == full.v2v_unit[rows, cols].tobytes()
+        back = cols[:, None], rows[:, 0]
+        assert tables.v2v(*back).tobytes() == full.v2v_unit[back].tobytes()
+        assert fills == [1]
+
 
 class TestMsrs:
     def test_single_vehicle(self, cfg):
@@ -685,23 +759,7 @@ def per_count_partition(tables, solved):
     Reference for the search: the same bounds, solve order and schedule;
     appends each solved benefit matrix to `solved`.
     """
-    n = tables.n
-    order, counts = per_count_bounds(tables)
-    best = Schedule({}, _partition_total(tables, {}))
-    if not tables.v2i.any():
-        # no total beats the all-direct 0, and ties keep the smaller count
-        return best
-    for bound, n_av, w in counts:
-        if bound + 1e-9 * (1.0 + abs(bound)) <= best.total_service:
-            break
-        solved.append(w)
-        avs = order[n - n_av:]
-        match = assignment_module.solve_max_assignment(BenefitMatrix(w)).match
-        pairing = {avs[c]: order[r] for c, r in match.items()}
-        total = _partition_total(tables, pairing)
-        if total > best.total_service or (total == best.total_service and n_av < best.n_av):
-            best = Schedule(pairing, total)
-    return best
+    return scored_search(tables, per_count_bounds(tables), solved)
 
 
 def best_first_partition(tables, matrices=None):
@@ -858,6 +916,53 @@ class TestSearchPlans:
             assert len(planned) == 1 and len(planned[0]) == 1 and planned[0][0] is searched
             assert solve(*args) == first
             assert len(planned) == 1 and searched.plan is plan
+
+
+class TestMatrixScores:
+    @pytest.mark.parametrize("duration", [5.0, 20.0])
+    @pytest.mark.parametrize("n", [12, 40, 100, 200])
+    def test_matrix_scores_are_partition_totals(self, cfg, n, duration):
+        # every count of a plan, solved: its direct sum plus its matched
+        # benefit entries in aided-id order is `_partition_total`'s float,
+        # on the service tables and on the rate tables.  And the search
+        # equals the one that scores every count from the tables
+        sc = generate(ScenarioSpec(n_vehicles=n, seed=n + int(duration), period_duration=duration))
+        searched = build_chunk_tables([sc], cfg) + build_chunk_tables([sc.held_still()], cfg)
+        plan_searches(searched)
+        for tables in searched:
+            order, counts = tables.plan
+            assert len(counts) == min(n // 2, cfg.k_dsrc)
+            for _, n_av, w in counts:
+                matrix = w[: n - n_av, -n_av:]
+                match = scheduler_module.solve_max_assignment(BenefitMatrix(matrix)).match
+                avs = order[n - n_av:]
+                pairing = {avs[c]: order[r] for c, r in match.items()}
+                cols = sorted(match, key=avs.__getitem__)
+                got = tables.direct_sum(pairing) + _left_sum(matrix[[match[c] for c in cols], cols])
+                assert got.hex() == _partition_total(tables, pairing).hex()
+            got, want = solve_msrs(tables), scored_search(tables, search_plan(tables))
+            assert got == want and got.total_service.hex() == want.total_service.hex()
+
+    def test_planned_search_reads_no_v2v_pair(self, cfg, monkeypatch):
+        # planning reads each search block once and calls no `v2v`; a
+        # planned search neither reads nor integrates a V2V pair
+        fleets = [generate(ScenarioSpec(n_vehicles=n, seed=s))
+                  for n, s in ((100, 7), (12, 3), (40, 9))]
+        want = [scored_search(t, search_plan(t)) for t in build_chunk_tables(fleets, cfg)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("V2V read")
+
+        tables = build_chunk_tables(fleets, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ServiceTables, "v2v", refuse)
+            plan_searches(tables)
+        monkeypatch.setattr(ServiceTables, "v2v", refuse)
+        monkeypatch.setattr(scheduler_module, "_fill", refuse)
+        monkeypatch.setattr(scheduler_module, "unit_service_batch", refuse)
+        got = [solve_msrs(t) for t in tables]
+        assert got == want
+        assert [g.total_service.hex() for g in got] == [w.total_service.hex() for w in want]
 
 
 class TestIrrs:
