@@ -34,7 +34,7 @@ each amount is the link's instantaneous rate at the period start:
                              pairings: a bound per aided count skips the
                              counts that cannot beat the incumbent, a bound
                              per aided set skips the sets that cannot, and
-                             the rest have their pairings enumerated; only
+                             the rest have their pairings scored; only
                              viable at small fleet sizes, used as the oracle.
 
 The sort-select-pair pipeline costs O(N^3 log N) in the fleet size while
@@ -56,11 +56,18 @@ count's benefit matrix is a view of its level's block.  The
 oracle visits every aided set of each count its count bound keeps: with
 default radios usually only the 12 sets of n_av = 1 at N=12, but up to
 2 509 sets, a number that about doubles with every vehicle (hence the cap).
+It visits them in array passes over cached templates of a count's sets
+and of a set's pairings, in a plain enumeration's order: about 0.07 ms
+per N=12 fleet with default radios, 0.6 ms at k_dsrc 100 and 20 ms at
+k_dsrc 200, where every count can win and many sets have their pairings
+scored.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -400,12 +407,23 @@ def _gather_search_block(t: ServiceTables):
     block = t.v2v_unit.take(weak, 1).take(order, 0)
     t.plan = (order, block)
     missing = np.isnan(block)
-    missing[n - cap:][np.tri(cap, dtype=bool)] = False
+    missing[n - cap:][_weak_corner(cap)] = False
     if t.link is None or not missing.any():
         return None
     flat = missing.ravel()
     i, j = order.repeat(cap)[flat], np.tile(weak, n)[flat]
     return t, np.minimum(i, j), np.maximum(i, j), (block, missing)
+
+
+@functools.lru_cache(maxsize=32)
+def _weak_corner(cap: int) -> np.ndarray:
+    """The cap x cap mask of a search block's repeated weak pairs: the lower triangle and diagonal.
+
+    Read-only, shared by every table of that cap.
+    """
+    tri = np.tri(cap, dtype=bool)
+    tri.flags.writeable = False
+    return tri
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -517,6 +535,12 @@ def solve_noncooperative(tables: ServiceTables) -> Schedule:
     return Schedule({}, _partition_total(tables, {}))
 
 
+#: Most aided sets, and most pairings of one aided set, that one array pass
+#: of `solve_optimal_bruteforce` holds.  N <= 12 fits one pass per kept
+#: count (at most 924 sets) and one per scored set (at most 2 520 pairings).
+_ORACLE_ROWS = 4096
+
+
 def solve_optimal_bruteforce(tables: ServiceTables, cap: int = BRUTE_FORCE_VEHICLE_CAP) -> Schedule:
     """Exact optimum over every partition and pairing.
 
@@ -527,45 +551,128 @@ def solve_optimal_bruteforce(tables: ServiceTables, cap: int = BRUTE_FORCE_VEHIC
     that.  Each of the C(N, n_av) aided sets of every other count, in
     lexicographic order, is bounded by its direct amounts plus each aided
     vehicle's largest benefit from a relay outside the set, and only a set
-    whose bound beats the incumbent has its pairings enumerated.  With
+    whose bound beats the incumbent has its pairings scored.  With
     default radios the count bound usually leaves the 12 sets of n_av = 1
-    at N=12, about 0.3 ms per fleet on a 2-vCPU Xeon once its V2V amounts
+    at N=12, about 0.07 ms per fleet on a 2-vCPU Xeon once its V2V amounts
     are integrated, not ~3.6 million candidate schedules.  The cap bounds
     the sets a kept count visits, whose number about doubles per vehicle.
+
+    The work is three array passes in the order of a plain enumeration
+    (sets, then for each set its relay combinations and their
+    permutations), with its sums and its strictly-greater updates, so
+    equal totals keep the first schedule met: every count's two-hop table
+    and bound at once; a kept count's sets, `_ORACLE_ROWS` at a time from
+    the template `_aided_sets`, each with its direct sum (`direct_sum`'s
+    bits) and bound; and each set whose bound beats the incumbent, its
+    pairings `_ORACLE_ROWS` at a time from the template `_pairings`, the
+    relay part added in aided order from 0.0 (`_score_pairings`).  A NaN
+    amount makes its bounds NaN, which let their sets through, and a NaN
+    total is never strictly greater, so it is never taken.  One pass holds
+    at most `_ORACLE_ROWS` sets or pairings, and the template caches at
+    most 32 passes each, whatever the cap.
     """
     n = tables.n
     if n > cap:
         raise ValueError(f"refusing exhaustive search for {n} vehicles; cap is {cap}")
     unit = tables.v2v(np.arange(n)[:, None], np.arange(n))
-    ids = list(range(n))
-
+    v2i = tables.v2i
     best_total = total_direct = _partition_total(tables, {})
     best_pairing: dict[int, int] = {}
-    for n_av in range(1, _aided_cap(n, tables.k_dsrc) + 1):
-        w_arr = tables.two_hop(unit, tables.v2i[:, None], n_av)
-        # an aided vehicle gains at most its column maximum over its direct
-        # amount, so the n_av largest gains bound every set of this count
-        gain = np.sort(w_arr.max(axis=0) - tables.v2i)
-        if not _can_beat(total_direct + gain[n - n_av:].sum(), best_total):
+    top = _aided_cap(n, tables.k_dsrc)
+    if not top:
+        return Schedule(best_pairing, best_total)
+    # w[n_av - 1][r, a]: `two_hop` of relay r serving aided a, every count at once
+    shares = np.array([rb_share(tables.k_dsrc, n_av) for n_av in range(1, top + 1)], dtype=float)
+    w_all = rate_two_hop(shares[:, None, None] * unit, v2i[:, None])
+    # an aided vehicle gains at most its column maximum over its direct
+    # amount, so the direct total plus the n_av largest gains, added in
+    # ascending order, bound every set of a count
+    gains = np.sort(w_all.max(axis=1) - v2i, axis=1)
+    largest = np.arange(n) >= n - np.arange(1, top + 1)[:, None]
+    count_bounds = (total_direct + np.add.accumulate(np.where(largest, gains, 0.0), axis=1)[:, -1]).tolist()
+    for n_av, w, count_bound in zip(range(1, top + 1), w_all, count_bounds):
+        if not _can_beat(count_bound, best_total):
             continue
-        w = w_arr.tolist()
-        for av in itertools.combinations(ids, n_av):
-            av_set = set(av)
-            direct = tables.direct_sum(av_set)
-            rest = [i for i in ids if i not in av_set]
-            most = 0.0  # each aided vehicle's largest benefit, added in order
-            for a in av:
-                most += max(w[r][a] for r in rest)
+        for start in range(0, math.comb(n, n_av), _ORACLE_ROWS):
+            aided, rest, is_aided, cells = _aided_sets(n, n_av, start, _ORACLE_ROWS)
+            direct = np.add.accumulate(np.where(is_aided, 0.0, v2i), axis=1)[:, -1]
+            # block[s, i, k]: relay rest[s, i] serving aided[s, k]
+            block = w.take(cells)
+            most = np.zeros(len(aided))  # each aided vehicle's largest benefit, added in order
+            for peak in block.max(axis=1).T:
+                most += peak
             bound = direct + most
-            if bound <= best_total:
-                continue
-            for rvs in itertools.combinations(rest, n_av):
-                for perm in itertools.permutations(rvs):
-                    relay = 0.0
-                    for r, a in zip(perm, av):
-                        relay += w[r][a]
-                    total = direct + relay
-                    if total > best_total:
-                        best_total = total
-                        best_pairing = {a: r for r, a in zip(perm, av)}
+            # the incumbent only rises, so a set it stops now stays stopped
+            for s in (~(bound <= best_total)).nonzero()[0].tolist():
+                if bound[s] <= best_total:
+                    continue
+                found = _score_pairings(aided[s], rest[s], block[s], direct[s], best_total)
+                if found is not None:
+                    best_total, best_pairing = found
     return Schedule(best_pairing, best_total)
+
+
+@functools.lru_cache(maxsize=32)
+def _aided_sets(n: int, n_av: int, start: int, rows: int):
+    """Aided sets `start` to `start + rows` of n_av among n vehicles, in lexicographic order.
+
+    Returns (aided, rest, is_aided, cells): each set's aided ids and the
+    other ids, both ascending, a mark of its aided ids over all n, and the
+    flat N x N positions of (rest[i], aided[k]) as cells[s, i, k].  The
+    arrays are read-only, shared by every caller.
+    """
+    sets = itertools.islice(itertools.combinations(range(n), n_av), start, start + rows)
+    aided = np.array(list(sets), dtype=np.intp).reshape(-1, n_av)
+    is_aided = np.zeros((len(aided), n), dtype=bool)
+    np.put_along_axis(is_aided, aided, True, axis=1)
+    rest = np.nonzero(~is_aided)[1].reshape(len(aided), n - n_av)
+    cells = rest[:, :, None] * n + aided[:, None, :]
+    for a in (aided, rest, is_aided, cells):
+        a.flags.writeable = False
+    return aided, rest, is_aided, cells
+
+
+def _score_pairings(aided, rest, block, direct, incumbent):
+    """The first best pairing of one aided set, if its total beats `incumbent`: (total, pairing).
+
+    `aided` and `rest` hold the set's aided and other ids, ascending,
+    `block` the two-hop amounts of `rest` serving `aided`, and `direct` the
+    set's direct sum.  The pairings are scored `_ORACLE_ROWS` at a time
+    from `_pairings`, each total its relay part added in aided order from
+    0.0, then added to `direct`; the incumbent rises to every strictly
+    greater total, so of equal totals the first met wins.  Returns None
+    when no total beats `incumbent`.
+    """
+    m, n_av = block.shape
+    found = None
+    for first in range(0, math.perm(m, n_av), _ORACLE_ROWS):
+        picks = _pairings(m, n_av, first, _ORACLE_ROWS)
+        vals = block.take(picks)
+        relay = 0.0 + vals[0]
+        for v in vals[1:]:
+            relay += v
+        total = direct + relay
+        better = (total > incumbent).nonzero()[0]
+        if len(better):
+            p = better[total[better].argmax()]
+            incumbent = float(total[p])
+            found = incumbent, dict(zip(aided.tolist(), rest[picks[:, p] // n_av].tolist()))
+    return found
+
+
+@functools.lru_cache(maxsize=32)
+def _pairings(m: int, n_av: int, start: int, rows: int) -> np.ndarray:
+    """Pairings `start` to `start + rows` of n_av aided vehicles with relays among m.
+
+    The pairings come as a plain enumeration meets them: each combination of
+    relay positions in lexicographic order, then its permutations, the k-th
+    relay serving the k-th aided vehicle.  Column p holds pairing p as
+    flat positions in an (m, n_av) block of relays against aided vehicles,
+    row k the k-th aided vehicle's entry.  Read-only, shared by every caller.
+    """
+    each = itertools.chain.from_iterable(
+        map(itertools.permutations, itertools.combinations(range(m), n_av)))
+    relays = np.array(list(itertools.islice(each, start, start + rows)), dtype=np.intp)
+    picks = (relays.reshape(-1, n_av) * n_av + np.arange(n_av)).T.copy()
+    picks.flags.writeable = False
+    return picks

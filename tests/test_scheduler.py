@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import types
 
 import numpy as np
 import pytest
@@ -1074,10 +1073,27 @@ def parked(positions):
 
 
 class TestBruteForceOracle:
-    @pytest.mark.parametrize("n", range(13))
-    def test_matches_per_set_enumeration(self, cfg, n):
+    @pytest.mark.parametrize(
+        "n, k_dsrc",
+        [(n, 25) for n in range(13)] + [(n, k) for k in (50, 100) for n in (10, 12)],
+        ids=[str(n) for n in range(13)] + [f"{n}-k_dsrc{k}" for k in (50, 100) for n in (10, 12)],
+    )
+    def test_matches_per_set_enumeration(self, monkeypatch, n, k_dsrc):
+        # a wider V2V pool keeps larger counts: at k_dsrc = 100 counts up to
+        # n_av = 4 are kept and their sets scored
+        kept = []
+        real = scheduler_module._aided_sets
+
+        def sets(n_, n_av, start, rows):
+            kept.append(n_av)
+            return real(n_, n_av, start, rows)
+
+        monkeypatch.setattr(scheduler_module, "_aided_sets", sets)
+        cfg = default_radio_config(k_dsrc=k_dsrc)
         for seed in (1, 2, 3):
             assert_same_optimum(generate(ScenarioSpec(n_vehicles=n, seed=seed)), cfg)
+        if k_dsrc == 100:
+            assert max(kept) > 1
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_parked_mirror_symmetric_fleet(self, cfg, n):
@@ -1122,29 +1138,24 @@ class TestBruteForceOracle:
     )
     def test_screen_leaves_only_sets_that_can_win(self, monkeypatch, radio, n, seed):
         # only aided sets whose per-set bound beats the running incumbent have
-        # their pairings enumerated, the same sets in the same order as when
-        # every count is visited: a count the count bound skips holds no set
-        # that passes.  With default radios that is 2 of the 2 509 aided sets,
-        # with a wide V2V pool 137 of 637; with no direct RBs every bound ties
-        # the incumbent 0, so no set is enumerated
+        # their pairings scored (`_score_pairings`), the same sets in the same
+        # order as when every count is visited: a count the count bound skips
+        # holds no set that passes.  With default radios that is 2 of the
+        # 2 509 aided sets, with a wide V2V pool 137 of 637; with no direct
+        # RBs every bound ties the incumbent 0, so no set is scored
         cfg = default_radio_config(**radio)
         sc = generate(ScenarioSpec(n_vehicles=n, seed=seed))
         tables = build_chunk_tables([sc], cfg)[0]
         want = []
         enumerated_optimum(tables, passed=want)
         got = []
+        real = scheduler_module._score_pairings
 
-        def combinations(pool, r):
-            # the relay pools are the only pools smaller than the fleet
-            if len(pool) < n:
-                got.append(tuple(i for i in range(n) if i not in pool))
-            return itertools.combinations(pool, r)
+        def scoring(aided, *args):
+            got.append(tuple(aided.tolist()))
+            return real(aided, *args)
 
-        monkeypatch.setattr(
-            scheduler_module,
-            "itertools",
-            types.SimpleNamespace(combinations=combinations, permutations=itertools.permutations),
-        )
+        monkeypatch.setattr(scheduler_module, "_score_pairings", scoring)
         solve_optimal_bruteforce(tables)
         assert got == want
         if radio.get("k_lte") == 10:
@@ -1164,8 +1175,8 @@ class TestBruteForceOracle:
         # a count is kept exactly when the direct total plus its n_av largest
         # gains (a column's largest benefit over its direct amount), plus the
         # margin, beats the incumbent at the start of the count; every aided
-        # set of a kept count, and none of a skipped one, then reaches
-        # `direct_sum` in lexicographic order, after the one all-direct call.
+        # set of a kept count, and none of a skipped one, then comes from the
+        # set template `_aided_sets`, in lexicographic order.
         # With default radios the top counts are skipped; with a wide V2V
         # pool every count can win; with no direct RBs every bound ties the
         # incumbent 0, so the margin lets every count through
@@ -1183,22 +1194,50 @@ class TestBruteForceOracle:
             bound = tables.direct_sum(set()) + sum(gains[n - n_av:])
             if bound + 1e-9 * (1.0 + abs(bound)) > incumbent:
                 can_win.append(n_av)
-        calls = []
-        real = ServiceTables.direct_sum
+        visited = []
+        real = scheduler_module._aided_sets
 
-        def counting(self, aided):
-            calls.append(tuple(sorted(aided)))
-            return real(self, aided)
+        def sets(n_, n_av, start, rows):
+            got = real(n_, n_av, start, rows)
+            visited.extend(map(tuple, got[0].tolist()))
+            return got
 
-        monkeypatch.setattr(ServiceTables, "direct_sum", counting)
+        monkeypatch.setattr(scheduler_module, "_aided_sets", sets)
         solve_optimal_bruteforce(tables)
-        assert calls == [()] + [
+        assert visited == [
             av for n_av in can_win for av in itertools.combinations(range(n), n_av)
         ]
         if every_count:
             assert can_win == list(range(1, len(starts) + 1))
         else:
             assert can_win[-1] < len(starts)
+
+    def test_passes_cross_row_budget_boundaries(self, monkeypatch):
+        # with a budget of 5 rows a kept count's sets and a scored set's
+        # pairings span several passes, walked in order, and the optimum
+        # keeps its bits
+        monkeypatch.setattr(scheduler_module, "_ORACLE_ROWS", 5)
+        sets, pairings = [], []
+        real_sets, real_pairings = scheduler_module._aided_sets, scheduler_module._pairings
+
+        def sets_pass(*args):
+            got = real_sets(*args)
+            sets.append(len(got[0]))
+            return got
+
+        def pairings_pass(*args):
+            got = real_pairings(*args)
+            pairings.append(got.shape[1])
+            return got
+
+        monkeypatch.setattr(scheduler_module, "_aided_sets", sets_pass)
+        monkeypatch.setattr(scheduler_module, "_pairings", pairings_pass)
+        cfg = default_radio_config(k_dsrc=200)
+        for seed in (1, 2, 3, 4):
+            opt = assert_same_optimum(generate(ScenarioSpec(n_vehicles=10, seed=seed)), cfg)
+            assert opt.n_av == 4
+        assert max(sets) == max(pairings) == 5
+        assert min(sets) < 5 and min(pairings) < 5
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(
